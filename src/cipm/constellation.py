@@ -4,6 +4,8 @@ Constellations are normalized to unit average power. Each point's decision
 region is described per axis (I and Q) by either an equality constraint at
 the point's component, or a one-sided inequality pointing away from the
 origin when the point sits on the boundary of the lattice in that axis.
+Both are tabulated once per constellation (``coeffs`` and ``free``), and
+``get_constellation`` hands out one cached, read-only spec per order.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ class ConstellationSpec:
     lattice: np.ndarray         # (M, 2) odd integer I/Q coordinates
     bits_per_symbol: int
     rate: float                 # bits/symbol carried by one detection
+    coeffs: np.ndarray          # (M, 2) I/Q components of each point
+    free: np.ndarray            # (M, 2) bool: axis freed in relaxed mode (lattice-extreme)
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.lattice.setflags(write=False)
+        for arr in (self.points, self.lattice, self.coeffs, self.free):
+            arr.setflags(write=False)
 
     @property
     def scale(self) -> float:
@@ -99,30 +103,32 @@ def build_qam(order: int) -> ConstellationSpec:
     assert abs(np.mean(np.abs(points) ** 2) - 1.0) < 1e-12
     m = int(np.log2(order))
     name = "qpsk" if order == 4 else f"{order}qam"
+    # a point is extreme on I when no point of its row (same Q) lies further
+    # out, and on Q when none of its column (same I) does
+    mag = np.abs(lattice)
+    free = np.empty((order, 2), dtype=bool)
+    for axis in (0, 1):
+        same_line = lattice[:, 1 - axis][:, None] == lattice[:, 1 - axis][None, :]
+        free[:, axis] = mag[:, axis] == np.max(np.where(same_line, mag[None, :, axis], 0), axis=1)
     return ConstellationSpec(name=name, order=order, points=points,
-                             lattice=lattice, bits_per_symbol=m, rate=float(m))
+                             lattice=lattice, bits_per_symbol=m, rate=float(m),
+                             coeffs=np.column_stack([points.real, points.imag]),
+                             free=free)
+
+
+_SPECS = {order: build_qam(order) for order in QAM_ORDERS}
 
 
 def get_constellation(name: str) -> ConstellationSpec:
     key = name.strip().lower()
     if key not in _ALIASES:
         raise ValueError(f"unknown constellation {name!r}; expected one of {sorted(_ALIASES)}")
-    return build_qam(_ALIASES[key])
-
-
-def _axis_extreme(spec: ConstellationSpec, index: int) -> tuple[bool, bool]:
-    """Whether the point is at the outer edge of its row (I) / column (Q)."""
-    a, b = spec.lattice[index]
-    row = spec.lattice[spec.lattice[:, 1] == b, 0]
-    col = spec.lattice[spec.lattice[:, 0] == a, 1]
-    i_ext = abs(a) == np.max(np.abs(row))
-    q_ext = abs(b) == np.max(np.abs(col))
-    return bool(i_ext), bool(q_ext)
+    return _SPECS[_ALIASES[key]]
 
 
 def classify(spec: ConstellationSpec, index: int) -> PointClass:
     """Class of a point: inner, edge of one axis, or edge of both."""
-    i_ext, q_ext = _axis_extreme(spec, index)
+    i_ext, q_ext = spec.free[index]
     if i_ext and q_ext:
         return PointClass.OUTERMOST
     if i_ext:
@@ -139,16 +145,19 @@ def constraints_for(spec: ConstellationSpec, index: int, mode: str
     mode 'strict' pins both components; mode 'relaxed' frees the components
     on which the point is lattice-extreme, away from the origin.
     """
+    _check_mode(mode)
+    ci, cq = spec.coeffs[index]
+    i_free, q_free = spec.free[index] if mode == "relaxed" else (False, False)
+    rel_i = Relation.TOWARD_SIGN if i_free else Relation.EQUAL
+    rel_q = Relation.TOWARD_SIGN if q_free else Relation.EQUAL
+    return (DetectionConstraint("I", rel_i, float(ci)),
+            DetectionConstraint("Q", rel_q, float(cq)))
+
+
+def _check_mode(mode: str) -> None:
+    """Reject a constraint mode other than 'strict' or 'relaxed'."""
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    p = spec.points[index]
-    i_ext, q_ext = _axis_extreme(spec, index)
-    if mode == "strict":
-        i_ext = q_ext = False
-    rel_i = Relation.TOWARD_SIGN if i_ext else Relation.EQUAL
-    rel_q = Relation.TOWARD_SIGN if q_ext else Relation.EQUAL
-    return (DetectionConstraint("I", rel_i, float(p.real)),
-            DetectionConstraint("Q", rel_q, float(p.imag)))
 
 
 def _quantize(levels_max: int, x: np.ndarray) -> np.ndarray:

@@ -2,19 +2,26 @@
 
 Each user contributes one I and one Q constraint on the received value
 h_j x: an equality at the scaled symbol component, or a one-sided bound
-away from the origin for lattice-edge components. The transmit vector of
-minimum norm is found with a primal active-set method on the real
-embedding [Re x; Im x], warm-started from the all-equality solution.
+away from the origin for lattice-edge components. make_problem gathers
+them from the constellations' cached coefficient and free-axis tables into
+one sign-normalized real system on [Re x; Im x]. The transmit vector of
+minimum norm is found with a primal active-set method warm-started from the
+all-equality solution; each working set is factorized once (one SVD gives
+both its least-norm point and its multipliers). One core, min_norm_qp,
+serves solve_cipm, solve_strict, solve_strict_equivalent and the multicast
+bound's SCA rounds. The KKT report keeps the multipliers and builds its
+residual, violation, active set and correlation matrix only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
 from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
-from .constellation import ConstellationSpec, DetectionConstraint, Relation, constraints_for
+from .constellation import ConstellationSpec, DetectionConstraint, Relation, _check_mode
 
 
 class SolverError(Exception):
@@ -48,13 +55,19 @@ class SinrTargets:
 
 @dataclass(frozen=True)
 class PrecodeProblem:
-    """Channel rows plus per-user (I, Q) constraints with resolved RHS.
+    """Sign-normalized real embedding of the per-user (I, Q) constraints.
 
-    The constraints store rhs values already scaled by sqrt(zeta_j)*sigma_z.
+    Row 2j is user j's I functional and row 2j+1 its Q functional of
+    u = [Re x; Im x]. rhs is already scaled by sqrt(zeta_j)*sigma_z.
+    Equality rows read rows @ u == rhs; inequality rows were multiplied by
+    flips (the sign of their rhs) so that they read rows @ u >= rhs.
     """
 
     channel: np.ndarray
-    constraints: tuple
+    rows: np.ndarray
+    rhs: np.ndarray
+    is_eq: np.ndarray
+    flips: np.ndarray
     mode: str
 
     @property
@@ -65,6 +78,15 @@ class PrecodeProblem:
     def n_antennas(self) -> int:
         return self.channel.shape[1]
 
+    @property
+    def constraints(self) -> tuple:
+        """Per-user (I, Q) DetectionConstraints in the unflipped frame."""
+        rel = [Relation.EQUAL if e else Relation.TOWARD_SIGN for e in self.is_eq]
+        b = (self.flips * self.rhs).tolist()
+        return tuple((DetectionConstraint("I", rel[i], b[i]),
+                      DetectionConstraint("Q", rel[i + 1], b[i + 1]))
+                     for i in range(0, len(b), 2))
+
 
 @dataclass(frozen=True)
 class PrecodedSignal:
@@ -74,28 +96,43 @@ class PrecodedSignal:
 
 @dataclass(frozen=True)
 class KktReport:
+    """Multipliers of a solve; the certificate fields are computed on first access.
+
+    u is the real-embedded optimum and is_eq the row kinds the solve used
+    (all True for solve_strict).
+    """
+
     lam: np.ndarray                   # I-constraint multipliers, one per user
     mu: np.ndarray                    # Q-constraint multipliers
-    stationarity_residual: float
-    max_constraint_violation: float
-    active_set: tuple                 # indices 2j (I) / 2j+1 (Q) of binding inequalities
-    rho: np.ndarray                   # normalized channel correlation matrix
+    problem: PrecodeProblem = field(repr=False, compare=False)
+    u: np.ndarray = field(repr=False, compare=False)
+    is_eq: np.ndarray = field(repr=False, compare=False)
 
+    @cached_property
+    def _slack(self) -> np.ndarray:
+        return self.problem.rows @ self.u - self.problem.rhs
 
-def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: SinrTargets,
-                 mode: str = "relaxed") -> PrecodeProblem:
-    """Assemble the per-slot problem for the given symbol indices."""
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=complex)
-    k = h.shape[0]
-    if len(specs) != k or len(symbols) != k or len(targets.zeta) != k:
-        raise ValueError("specs, symbols and targets must all have one entry per user")
-    cons = []
-    for j in range(k):
-        ci, cq = constraints_for(specs[j], int(symbols[j]), mode)
-        s = np.sqrt(targets.zeta[j]) * targets.sigma_z
-        cons.append((DetectionConstraint("I", ci.relation, s * ci.rhs_coeff),
-                     DetectionConstraint("Q", cq.relation, s * cq.rhs_coeff)))
-    return PrecodeProblem(channel=h, constraints=tuple(cons), mode=mode)
+    @cached_property
+    def stationarity_residual(self) -> float:
+        nt = self.problem.n_antennas
+        return kkt_residual(self.problem, self.u[:nt] + 1j * self.u[nt:], self.lam, self.mu)
+
+    @cached_property
+    def max_constraint_violation(self) -> float:
+        slack = self._slack
+        return float(np.max(np.where(self.is_eq, np.abs(slack), np.maximum(0.0, -slack))))
+
+    @cached_property
+    def active_set(self) -> tuple:
+        """Indices 2j (I) / 2j+1 (Q) of binding inequalities."""
+        return tuple(np.flatnonzero(~self.is_eq & (np.abs(self._slack) < 1e-9)).tolist())
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Normalized channel correlation matrix."""
+        h = self.problem.channel
+        norms = np.linalg.norm(h, axis=1)
+        return (h @ h.conj().T) / np.outer(norms, norms)
 
 
 def _embed_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,33 +142,54 @@ def _embed_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: SinrTargets,
+              mode: str) -> PrecodeProblem:
+    """Problem from per-user (I, Q) point components and freed-axis masks, both (K, 2)."""
+    a, b = _embed_rows(h)
+    rhs = ((np.sqrt(targets.zeta) * targets.sigma_z)[:, None] * coeffs).ravel()
+    is_eq = ~free.ravel()
+    flips = np.where(is_eq | (rhs >= 0), 1.0, -1.0)
+    rows = np.stack([a, b], axis=1).reshape(len(rhs), -1) * flips[:, None]
+    return PrecodeProblem(channel=h, rows=rows, rhs=flips * rhs, is_eq=is_eq,
+                          flips=flips, mode=mode)
+
+
+def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: SinrTargets,
+                 mode: str = "relaxed") -> PrecodeProblem:
+    """Assemble the per-slot problem for the given symbol indices."""
+    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=complex)
+    k = h.shape[0]
+    if len(specs) != k or len(symbols) != k or len(targets.zeta) != k:
+        raise ValueError("specs, symbols and targets must all have one entry per user")
+    _check_mode(mode)
+    idx = [int(i) for i in symbols]
+    coeffs = np.array([spec.coeffs[i] for spec, i in zip(specs, idx)])
+    if mode == "relaxed":
+        free = np.array([spec.free[i] for spec, i in zip(specs, idx)])
+    else:
+        free = np.zeros((k, 2), dtype=bool)
+    return _assemble(h, coeffs, free, targets, mode)
+
+
 def _problem_rows(problem: PrecodeProblem):
     """Sign-normalized rows: equalities (A u = b) and inequalities (A u >= b)."""
-    a_all, b_all = _embed_rows(problem.channel)
-    rows, rhs, is_eq, flips = [], [], [], []
-    for j, (ci, cq) in enumerate(problem.constraints):
-        for axis_row, con in ((a_all[j], ci), (b_all[j], cq)):
-            if con.relation is Relation.EQUAL:
-                rows.append(axis_row)
-                rhs.append(con.rhs_coeff)
-                is_eq.append(True)
-                flips.append(1.0)
-            else:
-                s = 1.0 if con.rhs_coeff >= 0 else -1.0
-                rows.append(s * axis_row)
-                rhs.append(s * con.rhs_coeff)
-                is_eq.append(False)
-                flips.append(s)
-    return (np.array(rows), np.array(rhs), np.array(is_eq, dtype=bool),
-            np.array(flips))
+    return problem.rows, problem.rhs, problem.is_eq, problem.flips
 
 
-def _lstsq_min_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
+def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
+    """Least-norm u of a u = b and multipliers nu of a.T nu = u, from one SVD.
+
+    With a = U S V^T and singular values at or below rcond * s_max cut (as
+    np.linalg.lstsq does), u = V S^-1 U^T b and nu = U S^-2 U^T b.
+    Returns (u, nu, ||a u - b||).
+    """
     if a.shape[0] == 0:
-        return np.zeros(a.shape[1]), 0.0
-    u = np.linalg.lstsq(a, b, rcond=rcond)[0]
-    resid = float(np.linalg.norm(a @ u - b))
-    return u, resid
+        return np.zeros(a.shape[1]), np.zeros(0), 0.0
+    left, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(s > rcond * s[0]))
+    c = (left[:, :r].T @ b) / s[:r]
+    u = vt[:r].T @ c
+    return u, left[:, :r] @ (c / s[:r]), float(np.linalg.norm(a @ u - b))
 
 
 def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
@@ -141,81 +199,55 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
 
     Starts from the all-equality least-norm point, which is feasible by
     construction, then releases inequality rows whose multipliers say the
-    norm can shrink by moving into the allowed half-space.
+    norm can shrink by moving into the allowed half-space. Each working set
+    is factorized once; that factorization gives both its least-norm point
+    and its multipliers.
     Returns (u, nu) where nu holds the multipliers of the final working set
     (zero on inactive rows), with u = rows.T @ nu.
     """
     m = len(rhs)
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
-    u, resid = _lstsq_min_norm(rows, rhs)
+    u, nu_w, resid = _least_norm(rows, rhs)
     if resid > feas_tol * scale:
         gaps = np.abs(rows @ u - rhs)
         bad = [i if labels is None else labels[i] for i in np.nonzero(gaps > feas_tol * scale)[0]]
         raise InfeasibleConstraintsError(
             f"equality system inconsistent (residual {resid:.3e}); conflicting rows: {bad}",
             conflicts=bad)
-    work = list(range(m))  # all rows active at the strict start
-    ineq_ids = [i for i in range(m) if not is_eq[i]]
+    work = np.ones(m, dtype=bool)  # all rows active at the strict start
+    u_star = u                     # least-norm point of the working set
     for _ in range(max_iter):
-        a_w = rows[work]
-        u_star, resid = _lstsq_min_norm(a_w, rhs[work])
-        if resid > feas_tol * scale:
-            bad = [i if labels is None else labels[i] for i in work]
-            raise InfeasibleConstraintsError(
-                f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
+        if u_star is None:
+            u_star, nu_w, resid = _least_norm(rows[work], rhs[work])
+            if resid > feas_tol * scale:
+                bad = [i if labels is None else labels[i] for i in np.flatnonzero(work)]
+                raise InfeasibleConstraintsError(
+                    f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
         if np.linalg.norm(u_star - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
             u = u_star
-            nu_w = np.linalg.lstsq(a_w.T, u, rcond=1e-12)[0]
-            worst, worst_val = None, -mult_tol
-            for pos, i in enumerate(work):
-                if not is_eq[i] and nu_w[pos] < worst_val:
-                    worst, worst_val = i, nu_w[pos]
-            if worst is None:
+            neg = ~is_eq[work] & (nu_w < -mult_tol)
+            if not neg.any():
                 nu = np.zeros(m)
-                for pos, i in enumerate(work):
-                    nu[i] = nu_w[pos]
+                nu[work] = nu_w
                 return u, nu
-            work.remove(worst)
+            # most negative multiplier; ties go to the lowest row
+            work[np.flatnonzero(work)[np.argmin(np.where(neg, nu_w, np.inf))]] = False
+            u_star = None
             continue
         d = u_star - u
-        alpha, blocker = 1.0, None
-        for i in ineq_ids:
-            if i in work:
-                continue
-            g = float(rows[i] @ d)
-            if g < -1e-14:
-                ai = (rhs[i] - float(rows[i] @ u)) / g
-                if ai < alpha:
-                    alpha, blocker = max(ai, 0.0), i
-        u = u + alpha * d
-        if blocker is not None:
-            work.append(blocker)
-            work.sort()
+        g = rows @ d
+        cand = np.flatnonzero(~is_eq & ~work & (g < -1e-14))
+        # step to the first inequality the move would cross (ratios clamped
+        # at 0 against rounding-level violations); ties go to the lowest row
+        ratios = np.maximum((rhs[cand] - rows[cand] @ u) / g[cand], 0.0)
+        first = int(np.argmin(ratios)) if len(cand) else -1
+        if first >= 0 and ratios[first] < 1.0:
+            u = u + ratios[first] * d
+            work[cand[first]] = True
+            u_star = None
+        else:
+            u = u + d
     raise ActiveSetLimitError(f"active-set loop did not converge within {max_iter} iterations")
-
-
-def _report(problem: PrecodeProblem, u: np.ndarray, nu: np.ndarray,
-            rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
-            flips: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
-    nt = problem.n_antennas
-    k = problem.k_users
-    x = u[:nt] + 1j * u[nt:]
-    # map working-set multipliers back to the unflipped I/Q frame
-    nu_eff = flips * nu
-    lam = -2.0 * nu_eff[0::2]
-    mu = -2.0 * nu_eff[1::2]
-    slack = rows @ u - rhs
-    viol = np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))
-    active = tuple(i for i in range(len(rhs)) if not is_eq[i] and abs(slack[i]) < 1e-9)
-    norms = np.linalg.norm(problem.channel, axis=1)
-    gram = problem.channel @ problem.channel.conj().T
-    rho = gram / np.outer(norms, norms)
-    resid = kkt_residual(problem, x, lam, mu)
-    sig = PrecodedSignal(x=x, power=float(u @ u))
-    rep = KktReport(lam=lam, mu=mu, stationarity_residual=resid,
-                    max_constraint_violation=float(np.max(viol)),
-                    active_set=active, rho=rho)
-    return sig, rep
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
@@ -234,23 +266,33 @@ def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
     return float(np.linalg.norm(x - s))
 
 
-def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
-    """Minimum-power transmit vector honoring every detection region."""
-    rows, rhs, is_eq, flips = _problem_rows(problem)
-    labels = [f"user{i // 2 + 1}/{'I' if i % 2 == 0 else 'Q'}" for i in range(len(rhs))]
+def _solve(problem: PrecodeProblem, is_eq: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
     # release/block passes both consume an iteration, so the cap scales with
     # the constraint count and keeps a wide margin over observed worst cases
-    u, nu = min_norm_qp(rows, rhs, is_eq, max_iter=20 * problem.k_users + 20, labels=labels)
-    return _report(problem, u, nu, rows, rhs, is_eq, flips)
+    u, nu = min_norm_qp(problem.rows, problem.rhs, is_eq,
+                        max_iter=20 * problem.k_users + 20, labels=_row_labels(len(is_eq)))
+    nt = problem.n_antennas
+    # map working-set multipliers back to the unflipped I/Q frame
+    nu_eff = problem.flips * nu
+    sig = PrecodedSignal(x=u[:nt] + 1j * u[nt:], power=float(u @ u))
+    rep = KktReport(lam=-2.0 * nu_eff[0::2], mu=-2.0 * nu_eff[1::2],
+                    problem=problem, u=u, is_eq=is_eq)
+    return sig, rep
+
+
+@cache
+def _row_labels(m: int) -> tuple:
+    return tuple(f"user{i // 2 + 1}/{'I' if i % 2 == 0 else 'Q'}" for i in range(m))
+
+
+def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
+    """Minimum-power transmit vector honoring every detection region."""
+    return _solve(problem, problem.is_eq)
 
 
 def solve_strict(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
     """All-equality variant: the received values hit the scaled symbols exactly."""
-    rows, rhs, is_eq, flips = _problem_rows(problem)
-    all_eq = np.ones_like(is_eq)
-    labels = [f"user{i // 2 + 1}/{'I' if i % 2 == 0 else 'Q'}" for i in range(len(rhs))]
-    u, nu = min_norm_qp(rows, rhs, all_eq, max_iter=20 * problem.k_users + 20, labels=labels)
-    return _report(problem, u, nu, rows, rhs, all_eq, flips)
+    return _solve(problem, np.ones_like(problem.is_eq))
 
 
 def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
@@ -265,10 +307,6 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
     ch = channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(np.asarray(channel, dtype=complex))
     eq = effective_channel(ch, specs, symbols, reference)
     k = ch.k_users
-    cons = []
-    for j in range(k):
-        s = np.sqrt(targets.zeta[j]) * targets.sigma_z
-        cons.append((DetectionConstraint("I", Relation.EQUAL, s * reference.real),
-                     DetectionConstraint("Q", Relation.EQUAL, s * reference.imag)))
-    prob = PrecodeProblem(channel=eq.entries, constraints=tuple(cons), mode="strict")
+    coeffs = np.tile([reference.real, reference.imag], (k, 1))
+    prob = _assemble(eq.entries, coeffs, np.zeros((k, 2), dtype=bool), targets, "strict")
     return solve_strict(prob)

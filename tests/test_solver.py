@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipm.channel import ChannelMatrix
-from cipm.constellation import Relation, classify, get_constellation, PointClass
+from cipm.constellation import (QAM_ORDERS, PointClass, Relation, classify,
+                                constraints_for, get_constellation)
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, make_problem, min_norm_qp, solve_cipm,
+                         SinrTargets, _embed_rows, _least_norm, _problem_rows,
+                         kkt_residual, make_problem, min_norm_qp, solve_cipm,
                          solve_strict, solve_strict_equivalent)
 from oracles import seeded_instances, solve_reference
+
+ORACLE_MAX_ITER = 300_000    # oracles.qp_oracle's iteration cap
 
 
 def _random_instance(seed, k=2, nt=2, name="16qam", zeta_db=8.0):
@@ -165,7 +170,6 @@ def test_iteration_budget_error_is_raised_when_capped():
         k = h.shape[0]
         targets = SinrTargets(zeta=zeta, sigma_z=1.0)
         prob = make_problem(h, [spec] * k, symbols, targets, "relaxed")
-        from cipm.solver import _problem_rows
         rows, rhs, is_eq, _ = _problem_rows(prob)
         try:
             min_norm_qp(rows, rhs, is_eq, max_iter=1)
@@ -196,3 +200,123 @@ def test_relaxed_outer_symbols_exploit_interference():
     p_rel = solve_cipm(make_problem(h, [spec] * 2, symbols, targets, "relaxed"))[0].power
     p_str = solve_cipm(make_problem(h, [spec] * 2, symbols, targets, "strict"))[0].power
     assert p_rel < 0.9 * p_str
+
+
+def _row_by_row(h, specs, symbols, targets, mode):
+    """Sign-normalized system built one constraint at a time from constraints_for."""
+    a_all, b_all = _embed_rows(h)
+    rows, rhs, is_eq, flips = [], [], [], []
+    for j, (spec, sym) in enumerate(zip(specs, symbols)):
+        s = np.sqrt(targets.zeta[j]) * targets.sigma_z
+        for axis_row, con in zip((a_all[j], b_all[j]), constraints_for(spec, sym, mode)):
+            b = s * con.rhs_coeff
+            sign = 1.0 if con.relation is Relation.EQUAL or b >= 0 else -1.0
+            rows.append(sign * axis_row)
+            rhs.append(sign * b)
+            is_eq.append(con.relation is Relation.EQUAL)
+            flips.append(sign)
+    return np.array(rows), np.array(rhs), np.array(is_eq), np.array(flips)
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_make_problem_tables_match_row_by_row_assembly(order, mode):
+    # one user per constellation point, so every relaxed edge of every order
+    # (including the 8QAM, 32QAM cross and 64QAM ones) is assembled
+    spec = get_constellation(f"{order}qam")
+    rng = np.random.default_rng(order)
+    h = rng.standard_normal((order, 3)) + 1j * rng.standard_normal((order, 3))
+    targets = SinrTargets(zeta=10.0 ** rng.uniform(0.0, 2.0, size=order), sigma_z=0.7)
+    symbols = rng.permutation(order)
+    prob = make_problem(h, [spec] * order, symbols, targets, mode)
+    expected = _row_by_row(h, [spec] * order, symbols, targets, mode)
+    for got, want in zip(_problem_rows(prob), expected):
+        assert np.array_equal(got, want)
+    for j, sym in enumerate(symbols):
+        for con, ref in zip(prob.constraints[j], constraints_for(spec, sym, mode)):
+            assert con.axis == ref.axis and con.relation is ref.relation
+
+
+def test_make_problem_mixed_constellations_and_bad_mode():
+    specs = [get_constellation(n) for n in ("qpsk", "32qam", "64qam")]
+    h, _, _, _ = _random_instance(9, k=3, nt=3)
+    targets = SinrTargets(zeta=np.array([2.0, 30.0, 90.0]), sigma_z=1.0)
+    symbols = [1, 5, 62]
+    prob = make_problem(h, specs, symbols, targets, "relaxed")
+    for got, want in zip(_problem_rows(prob), _row_by_row(h, specs, symbols, targets, "relaxed")):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        make_problem(h, specs, symbols, targets, "loose")
+
+
+def test_kkt_report_fields_match_direct_formulas():
+    for seed in range(12):
+        k = 1 + seed % 3
+        h, spec, symbols, targets = _random_instance(300 + seed, k=k, nt=3,
+                                                     name=("qpsk", "16qam", "64qam")[seed % 3])
+        prob = make_problem(h, [spec] * k, symbols, targets, ("relaxed", "strict")[seed % 2])
+        for solve in (solve_cipm, solve_strict):
+            sig, rep = solve(prob)
+            rows, rhs, is_eq, _ = _problem_rows(prob)
+            if solve is solve_strict:
+                is_eq = np.ones_like(is_eq)
+            u = np.concatenate([sig.x.real, sig.x.imag])
+            slack = rows @ u - rhs
+            assert rep.stationarity_residual == kkt_residual(prob, sig.x, rep.lam, rep.mu)
+            assert rep.max_constraint_violation == float(np.max(
+                np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
+            assert rep.active_set == tuple(i for i in range(len(rhs))
+                                           if not is_eq[i] and abs(slack[i]) < 1e-9)
+            norms = np.linalg.norm(h, axis=1)
+            assert np.array_equal(rep.rho, (h @ h.conj().T) / np.outer(norms, norms))
+
+
+@pytest.mark.parametrize("shape,rank", [((4, 6), 4), ((6, 6), 6), ((5, 8), 3), ((3, 2), 2)])
+def test_least_norm_matches_lstsq_pair(shape, rank):
+    # the one-SVD factorization gives what the pair of lstsq solves gave,
+    # also when rows are dependent (rank below the row count)
+    rng = np.random.default_rng(rank)
+    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    b = rng.standard_normal(shape[0])
+    u, nu, resid = _least_norm(a, b)
+    u_ref = np.linalg.lstsq(a, b, rcond=1e-12)[0]
+    nu_ref = np.linalg.lstsq(a.T, u_ref, rcond=1e-12)[0]
+    assert np.allclose(u, u_ref, rtol=1e-10, atol=1e-12)
+    assert np.allclose(nu, nu_ref, rtol=1e-10, atol=1e-12)
+    assert resid == pytest.approx(np.linalg.norm(a @ u_ref - b), rel=1e-8, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nt=st.integers(1, 4), data=st.data(), mode=st.sampled_from(["relaxed", "strict"]),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_properties(nt, data, mode, log_scale, seed):
+    k = data.draw(st.integers(1, nt), label="k")
+    specs = [get_constellation(f"{o}qam")
+             for o in data.draw(st.lists(st.sampled_from(QAM_ORDERS), min_size=k, max_size=k),
+                                label="orders")]
+    zeta_db = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                 label="zeta_db"))
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((k, nt)) + 1j * rng.standard_normal((k, nt))) / np.sqrt(2)
+    symbols = [int(rng.integers(0, s.order)) for s in specs]
+    targets = SinrTargets(zeta=10.0 ** (zeta_db / 10.0), sigma_z=1.0)
+    c = 10.0 ** log_scale
+    prob = make_problem(c * h, specs, symbols, targets, mode)
+    sig, _ = solve_cipm(prob)
+
+    # power scales as 1/c^2; the first-order oracle's stopping rule is
+    # absolute, so it is consulted at unit scale
+    _, p_ref, iters = solve_reference(h, specs, symbols, targets.zeta, 1.0, mode)
+    if iters < ORACLE_MAX_ITER:
+        assert sig.power * c ** 2 == pytest.approx(p_ref, rel=1e-8)
+
+    rows, rhs, is_eq, _ = _problem_rows(prob)
+    u, nu = min_norm_qp(rows, rhs, is_eq, max_iter=20 * k + 20)
+    assert np.array_equal(u, np.concatenate([sig.x.real, sig.x.imag]))
+    tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))       # min_norm_qp's feasibility tolerance
+    slack = rows @ u - rhs
+    assert np.all(np.abs(slack[is_eq]) <= tol)
+    assert np.all(slack[~is_eq] >= -tol)
+    assert np.allclose(rows.T @ nu, u, rtol=1e-9, atol=1e-12 * np.linalg.norm(u))
+    assert np.all(nu[~is_eq] >= -1e-10)
+    assert np.all(nu[~is_eq & (slack > tol)] == 0.0)
