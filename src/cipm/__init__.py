@@ -27,9 +27,9 @@ from .linkadapt import (
 )
 from .simulator import (
     CombinationTable, DistributionReport, FrameConfig, FrameResult,
-    PrecoderCache, RegionPoint, SweepRow, cache_capacity, draw_channel,
-    enumerate_combinations, fixed_channel_experiment, region_maps, run_frame,
-    run_frames, run_sweep, validate_distribution,
+    RegionPoint, SweepRow, draw_channel, enumerate_combinations,
+    fixed_channel_experiment, region_maps, run_frame, run_frames, run_sweep,
+    validate_distribution,
 )
 
 __version__ = "0.1.0"

@@ -25,11 +25,10 @@ from .channel import ChannelMatrix
 from .linkadapt import (AnalyticBackend, EmpiricalBackend, ModulationTable,
                         allocate, load_table)
 from .simulator import (DEFAULT_ZETA_DB, MODES, PRECODERS, SWEEP_AXES,
-                        FrameConfig, distribution_curves,
-                        fixed_channel_experiment, region_maps, run_sweep,
-                        validate_distribution, write_combination_csv,
-                        write_distribution_csv, write_region_csv,
-                        write_sweep_csv)
+                        FrameConfig, fixed_channel_experiment, region_maps,
+                        run_sweep, validate_distribution,
+                        write_combination_csv, write_distribution_csv,
+                        write_region_csv, write_sweep_csv)
 from .solver import SolverError
 
 EXIT_OK = 0
@@ -343,11 +342,8 @@ def cmd_pdfcheck(opts):
     report = validate_distribution(
         constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
         samples=opts["samples"], bins=bins, seed=opts["seed"])
-    grid, analytic, empirical = distribution_curves(
-        constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
-        samples=opts["samples"], seed=opts["seed"])
     path = os.path.join(_outdir(opts), "distribution.csv")
-    write_distribution_csv(grid, analytic, empirical, path)
+    write_distribution_csv(*report.curves, path)
     print(f"wrote {path}")
     print(f"L1 distance      {report.l1:.6f} (threshold {threshold:g})")
     print(f"phase KS         {report.ks_phase:.6f}")

@@ -1,9 +1,10 @@
 """Frame-level Monte-Carlo engine.
 
-One frame = one channel draw held fixed over N symbol slots. Per slot the
-engine precodes (symbol-level solve through a combination cache, or per-frame
-beams applied to the slot's symbols), adds receiver noise, detects, and
-aggregates power/SER/goodput statistics. Sweeps repeat frames over a grid of
+One frame = one channel draw held fixed over N symbol slots. The engine
+precodes every slot (one symbol-level solve per distinct symbol combination
+of the frame, shared by the slots that carry it, or per-frame beams applied
+to the slot's symbols), adds receiver noise, detects, and aggregates
+power/SER/goodput statistics. Sweeps repeat frames over a grid of
 targets or system sizes with per-frame derived seeds so runs are reproducible
 and frames can be distributed across processes.
 """
@@ -16,8 +17,8 @@ from scipy.optimize import brentq
 
 from .baselines import ob_frame_power, solve_multicast_bound, solve_ob
 from .channel import (ChannelMatrix, FadingConfig, effective_channel,
-                      eq_power_cdf, eq_power_mean, sample_rayleigh,
-                      symbol_stats)
+                      eq_power_cdf, eq_power_mean, eq_power_pdf,
+                      sample_rayleigh, symbol_stats)
 from .constellation import detect, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
 from .solver import SinrTargets, SolverError, make_problem, solve_cipm
@@ -81,43 +82,6 @@ class FrameConfig:
         return SinrTargets(zeta=10.0 ** (z / 10.0), sigma_z=self.sigma_z)
 
 
-class PrecoderCache:
-    """Per-frame lookup table keyed by the symbol-index combination.
-
-    The number of distinct solves in a frame can never exceed
-    min(prod of orders, N): there are only that many distinct combinations,
-    and a frame of N slots can expose at most N of them.
-    """
-
-    def __init__(self, capacity):
-        self.capacity = int(capacity)
-        self.entries = {}
-        self.hits = 0
-
-    def get(self, key, compute):
-        if key in self.entries:
-            self.hits += 1
-            return self.entries[key]
-        value = compute()
-        self.entries[key] = value
-        if len(self.entries) > self.capacity:
-            raise AssertionError(
-                f"cache grew past its {self.capacity}-entry bound")
-        return value
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def cache_capacity(orders, n_symbols):
-    total = 1
-    for m in orders:
-        total *= int(m)
-        if total >= n_symbols:
-            return int(n_symbols)
-    return min(total, int(n_symbols))
-
-
 @dataclass(frozen=True)
 class FrameResult:
     powers: np.ndarray            # per-slot transmit power, Watts
@@ -146,72 +110,66 @@ def draw_channel(cfg: FrameConfig, frame_index: int) -> ChannelMatrix:
     return sample_rayleigh(fading, rng=rng)
 
 
-def _slot_vectors(cfg, specs, channel, symbols, targets, cache, mc_seed):
-    """Transmit vector per slot plus the per-user coherent detection gains."""
-    h = channel.entries
-    k = cfg.k_users
-    n = symbols.shape[0]
-    x = np.empty((n, cfg.n_antennas), dtype=complex)
-    root = np.sqrt(targets.zeta) * targets.sigma_z
+def _symbol_values(specs, symbols):
+    """Complex symbol per row and user for index rows symbols (N, K)."""
+    return np.column_stack([spec.points[symbols[:, j]]
+                            for j, spec in enumerate(specs)])
 
-    if cfg.precoder == "ob":
-        beams = solve_ob(h, targets)
-        pts = [np.asarray(s.points) for s in specs]
-        for i in range(n):
-            d = np.array([pts[j][symbols[i, j]] for j in range(k)])
-            x[i] = beams.w.T @ d
-        gains = h @ beams.w.T  # gains[j, l] = h_j w_l; detection uses diagonal
-        det_scale = np.diag(gains)
-        return x, det_scale, 0, 1
 
-    def cipm_for(key):
-        prob = make_problem(h, specs, list(key), targets, cfg.mode)
-        sig, _ = solve_cipm(prob)
-        return sig.x
-
-    if cfg.precoder == "cipm":
-        for i in range(n):
-            key = tuple(int(s) for s in symbols[i])
-            x[i] = cache.get(key, lambda key=key: cipm_for(key))
-        # receiver rescales by the constraint scaling before the lattice slicer
-        return x, root, cache.hits, len(cache)
-
-    # multicast bound: per-combination solve on the effective channel, warm
-    # started at the CIPM point so the bound never exceeds it
-    def mcast_for(key):
-        warm = cipm_for(key)
-        eff = effective_channel(channel, specs, list(key))
-        sol = solve_multicast_bound(eff.entries, targets,
-                                    restarts=cfg.multicast_restarts,
-                                    seed=mc_seed, warm_start=warm)
-        if not sol.feasible:
-            raise SolverError("multicast bound infeasible despite warm start")
-        return sol.x
-
-    for i in range(n):
-        key = tuple(int(s) for s in symbols[i])
-        x[i] = cache.get(key, lambda key=key: mcast_for(key))
-    return x, None, cache.hits, len(cache)
+def _cipm_solve(h, specs, combos, targets, mode):
+    """CIPM transmit vectors (C, Nt) and solver powers (C,) per combination."""
+    sigs = [solve_cipm(make_problem(h, specs, c, targets, mode))[0]
+            for c in combos]
+    return (np.array([s.x for s in sigs]),
+            np.array([s.power for s in sigs]))
 
 
 def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
               ) -> FrameResult:
     """Simulate one frame on the given channel.
 
-    Randomness (symbols, noise) comes from a stream derived from
-    (cfg.seed, frame_index), independent of the channel draw.
+    Symbol-level precoders solve each distinct symbol combination of the
+    frame once; OB applies its per-frame beams to every slot. Randomness
+    (symbols, noise) comes from a stream derived from (cfg.seed, frame_index),
+    independent of the channel draw.
     """
     specs = cfg.constellations()
     targets = cfg.targets()
     k = cfg.k_users
+    h = channel.entries
     rng = _frame_rng(cfg.seed, frame_index, 1)
     symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
                                for s in specs])
-    cache = PrecoderCache(cache_capacity([s.order for s in specs], cfg.n_symbols))
     mc_seed = int(rng.integers(0, 2 ** 31))
     try:
-        x, det_scale, hits, entries = _slot_vectors(
-            cfg, specs, channel, symbols, targets, cache, mc_seed)
+        if cfg.precoder == "ob":
+            beams = solve_ob(h, targets)
+            x = _symbol_values(specs, symbols) @ beams.w
+            # user j detects against its own beam gain h_j w_j
+            det_scale = np.diag(h @ beams.w.T)
+            hits, entries = 0, 1
+        else:
+            combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
+            xs, _ = _cipm_solve(h, specs, combos, targets, cfg.mode)
+            # receiver rescales by the constraint scaling before the slicer
+            det_scale = np.sqrt(targets.zeta) * targets.sigma_z
+            if cfg.precoder == "multicast":
+                # bound on the effective channel, warm started at the row's
+                # CIPM point so it never exceeds it; one seed for every row
+                # keeps each row's bound independent of the solve order
+                for c, combo in enumerate(combos):
+                    eff = effective_channel(channel, specs, combo)
+                    sol = solve_multicast_bound(
+                        eff.entries, targets, restarts=cfg.multicast_restarts,
+                        seed=mc_seed, warm_start=xs[c])
+                    if not sol.feasible:
+                        raise SolverError(
+                            "multicast bound infeasible despite warm start")
+                    xs[c] = sol.x
+                det_scale = None
+            # the inverse's shape changed across numpy 2.0.x; flatten it
+            x = xs[inverse.ravel()]
+            hits, entries = cfg.n_symbols - len(combos), len(combos)
     except SolverError as exc:
         raise SolverError(f"frame {frame_index}: {exc}") from exc
 
@@ -224,7 +182,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
         return FrameResult(powers, avg_power, (nan,) * k, (nan,) * k, nan,
                            hits, entries)
 
-    received = x @ channel.entries.T  # received[i, j] = h_j x_i, noiseless
+    received = x @ h.T  # received[i, j] = h_j x_i, noiseless
     if not cfg.noiseless:
         noise = (rng.standard_normal(received.shape)
                  + 1j * rng.standard_normal(received.shape)) / np.sqrt(2.0)
@@ -335,16 +293,7 @@ def write_sweep_csv(rows, path):
 
 def enumerate_combinations(orders):
     """All symbol-index combinations, user 1 most significant, ascending."""
-    total = 1
-    for m in orders:
-        total *= int(m)
-    out = np.empty((total, len(orders)), dtype=int)
-    for c in range(total):
-        rem = c
-        for j in range(len(orders) - 1, -1, -1):
-            out[c, j] = rem % orders[j]
-            rem //= orders[j]
-    return out
+    return np.indices(orders).reshape(len(orders), -1).T
 
 
 @dataclass(frozen=True)
@@ -382,15 +331,9 @@ def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
             f"{MAX_ENUMERATION} limit")
     targets = cfg.targets()
     combos = enumerate_combinations(orders)
-    cipm = np.empty(total)
-    for c in range(total):
-        sig, _ = solve_cipm(make_problem(ch.entries, specs, combos[c],
-                                         targets, cfg.mode))
-        cipm[c] = sig.power
+    _, cipm = _cipm_solve(ch.entries, specs, combos, targets, cfg.mode)
     beams = solve_ob(ch.entries, targets)
-    pts = [np.asarray(s.points) for s in specs]
-    dvals = np.column_stack([pts[j][combos[:, j]] for j in range(cfg.k_users)])
-    ob, _, long_term = ob_frame_power(beams, dvals)
+    ob, _, long_term = ob_frame_power(beams, _symbol_values(specs, combos))
     zdb = 10.0 * np.log10(targets.zeta)
     return CombinationTable(combos, cipm, ob, long_term, zdb)
 
@@ -447,12 +390,8 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
                 zeta=np.array([10.0 ** (z1 / 10.0), 10.0 ** (z2 / 10.0)]),
                 sigma_z=sigma_z)
             combos = enumerate_combinations([s.order for s in specs])
-            power = 0.0
-            for c in range(combos.shape[0]):
-                sig, _ = solve_cipm(make_problem(ch.entries, specs, combos[c],
-                                                 targets, mode))
-                power += sig.power
-            power /= combos.shape[0]
+            _, powers = _cipm_solve(ch.entries, specs, combos, targets, mode)
+            power = float(np.mean(powers))
             gps = [effective_goodput(e.rate, ser_from_sinr(t, e.rate))
                    for e, t in zip(entries, targets.zeta)]
             out.append(RegionPoint(float(z1), float(z2), entries[0].name,
@@ -473,6 +412,9 @@ def write_region_csv(points, path):
                                repr(p.avg_power_dbw), repr(p.eta)]) + "\n")
 
 
+CURVE_POINTS = 200  # z-grid points of the exported density curves
+
+
 @dataclass(frozen=True)
 class DistributionReport:
     constellation: str
@@ -485,6 +427,8 @@ class DistributionReport:
     eq_power_mean: float
     eq_power_expected: float
     sufficient: bool
+    # (z grid, analytic pdf, empirical density) from the same sample
+    curves: tuple = field(compare=False, repr=False)
 
 
 def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
@@ -497,7 +441,8 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     L1 distance over equal-probability bins of the analytic CDF, phase
     uniformity of the scaled entries by Kolmogorov-Smirnov, and the two
     first-moment checks (raw channel power against Nt/beta, equivalent power
-    against the mixture mean).
+    against the mixture mean). The report also carries the analytic and
+    empirical density curves of the same sample for export.
     """
     spec = get_constellation(constellation)
     stats = symbol_stats(spec)
@@ -530,6 +475,11 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     ks = float(np.max(np.maximum(np.arange(1, n + 1) / n - grid,
                                  grid - np.arange(0, n) / n)))
 
+    curve_edges = np.linspace(0.0, float(np.quantile(z, 0.995)),
+                              CURVE_POINTS + 1)
+    density, _ = np.histogram(z, bins=curve_edges, density=True)
+    centers = 0.5 * (curve_edges[:-1] + curve_edges[1:])
+
     return DistributionReport(
         constellation=constellation, samples=samples, bins=bins, l1=l1,
         ks_phase=ks,
@@ -537,30 +487,8 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
         raw_power_expected=n_antennas / beta,
         eq_power_mean=float(np.mean(z)),
         eq_power_expected=eq_power_mean(cfg, stats),
-        sufficient=samples >= 100 * bins)
-
-
-def distribution_curves(constellation: str = "16qam", n_antennas: int = 2,
-                        beta: float = 1.0, samples: int = 100_000,
-                        seed: int = 0, grid_points: int = 200):
-    """(z, analytic pdf, empirical histogram density) for plotting/export."""
-    from .channel import eq_power_pdf
-
-    spec = get_constellation(constellation)
-    stats = symbol_stats(spec)
-    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1, seed=seed)
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(1.0 / (2.0 * beta))
-    rows = scale * (rng.standard_normal((samples, n_antennas))
-                    + 1j * rng.standard_normal((samples, n_antennas)))
-    raw = np.sum(np.abs(rows) ** 2, axis=1)
-    pts = np.asarray(spec.points)[rng.integers(0, spec.order, size=samples)]
-    z = raw / np.abs(pts) ** 2
-    hi = float(np.quantile(z, 0.995))
-    edges = np.linspace(0.0, hi, grid_points + 1)
-    density, _ = np.histogram(z, bins=edges, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, eq_power_pdf(centers, cfg, stats), density
+        sufficient=samples >= 100 * bins,
+        curves=(centers, eq_power_pdf(centers, cfg, stats), density))
 
 
 def write_distribution_csv(z_grid, analytic, empirical, path):

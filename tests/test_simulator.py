@@ -8,10 +8,9 @@ from cipm.simulator import (
     CombinationTable,
     FrameConfig,
     FrameResult,
-    PrecoderCache,
     RegionPoint,
+    _frame_rng,
     aggregate,
-    cache_capacity,
     draw_channel,
     enumerate_combinations,
     fixed_channel_experiment,
@@ -25,33 +24,55 @@ from cipm.simulator import (
     write_region_csv,
     write_sweep_csv,
 )
+from cipm.baselines import solve_multicast_bound, solve_ob
+from cipm.channel import effective_channel
 from cipm.linkadapt import ModulationTable
+from cipm.solver import make_problem, solve_cipm
 
 
-# ------------------------------------------------------------------- caching
+# ----------------------------------------------------- distinct combinations
 
-def test_cache_capacity_bounds():
-    assert cache_capacity([4, 4], 100) == 16
-    assert cache_capacity([16, 16], 100) == 100
-    assert cache_capacity([4], 2) == 2
-    assert cache_capacity([16, 16, 16], 10) == 10
-    assert cache_capacity([64, 64], 4096) == 4096
+@pytest.mark.parametrize("precoder,mode,mods", [
+    ("cipm", "relaxed", "16qam"),
+    ("cipm", "strict", "16qam"),
+    ("cipm", "relaxed", ("qpsk", "16qam")),
+    ("multicast", "relaxed", "qpsk"),
+    ("ob", "relaxed", ("qpsk", "16qam")),
+])
+def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods):
+    cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
+                      modulations=mods, zeta_db=8.0, seed=6,
+                      multicast_restarts=1)
+    ch = draw_channel(cfg, 0)
+    r = run_frame(cfg, ch, 0)
+    specs, targets = cfg.constellations(), cfg.targets()
+    rng = _frame_rng(cfg.seed, 0, 1)
+    symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
+                               for s in specs])
+    mc_seed = int(rng.integers(0, 2 ** 31))
+    if precoder == "ob":
+        w = solve_ob(ch.entries, targets).w
+        x = [w.T @ np.array([s.points[i] for s, i in zip(specs, row)])
+             for row in symbols]
+        assert (r.cache_entries, r.cache_hits) == (1, 0)
+        # one matmul over the frame sums in another order than per slot
+        assert np.allclose(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1),
+                           rtol=1e-12, atol=0.0)
+        return
 
-
-def test_precoder_cache_hits_and_bound():
-    cache = PrecoderCache(2)
-    calls = []
-
-    def make(v):
-        return lambda: calls.append(v) or v
-
-    assert cache.get("a", make(1)) == 1
-    assert cache.get("a", make(99)) == 1   # served from the cache
-    assert cache.hits == 1 and calls == [1]
-    assert cache.get("b", make(2)) == 2
-    assert len(cache) == 2
-    with pytest.raises(AssertionError):
-        cache.get("c", make(3))
+    x = []
+    for row in symbols:
+        sig, _ = solve_cipm(make_problem(ch.entries, specs, row, targets, mode))
+        if precoder == "multicast":
+            eff = effective_channel(ch, specs, row).entries
+            sig = solve_multicast_bound(eff, targets, restarts=1,
+                                        seed=mc_seed, warm_start=sig.x)
+        x.append(sig.x)
+    distinct = len(np.unique(symbols, axis=0))
+    assert distinct < cfg.n_symbols
+    assert r.cache_entries == distinct
+    assert r.cache_hits == cfg.n_symbols - distinct
+    assert np.array_equal(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1))
 
 
 def test_enumerate_combinations_order():
