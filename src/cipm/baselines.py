@@ -57,13 +57,14 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
     k, nt = h.shape
     zeta = targets.zeta
     s2 = targets.sigma_z ** 2
+    noise, gain, hc = s2 * np.eye(nt, dtype=complex), zeta / (1.0 + zeta), h.conj()
     q = np.zeros(k)
     it = 0
     for it in range(1, max_iter + 1):
-        m = s2 * np.eye(nt, dtype=complex) + (h.conj().T * q) @ h
+        m = noise + (hc.T * q) @ h
         minv = np.linalg.inv(m)
-        c = np.real(np.einsum("ji,ik,jk->j", h, minv, h.conj()))
-        q_new = zeta / (1.0 + zeta) / c
+        c = np.real(np.einsum("ji,ik,jk->j", h, minv, hc))
+        q_new = gain / c
         delta = np.max(np.abs(q_new - q))
         q = q_new
         if delta < tol * max(1.0, np.max(q)):
@@ -72,8 +73,8 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
         raise BeamformingConvergenceError(
             f"uplink power iteration did not converge in {max_iter} iterations "
             "(targets may be infeasible)", iterations=max_iter)
-    m = s2 * np.eye(nt, dtype=complex) + (h.conj().T * q) @ h
-    dirs = np.linalg.solve(m, h.conj().T).T          # row j: unnormalized direction
+    m = noise + (hc.T * q) @ h
+    dirs = np.linalg.solve(m, hc.T).T                # row j: unnormalized direction
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
     d_mat = -g.copy()

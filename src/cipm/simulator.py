@@ -21,7 +21,7 @@ from .channel import (ChannelMatrix, FadingConfig, effective_channel,
                       sample_rayleigh, symbol_stats)
 from .constellation import detect, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
-from .solver import SinrTargets, SolverError, make_problem, solve_cipm
+from .solver import SinrTargets, SolverError, solve_cipm_stack
 
 PRECODERS = ("cipm", "ob", "multicast")
 MODES = ("relaxed", "strict")
@@ -116,14 +116,6 @@ def _symbol_values(specs, symbols):
                             for j, spec in enumerate(specs)])
 
 
-def _cipm_solve(h, specs, combos, targets, mode):
-    """CIPM transmit vectors (C, Nt) and solver powers (C,) per combination."""
-    sigs = [solve_cipm(make_problem(h, specs, c, targets, mode))[0]
-            for c in combos]
-    return (np.array([s.x for s in sigs]),
-            np.array([s.power for s in sigs]))
-
-
 def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
               ) -> FrameResult:
     """Simulate one frame on the given channel.
@@ -150,7 +142,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
             hits, entries = 0, 1
         else:
             combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
-            xs, _ = _cipm_solve(h, specs, combos, targets, cfg.mode)
+            xs, _ = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
             # receiver rescales by the constraint scaling before the slicer
             det_scale = np.sqrt(targets.zeta) * targets.sigma_z
             if cfg.precoder == "multicast":
@@ -331,7 +323,7 @@ def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
             f"{MAX_ENUMERATION} limit")
     targets = cfg.targets()
     combos = enumerate_combinations(orders)
-    _, cipm = _cipm_solve(ch.entries, specs, combos, targets, cfg.mode)
+    _, cipm = solve_cipm_stack(ch.entries, specs, combos, targets, cfg.mode)
     beams = solve_ob(ch.entries, targets)
     ob, _, long_term = ob_frame_power(beams, _symbol_values(specs, combos))
     zdb = 10.0 * np.log10(targets.zeta)
@@ -390,7 +382,7 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
                 zeta=np.array([10.0 ** (z1 / 10.0), 10.0 ** (z2 / 10.0)]),
                 sigma_z=sigma_z)
             combos = enumerate_combinations([s.order for s in specs])
-            _, powers = _cipm_solve(ch.entries, specs, combos, targets, mode)
+            _, powers = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
             power = float(np.mean(powers))
             gps = [effective_goodput(e.rate, ser_from_sinr(t, e.rate))
                    for e, t in zip(entries, targets.zeta)]

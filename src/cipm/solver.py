@@ -7,10 +7,11 @@ them from the constellations' cached coefficient and free-axis tables into
 one sign-normalized real system on [Re x; Im x]. The transmit vector of
 minimum norm is found with a primal active-set method warm-started from the
 all-equality solution; each working set is factorized once (one SVD gives
-both its least-norm point and its multipliers). One core, min_norm_qp,
-serves solve_cipm, solve_strict, solve_strict_equivalent and the multicast
-bound's SCA rounds. The KKT report keeps the multipliers and builds its
-residual, violation, active set and correlation matrix only on request.
+both its least-norm point and its multipliers). Frames run it in lock-step over
+their combinations (solve_cipm_stack, min_norm_qp_batch); solve_cipm, solve_strict
+and the multicast bound's SCA rounds use the scalar loop, min_norm_qp. The KKT
+report keeps the multipliers and builds its residual, violation, active set and
+correlation matrix only on request.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 
 from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
 from .constellation import ConstellationSpec, DetectionConstraint, Relation, _check_mode
+
+_FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # both cores: feasibility (times 1 + max|rhs|), release
 
 
 class SolverError(Exception):
@@ -135,23 +138,19 @@ class KktReport:
         return (h @ h.conj().T) / np.outer(norms, norms)
 
 
-def _embed_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real functionals of u = [Re x; Im x] giving Re(h_j x) and Im(h_j x)."""
+def _embed_rows(h: np.ndarray) -> np.ndarray:
+    """Real functionals of u = [Re x; Im x]: row 2j gives Re(h_j x), row 2j+1 Im(h_j x)."""
     a = np.hstack([h.real, -h.imag])
     b = np.hstack([h.imag, h.real])
-    return a, b
+    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
 
 
-def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: SinrTargets,
-              mode: str) -> PrecodeProblem:
-    """Problem from per-user (I, Q) point components and freed-axis masks, both (K, 2)."""
-    a, b = _embed_rows(h)
-    rhs = ((np.sqrt(targets.zeta) * targets.sigma_z)[:, None] * coeffs).ravel()
-    is_eq = ~free.ravel()
+def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: SinrTargets):
+    """PrecodeProblem's (rows, rhs, is_eq, flips) from (..., K, 2) points and free axes."""
+    is_eq = ~free.reshape(*free.shape[:-2], -1)
+    rhs = ((np.sqrt(targets.zeta) * targets.sigma_z)[:, None] * coeffs).reshape(is_eq.shape)
     flips = np.where(is_eq | (rhs >= 0), 1.0, -1.0)
-    rows = np.stack([a, b], axis=1).reshape(len(rhs), -1) * flips[:, None]
-    return PrecodeProblem(channel=h, rows=rows, rhs=flips * rhs, is_eq=is_eq,
-                          flips=flips, mode=mode)
+    return _embed_rows(h) * flips[..., None], flips * rhs, is_eq, flips
 
 
 def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: SinrTargets,
@@ -164,16 +163,8 @@ def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: Sinr
     _check_mode(mode)
     idx = [int(i) for i in symbols]
     coeffs = np.array([spec.coeffs[i] for spec, i in zip(specs, idx)])
-    if mode == "relaxed":
-        free = np.array([spec.free[i] for spec, i in zip(specs, idx)])
-    else:
-        free = np.zeros((k, 2), dtype=bool)
-    return _assemble(h, coeffs, free, targets, mode)
-
-
-def _problem_rows(problem: PrecodeProblem):
-    """Sign-normalized rows: equalities (A u = b) and inequalities (A u >= b)."""
-    return problem.rows, problem.rhs, problem.is_eq, problem.flips
+    free = np.array([spec.free[i] for spec, i in zip(specs, idx)]) & (mode == "relaxed")
+    return PrecodeProblem(h, *_assemble(h, coeffs, free, targets), mode)
 
 
 def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
@@ -193,8 +184,7 @@ def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
 
 
 def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
-                max_iter: int, feas_tol: float = 1e-9, mult_tol: float = 1e-10,
-                labels=None):
+                max_iter: int, labels=None):
     """min ||u||^2 subject to mixed equality / >= rows, primal active set.
 
     Starts from the all-equality least-norm point, which is feasible by
@@ -208,9 +198,9 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
     m = len(rhs)
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
     u, nu_w, resid = _least_norm(rows, rhs)
-    if resid > feas_tol * scale:
+    if resid > _FEAS_TOL * scale:
         gaps = np.abs(rows @ u - rhs)
-        bad = [i if labels is None else labels[i] for i in np.nonzero(gaps > feas_tol * scale)[0]]
+        bad = [i if labels is None else labels[i] for i in np.nonzero(gaps > _FEAS_TOL * scale)[0]]
         raise InfeasibleConstraintsError(
             f"equality system inconsistent (residual {resid:.3e}); conflicting rows: {bad}",
             conflicts=bad)
@@ -219,13 +209,13 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
     for _ in range(max_iter):
         if u_star is None:
             u_star, nu_w, resid = _least_norm(rows[work], rhs[work])
-            if resid > feas_tol * scale:
+            if resid > _FEAS_TOL * scale:
                 bad = [i if labels is None else labels[i] for i in np.flatnonzero(work)]
                 raise InfeasibleConstraintsError(
                     f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
         if np.linalg.norm(u_star - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
             u = u_star
-            neg = ~is_eq[work] & (nu_w < -mult_tol)
+            neg = ~is_eq[work] & (nu_w < -_MULT_TOL)
             if not neg.any():
                 nu = np.zeros(m)
                 nu[work] = nu_w
@@ -250,6 +240,80 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
     raise ActiveSetLimitError(f"active-set loop did not converge within {max_iter} iterations")
 
 
+def min_norm_qp_batch(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
+                      max_iter: int, keys: np.ndarray):
+    """min_norm_qp run in lock-step on C stacked problems (C, m, n), (C, m), (C, m).
+
+    Each problem keeps its own working set, rules and pass count. A pass
+    factorizes the working sets that changed in one batched SVD (other rows
+    zeroed, _least_norm's rcond cut). Errors name problem c by keys[c].
+    Returns u (C, n) and nu (C, m) with u[c] = rows[c].T @ nu[c].
+    """
+    tol = _FEAS_TOL * (1.0 + np.max(np.abs(rhs), axis=1, initial=0.0))
+    work, nu = np.ones(rhs.shape, dtype=bool), np.zeros(rhs.shape)
+    u_star = np.zeros((len(rhs), rows.shape[2]))   # least-norm points of the working sets
+    live, stale = np.ones(len(rhs), dtype=bool), np.ones(len(rhs), dtype=bool)
+    for it in range(max_iter):
+        f = np.flatnonzero(stale)
+        if len(f):
+            w = work[f]
+            a, b = rows[f] * w[..., None], np.where(w, rhs[f], 0.0)
+            left, sv, vt = np.linalg.svd(a, full_matrices=False)
+            sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[:, :1])
+            c = np.einsum("cmr,cm->cr", left, b) * sv_inv
+            u_star[f] = np.einsum("crn,cr->cn", vt, c)
+            nu[f] = np.einsum("cmr,cr->cm", left, c * sv_inv) * w
+            gaps = np.abs(np.einsum("cmn,cn->cm", a, u_star[f]) - b)
+            for i in np.flatnonzero(np.linalg.norm(gaps, axis=1) > tol[f])[:1]:
+                bad = [_row_labels(rhs.shape[1])[j] for j in np.flatnonzero(gaps[i] > tol[f[i]])]
+                raise InfeasibleConstraintsError(
+                    f"combination {keys[f[i]].tolist()}: {'working-set' if it else 'equality'}"
+                    f" system inconsistent (residual {np.linalg.norm(gaps[i]):.3e});"
+                    f" conflicting rows: {bad}", conflicts=bad)
+            stale[:] = False
+        if it == 0:
+            u = u_star.copy()   # the all-equality start
+        act = np.flatnonzero(live)
+        at = (np.linalg.norm(u_star[act] - u[act], axis=1)
+              <= 1e-12 * (1.0 + np.linalg.norm(u[act], axis=1)))
+        # at the working set's optimum: finish, or release the most negative
+        # multiplier (ties to the lowest row)
+        r = act[at]
+        u[r] = u_star[r]
+        neg = ~is_eq[r] & work[r] & (nu[r] < -_MULT_TOL)
+        live[r[~neg.any(axis=1)]] = False
+        r, neg = r[neg.any(axis=1)], neg[neg.any(axis=1)]
+        work[r, np.argmin(np.where(neg, nu[r], np.inf), axis=1)] = False
+        stale[r] = True
+        # otherwise step toward it, blocked at the first inequality the move
+        # would cross (ratios clamped at 0; ties to the lowest row)
+        s = act[~at]
+        d = u_star[s] - u[s]
+        g = np.einsum("cmn,cn->cm", rows[s], d)
+        gap = rhs[s] - np.einsum("cmn,cn->cm", rows[s], u[s])
+        ratios = np.maximum(np.divide(gap, g, out=np.full_like(g, np.inf),
+                                      where=~is_eq[s] & ~work[s] & (g < -1e-14)), 0.0)
+        first = np.argmin(ratios, axis=1)
+        t = ratios[np.arange(len(s)), first]
+        u[s] += np.minimum(t, 1.0)[:, None] * d
+        work[s[t < 1.0], first[t < 1.0]] = stale[s[t < 1.0]] = True
+        if not live.any():
+            return u, nu
+    raise ActiveSetLimitError(f"combination {keys[np.flatnonzero(live)[0]].tolist()}: "
+                              f"active-set loop did not converge within {max_iter} iterations")
+
+
+def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
+                     targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Transmit vectors (C, Nt) and powers (C,) of symbol rows (C, K); errors name the row."""
+    _check_mode(mode)
+    coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
+    free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (mode == "relaxed")
+    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
+    u, _ = min_norm_qp_batch(rows, rhs, is_eq, max_iter=_pass_cap(len(specs)), keys=combos)
+    return u[:, :h.shape[1]] + 1j * u[:, h.shape[1]:], np.einsum("cn,cn->c", u, u)
+
+
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
                  mu: np.ndarray) -> float:
     """Stationarity gap ||x + (1/2) sum_j (lam_j + i mu_j) h_j^H||.
@@ -266,11 +330,13 @@ def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
     return float(np.linalg.norm(x - s))
 
 
+def _pass_cap(k_users: int) -> int:
+    return 20 * k_users + 20   # release and block passes both count; a wide margin
+
+
 def _solve(problem: PrecodeProblem, is_eq: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
-    # release/block passes both consume an iteration, so the cap scales with
-    # the constraint count and keeps a wide margin over observed worst cases
     u, nu = min_norm_qp(problem.rows, problem.rhs, is_eq,
-                        max_iter=20 * problem.k_users + 20, labels=_row_labels(len(is_eq)))
+                        max_iter=_pass_cap(problem.k_users), labels=_row_labels(len(is_eq)))
     nt = problem.n_antennas
     # map working-set multipliers back to the unflipped I/Q frame
     nu_eff = problem.flips * nu
@@ -307,6 +373,6 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
     ch = channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(np.asarray(channel, dtype=complex))
     eq = effective_channel(ch, specs, symbols, reference)
     k = ch.k_users
-    coeffs = np.tile([reference.real, reference.imag], (k, 1))
-    prob = _assemble(eq.entries, coeffs, np.zeros((k, 2), dtype=bool), targets, "strict")
+    coeffs, free = np.tile([reference.real, reference.imag], (k, 1)), np.zeros((k, 2), dtype=bool)
+    prob = PrecodeProblem(eq.entries, *_assemble(eq.entries, coeffs, free, targets), "strict")
     return solve_strict(prob)

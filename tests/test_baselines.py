@@ -174,3 +174,13 @@ def test_frozen_reference_instance():
     beams = solve_ob(h, targets)
     assert beams.total_power == pytest.approx(0.9879630517141018, rel=1e-10)
     assert np.allclose(achieved_sinrs(h, beams, 1.0), zeta, rtol=1e-8)
+
+
+def test_ob_fixed_point_frozen_4x4():
+    # pins the fixed-point arithmetic itself: iteration count and power are
+    # exact values, so any reordering of the loop's floating-point work shows
+    h = _channel(2024, 4, 4)
+    targets = SinrTargets(zeta=np.full(4, 10.0 ** 1.7), sigma_z=1.0)
+    beams = solve_ob(h, targets)
+    assert beams.iterations == 987
+    assert beams.total_power == 215.61203544165738

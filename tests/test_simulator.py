@@ -1,5 +1,8 @@
 """Tests for the frame-level Monte-Carlo engine."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -25,12 +28,50 @@ from cipm.simulator import (
     write_sweep_csv,
 )
 from cipm.baselines import solve_multicast_bound, solve_ob
-from cipm.channel import effective_channel
+from cipm.channel import ChannelMatrix, effective_channel
 from cipm.linkadapt import ModulationTable
-from cipm.solver import make_problem, solve_cipm
+from cipm.solver import (InfeasibleConstraintsError, SolverError, make_problem,
+                         solve_cipm, solve_cipm_stack)
 
 
 # ----------------------------------------------------- distinct combinations
+
+def _frame_symbols(cfg, specs):
+    """The symbol rows and multicast seed run_frame draws for frame 0."""
+    rng = _frame_rng(cfg.seed, 0, 1)
+    symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
+                               for s in specs])
+    return symbols, int(rng.integers(0, 2 ** 31))
+
+
+@pytest.mark.parametrize("precoder,mode,mods", [
+    ("cipm", "relaxed", "16qam"),
+    ("cipm", "strict", "16qam"),
+    ("cipm", "relaxed", ("qpsk", "16qam")),
+    ("multicast", "relaxed", "qpsk"),
+])
+def test_frame_slots_map_to_their_combination(precoder, mode, mods):
+    # bit-exact: every slot carries the batched solution of its own row
+    cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
+                      modulations=mods, zeta_db=8.0, seed=6,
+                      multicast_restarts=1)
+    ch = draw_channel(cfg, 0)
+    r = run_frame(cfg, ch, 0)
+    specs, targets = cfg.constellations(), cfg.targets()
+    symbols, mc_seed = _frame_symbols(cfg, specs)
+    combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
+    xs, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
+    if precoder == "multicast":
+        for c, combo in enumerate(combos):
+            eff = effective_channel(ch, specs, combo).entries
+            xs[c] = solve_multicast_bound(eff, targets, restarts=1,
+                                          seed=mc_seed, warm_start=xs[c]).x
+    assert len(combos) < cfg.n_symbols
+    assert r.cache_entries == len(combos)
+    assert r.cache_hits == cfg.n_symbols - len(combos)
+    assert np.array_equal(r.powers,
+                          np.sum(np.abs(xs[inverse.ravel()]) ** 2, axis=1))
+
 
 @pytest.mark.parametrize("precoder,mode,mods", [
     ("cipm", "relaxed", "16qam"),
@@ -40,39 +81,52 @@ from cipm.solver import make_problem, solve_cipm
     ("ob", "relaxed", ("qpsk", "16qam")),
 ])
 def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods):
+    # the batched frame path against one scalar solve per slot; the two
+    # arithmetic paths agree to the 1e-12 output contract, not bit for bit
     cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
                       modulations=mods, zeta_db=8.0, seed=6,
                       multicast_restarts=1)
     ch = draw_channel(cfg, 0)
     r = run_frame(cfg, ch, 0)
     specs, targets = cfg.constellations(), cfg.targets()
-    rng = _frame_rng(cfg.seed, 0, 1)
-    symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
-                               for s in specs])
-    mc_seed = int(rng.integers(0, 2 ** 31))
+    symbols, mc_seed = _frame_symbols(cfg, specs)
     if precoder == "ob":
         w = solve_ob(ch.entries, targets).w
         x = [w.T @ np.array([s.points[i] for s, i in zip(specs, row)])
              for row in symbols]
         assert (r.cache_entries, r.cache_hits) == (1, 0)
-        # one matmul over the frame sums in another order than per slot
-        assert np.allclose(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1),
-                           rtol=1e-12, atol=0.0)
-        return
+    else:
+        x = []
+        for row in symbols:
+            sig, _ = solve_cipm(make_problem(ch.entries, specs, row, targets,
+                                             mode))
+            if precoder == "multicast":
+                eff = effective_channel(ch, specs, row).entries
+                sig = solve_multicast_bound(eff, targets, restarts=1,
+                                            seed=mc_seed, warm_start=sig.x)
+            x.append(sig.x)
+    assert np.allclose(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1),
+                       rtol=1e-12, atol=0.0)
 
-    x = []
-    for row in symbols:
-        sig, _ = solve_cipm(make_problem(ch.entries, specs, row, targets, mode))
-        if precoder == "multicast":
-            eff = effective_channel(ch, specs, row).entries
-            sig = solve_multicast_bound(eff, targets, restarts=1,
-                                        seed=mc_seed, warm_start=sig.x)
-        x.append(sig.x)
-    distinct = len(np.unique(symbols, axis=0))
-    assert distinct < cfg.n_symbols
-    assert r.cache_entries == distinct
-    assert r.cache_hits == cfg.n_symbols - distinct
-    assert np.array_equal(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1))
+
+def test_frame_solver_error_names_a_replayable_symbol_row():
+    # identical users: every combination with distinct symbols is
+    # infeasible; the batched error names one such row, and a direct solve
+    # of that row fails the same way
+    h = np.array([[1.0 + 0.5j, 0.3 - 0.2j], [1.0 + 0.5j, 0.3 - 0.2j]])
+    cfg = FrameConfig(modulations="qpsk", n_symbols=20)
+    rows = []
+    for call in (lambda: fixed_channel_experiment(h, cfg),
+                 lambda: run_frame(cfg, ChannelMatrix(h), 0)):
+        with pytest.raises(SolverError) as err:
+            call()
+        row = json.loads(re.search(r"combination (\[[0-9, ]*\])",
+                                   str(err.value)).group(1))
+        with pytest.raises(InfeasibleConstraintsError):
+            solve_cipm(make_problem(h, cfg.constellations(), row,
+                                    cfg.targets()))
+        rows.append(row)
+    assert rows[0] == [0, 1]     # the first distinct-symbol row enumerated
 
 
 def test_enumerate_combinations_order():
@@ -298,6 +352,13 @@ def test_region_maps_need_two_users():
     with pytest.raises(ValueError):
         region_maps(np.ones((3, 2), dtype=complex), [4.0],
                     ModulationTable.analytic())
+
+
+@pytest.mark.parametrize("mode", ["loose", "Relaxed"])
+def test_region_maps_reject_unknown_mode(mode):
+    h = np.array([[0.3 + 1.2j, -0.5 + 0.4j], [1.1 - 0.2j, 0.6 + 0.9j]])
+    with pytest.raises(ValueError, match="mode"):
+        region_maps(h, [4.0], ModulationTable.analytic(), mode=mode)
 
 
 # -------------------------------------------------------------- distribution

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,10 @@ from cipm.channel import ChannelMatrix
 from cipm.constellation import (QAM_ORDERS, PointClass, Relation, classify,
                                 constraints_for, get_constellation)
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, _embed_rows, _least_norm, _problem_rows,
-                         kkt_residual, make_problem, min_norm_qp, solve_cipm,
-                         solve_strict, solve_strict_equivalent)
+                         SinrTargets, _embed_rows, _least_norm,
+                         kkt_residual, make_problem, min_norm_qp, min_norm_qp_batch,
+                         solve_cipm, solve_cipm_stack, solve_strict,
+                         solve_strict_equivalent)
 from oracles import seeded_instances, solve_reference
 
 ORACLE_MAX_ITER = 300_000    # oracles.qp_oracle's iteration cap
@@ -170,7 +173,7 @@ def test_iteration_budget_error_is_raised_when_capped():
         k = h.shape[0]
         targets = SinrTargets(zeta=zeta, sigma_z=1.0)
         prob = make_problem(h, [spec] * k, symbols, targets, "relaxed")
-        rows, rhs, is_eq, _ = _problem_rows(prob)
+        rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
         try:
             min_norm_qp(rows, rhs, is_eq, max_iter=1)
         except ActiveSetLimitError:
@@ -204,7 +207,7 @@ def test_relaxed_outer_symbols_exploit_interference():
 
 def _row_by_row(h, specs, symbols, targets, mode):
     """Sign-normalized system built one constraint at a time from constraints_for."""
-    a_all, b_all = _embed_rows(h)
+    a_all, b_all = _embed_rows(h)[0::2], _embed_rows(h)[1::2]
     rows, rhs, is_eq, flips = [], [], [], []
     for j, (spec, sym) in enumerate(zip(specs, symbols)):
         s = np.sqrt(targets.zeta[j]) * targets.sigma_z
@@ -230,7 +233,7 @@ def test_make_problem_tables_match_row_by_row_assembly(order, mode):
     symbols = rng.permutation(order)
     prob = make_problem(h, [spec] * order, symbols, targets, mode)
     expected = _row_by_row(h, [spec] * order, symbols, targets, mode)
-    for got, want in zip(_problem_rows(prob), expected):
+    for got, want in zip((prob.rows, prob.rhs, prob.is_eq, prob.flips), expected):
         assert np.array_equal(got, want)
     for j, sym in enumerate(symbols):
         for con, ref in zip(prob.constraints[j], constraints_for(spec, sym, mode)):
@@ -243,7 +246,8 @@ def test_make_problem_mixed_constellations_and_bad_mode():
     targets = SinrTargets(zeta=np.array([2.0, 30.0, 90.0]), sigma_z=1.0)
     symbols = [1, 5, 62]
     prob = make_problem(h, specs, symbols, targets, "relaxed")
-    for got, want in zip(_problem_rows(prob), _row_by_row(h, specs, symbols, targets, "relaxed")):
+    expected = _row_by_row(h, specs, symbols, targets, "relaxed")
+    for got, want in zip((prob.rows, prob.rhs, prob.is_eq, prob.flips), expected):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         make_problem(h, specs, symbols, targets, "loose")
@@ -257,7 +261,7 @@ def test_kkt_report_fields_match_direct_formulas():
         prob = make_problem(h, [spec] * k, symbols, targets, ("relaxed", "strict")[seed % 2])
         for solve in (solve_cipm, solve_strict):
             sig, rep = solve(prob)
-            rows, rhs, is_eq, _ = _problem_rows(prob)
+            rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
             if solve is solve_strict:
                 is_eq = np.ones_like(is_eq)
             u = np.concatenate([sig.x.real, sig.x.imag])
@@ -310,7 +314,7 @@ def test_solver_properties(nt, data, mode, log_scale, seed):
     if iters < ORACLE_MAX_ITER:
         assert sig.power * c ** 2 == pytest.approx(p_ref, rel=1e-8)
 
-    rows, rhs, is_eq, _ = _problem_rows(prob)
+    rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
     u, nu = min_norm_qp(rows, rhs, is_eq, max_iter=20 * k + 20)
     assert np.array_equal(u, np.concatenate([sig.x.real, sig.x.imag]))
     tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))       # min_norm_qp's feasibility tolerance
@@ -320,3 +324,87 @@ def test_solver_properties(nt, data, mode, log_scale, seed):
     assert np.allclose(rows.T @ nu, u, rtol=1e-9, atol=1e-12 * np.linalg.norm(u))
     assert np.all(nu[~is_eq] >= -1e-10)
     assert np.all(nu[~is_eq & (slack > tol)] == 0.0)
+
+
+def _scalar_passes(rows, rhs, is_eq, cap):
+    """Fewest passes min_norm_qp needs, or None when it reports infeasibility."""
+    for passes in range(cap + 1):
+        try:
+            min_norm_qp(rows, rhs, is_eq, max_iter=passes)
+            return passes
+        except ActiveSetLimitError:
+            continue
+        except InfeasibleConstraintsError:
+            return None
+    raise AssertionError("scalar core needs more passes than its cap")
+
+
+def _draw_stack(data, nt, k_min, mode, log_scale, seed, n_combos, collinear=False):
+    """Per-combination problems on one channel, and their stacked arrays."""
+    k = nt - data.draw(st.integers(0, nt - k_min), label="nt - k")   # full load first
+    specs = [get_constellation(f"{o}qam")
+             for o in data.draw(st.lists(st.sampled_from(QAM_ORDERS), min_size=k, max_size=k),
+                                label="orders")]
+    zeta_db = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                 label="zeta_db"))
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((k, nt)) + 1j * rng.standard_normal((k, nt))) / np.sqrt(2)
+    if collinear:
+        # identical users: only combinations that send every user the same
+        # symbol have a consistent all-equality start
+        specs, zeta_db, h = specs[:1] * k, np.full(k, zeta_db[0]), np.tile(h[0], (k, 1))
+    combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
+    if collinear:
+        same = rng.random(n_combos) < 0.5
+        combos[same] = combos[same, :1]
+    targets = SinrTargets(zeta=10.0 ** (zeta_db / 10.0), sigma_z=1.0)
+    probs = [make_problem(10.0 ** log_scale * h, specs, row, targets, mode) for row in combos]
+    stack = tuple(np.stack([getattr(p, f) for p in probs]) for f in ("rows", "rhs", "is_eq"))
+    return combos, probs, stack, 20 * k + 20, (specs, targets)
+
+
+_STACKS = dict(nt=st.integers(1, 4), data=st.data(), mode=st.sampled_from(["relaxed", "strict"]),
+               log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+               n_combos=st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(**_STACKS)
+def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_combos):
+    combos, probs, (rows, rhs, is_eq), cap, (specs, targets) = _draw_stack(
+        data, nt, 1, mode, log_scale, seed, n_combos)
+    passes = [_scalar_passes(p.rows, p.rhs, p.is_eq, cap) for p in probs]
+    u, nu = min_norm_qp_batch(rows, rhs, is_eq, max_iter=max(passes), keys=combos)
+    # the frame path assembles the same stack in one call, bit for bit
+    _, powers = solve_cipm_stack(probs[0].channel, specs, combos, targets, mode)
+    assert np.array_equal(powers, np.einsum("cn,cn->c", u, u))
+    for c, p in enumerate(probs):
+        u_ref, _ = min_norm_qp(p.rows, p.rhs, p.is_eq, max_iter=cap)
+        assert u[c] @ u[c] == pytest.approx(u_ref @ u_ref, rel=1e-12)
+    assert np.allclose(np.einsum("cmn,cm->cn", rows, nu), u, rtol=1e-9,
+                       atol=1e-12 * np.max(np.linalg.norm(u, axis=1)))
+    assert np.all(nu[~is_eq] >= -1e-10)
+    slack = np.einsum("cmn,cn->cm", rows, u) - rhs
+    tol = 1e-9 * (1.0 + np.max(np.abs(rhs), axis=1, keepdims=True))
+    assert np.all(nu[~is_eq & (slack > tol)] == 0.0)
+    # lock-step: the stack needs as many passes as its slowest member, and
+    # one fewer names the lowest combination still running
+    slowest = combos[passes.index(max(passes))].tolist()
+    with pytest.raises(ActiveSetLimitError, match=re.escape(f"combination {slowest}:")):
+        min_norm_qp_batch(rows, rhs, is_eq, max_iter=max(passes) - 1, keys=combos)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(**{**_STACKS, "nt": st.integers(2, 4)})
+def test_batched_core_rejects_collinear_users_like_scalar(nt, data, mode, log_scale, seed,
+                                                         n_combos):
+    combos, probs, (rows, rhs, is_eq), cap, _ = _draw_stack(
+        data, nt, 2, mode, log_scale, seed, n_combos, collinear=True)
+    passes = [_scalar_passes(p.rows, p.rhs, p.is_eq, cap) for p in probs]
+    if None not in passes:
+        min_norm_qp_batch(rows, rhs, is_eq, max_iter=cap, keys=combos)
+        return
+    # the lowest combination the scalar core rejects is the one named
+    with pytest.raises(InfeasibleConstraintsError,
+                       match=re.escape(f"combination {combos[passes.index(None)].tolist()}:")):
+        min_norm_qp_batch(rows, rhs, is_eq, max_iter=cap, keys=combos)
