@@ -3,7 +3,9 @@
 Two baselines bracket the symbol-level precoder: classical SINR-constrained
 downlink beamforming (interference treated as noise, beams fixed per frame),
 and the phase-unconstrained multicast problem on the effective channel,
-whose optimum lower-bounds the symbol-level power.
+whose optimum lower-bounds the symbol-level power. The multicast bound runs
+the SCA descents of a whole stack of channels (a frame's combinations) in
+lock-step, each round one call of the batched QP core, min_norm_qp_batch.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix
-from .solver import SinrTargets, SolverError, min_norm_qp
+from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_qp_batch
 
 
 class BeamformingConvergenceError(SolverError):
@@ -32,17 +34,15 @@ class BeamformerSet:
 
 
 def _as_entries(channel) -> np.ndarray:
-    if isinstance(channel, ChannelMatrix):
-        return channel.entries
-    return np.asarray(channel, dtype=complex)
+    return (channel.entries if isinstance(channel, ChannelMatrix)
+            else np.asarray(channel, dtype=complex))
 
 
 def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
     h = _as_entries(channel)
     g = np.abs(h @ beams.w.T) ** 2            # g[j, k] = |h_j w_k|^2
     sig = np.diag(g)
-    interf = g.sum(axis=1) - sig
-    return sig / (interf + sigma_z ** 2)
+    return sig / (g.sum(axis=1) - sig + sigma_z ** 2)
 
 
 def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
@@ -53,13 +53,10 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
     against MMSE receive directions, then rescale to downlink powers with
     a K x K linear system so every SINR constraint holds with equality.
     """
-    h = _as_entries(channel)
+    h, zeta, s2 = _as_entries(channel), targets.zeta, targets.sigma_z ** 2
     k, nt = h.shape
-    zeta = targets.zeta
-    s2 = targets.sigma_z ** 2
     noise, gain, hc = s2 * np.eye(nt, dtype=complex), zeta / (1.0 + zeta), h.conj()
-    q = np.zeros(k)
-    it = 0
+    q, it = np.zeros(k), 0
     for it in range(1, max_iter + 1):
         m = noise + (hc.T * q) @ h
         minv = np.linalg.inv(m)
@@ -111,84 +108,86 @@ class MulticastSolution:
     x: np.ndarray
     power: float
     feasible: bool
-    restarts_used: int
 
 
-def _sca_descent(h: np.ndarray, rhs_abs2: np.ndarray, x0: np.ndarray,
-                 max_rounds: int = 200, tol: float = 1e-12) -> np.ndarray:
-    """Feasible descent for min ||x||^2 s.t. |h_j x|^2 >= rhs_abs2[j].
+def _tangent_rows(h: np.ndarray, x: np.ndarray, rhs_abs2: np.ndarray):
+    """Unit rows (B, K, 2Nt) and rhs (B, K) of the tangent bounds of |h_j x'|^2 at x (B, Nt).
 
-    Each round replaces |h_j x|^2 with its tangent lower bound at the
-    current iterate, giving a least-norm problem with linear constraints.
-    Iterates stay feasible and the power never increases.
+    Collinear rows (users sharing a channel direction) are nested half-spaces:
+    each folds its rhs into the first earlier kept row it matches and becomes
+    0 >= 0, so the all-equality start stays consistent.
     """
-    nt = h.shape[1]
-    x = x0.copy()
-    power = float(np.real(x.conj() @ x))
-    for _ in range(max_rounds):
-        y = h @ x
-        rows_c = y.conj()[:, None] * h                # Re(rows_c @ x) = Re(conj(y) h x)
-        rows = np.hstack([rows_c.real, -rows_c.imag])
-        rhs = 0.5 * (rhs_abs2 + np.abs(y) ** 2)
-        # collinear rows (users sharing a channel direction) are nested
-        # half-spaces; keep only the tightest so the QP start stays consistent
-        norms = np.linalg.norm(rows, axis=1)
-        unit = rows / norms[:, None]
-        scaled = rhs / norms
-        keep = []
-        for i in range(len(scaled)):
-            dup = next((j for j in keep
-                        if np.linalg.norm(unit[i] - unit[j]) < 1e-9), None)
-            if dup is None:
-                keep.append(i)
-            elif scaled[i] > scaled[dup]:
-                scaled[dup] = scaled[i]
-        u, _ = min_norm_qp(unit[keep], scaled[keep],
-                           np.zeros(len(keep), dtype=bool),
-                           max_iter=8 * len(keep) + 8)
-        x_new = u[:nt] + 1j * u[nt:]
-        p_new = float(np.real(x_new.conj() @ x_new))
-        if p_new > power - tol * (1.0 + power):
-            if p_new < power:
-                x, power = x_new, p_new
+    y = np.einsum("bkn,bn->bk", h, x)
+    rows_c = y.conj()[..., None] * h                  # Re(rows_c @ x) = Re(conj(y) h x)
+    rows = np.concatenate([rows_c.real, -rows_c.imag], axis=2)
+    norms = np.linalg.norm(rows, axis=2)
+    unit, scaled = rows / norms[..., None], 0.5 * (rhs_abs2 + np.abs(y) ** 2) / norms
+    near = np.linalg.norm(unit[:, :, None] - unit[:, None], axis=3) < 1e-9
+    into = np.full(scaled.shape, -1)
+    for i in range(1, scaled.shape[1]):
+        hit = near[:, i, :i] & (into[:, :i] < 0)
+        into[:, i] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+    b, i = np.nonzero(into >= 0)
+    np.maximum.at(scaled, (b, into[b, i]), scaled[b, i])
+    unit[b, i], scaled[b, i] = 0.0, 0.0
+    return unit, scaled
+
+
+def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
+                          seed: int | None, warm: np.ndarray | None):
+    """Best local minima of ||x||^2 s.t. |h_cj x|^2 >= zeta_j sigma_z^2, h (C, K, Nt).
+
+    Row c starts from warm[c] (if given), then from `restarts` complex
+    Gaussian draws of `seed`, the same for every row, scaled onto the
+    feasible set (a warm start only if infeasible; starts with some
+    h_cj x0 = 0 are skipped). All starts take up to 200 SCA rounds in
+    lock-step, one min_norm_qp_batch call each. A start stops once its power
+    drops by no more than 1e-12 (1 + p), taking that step only if lower.
+    Each row keeps its first minimum-power start, certified feasible by
+    evaluation: returns x (C, Nt), power (C,) and feasible (C,).
+    """
+    if restarts < 0 or (warm is None and restarts == 0):
+        raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
+                         f" and {'no' if warm is None else 'a'} warm start")
+    zero = [f"user{j + 1}" for j in np.flatnonzero(~np.all(np.any(h, axis=2), axis=0))]
+    if zero:
+        raise InfeasibleConstraintsError(f"all-zero channel row for {zero}", zero)
+    nt, rhs_abs2 = h.shape[2], targets.zeta * targets.sigma_z ** 2
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2, nt))
+    starts = np.broadcast_to(draws[:, 0] + 1j * draws[:, 1], (len(h), restarts, nt))
+    if warm is not None:
+        starts = np.concatenate([np.asarray(warm, dtype=complex)[:, None], starts], axis=1)
+    y2 = np.abs(np.einsum("ckn,csn->csk", h, starts)) ** 2
+    c_idx, s_idx = np.nonzero(np.min(y2, axis=2) > 0)      # usable starts, row by row
+    if len(np.unique(c_idx)) < len(h):
+        raise ValueError("no usable start: each is orthogonal to some user's channel")
+    hb, x, y2 = h[c_idx], starts[c_idx, s_idx], y2[c_idx, s_idx]
+    grow = (s_idx >= (warm is not None)) | np.any(y2 < rhs_abs2 * (1 - 1e-12), axis=1)
+    x[grow] *= np.sqrt(np.max(rhs_abs2 / y2[grow], axis=1))[:, None]
+    power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
+    for _ in range(200):
+        rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
+        u, _ = min_norm_qp_batch(rows, rhs, np.zeros(rhs.shape, dtype=bool),
+                                 max_iter=8 * h.shape[1] + 8, keys=c_idx[a])
+        p_new = np.einsum("bn,bn->b", u, u)
+        stop = p_new > power[a] - 1e-12 * (1.0 + power[a])
+        take = ~stop | (p_new < power[a])
+        x[a[take]], power[a[take]] = u[take, :nt] + 1j * u[take, nt:], p_new[take]
+        a = a[~stop]
+        if not len(a):
             break
-        x, power = x_new, p_new
-    return x
+    table = np.full(starts.shape[:2], np.inf)
+    table[c_idx, s_idx] = power
+    pick = np.flatnonzero(s_idx == np.argmin(table, axis=1)[c_idx])   # one start per row
+    y2 = np.abs(np.einsum("ckn,cn->ck", h, x[pick])) ** 2
+    return x[pick], power[pick], np.all(y2 >= rhs_abs2 - 1e-9, axis=1)
 
 
 def solve_multicast_bound(channel, targets: SinrTargets, restarts: int = 64,
                           seed: int | None = 0, warm_start: np.ndarray | None = None
                           ) -> MulticastSolution:
-    """Best local solution of the phase-free power minimization.
-
-    Each user only requires received power |h_j x|^2 >= zeta_j sigma_z^2.
-    The problem is nonconvex; random restarts (plus an optional warm start)
-    are polished with a feasible descent and merged by minimum power.
-    Feasibility of the reported point is certified by direct evaluation.
-    """
-    h = _as_entries(channel)
-    k, nt = h.shape
-    rhs_abs2 = targets.zeta * targets.sigma_z ** 2
-    rng = np.random.default_rng(seed)
-    starts = []
-    if warm_start is not None:
-        starts.append(np.asarray(warm_start, dtype=complex))
-    for _ in range(restarts):
-        x0 = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
-        y2 = np.abs(h @ x0) ** 2
-        if np.min(y2) <= 0:
-            continue
-        starts.append(x0 * np.sqrt(np.max(rhs_abs2 / y2)))
-    best_x, best_p = None, np.inf
-    used = 0
-    for x0 in starts:
-        y2 = np.abs(h @ x0) ** 2
-        if np.any(y2 < rhs_abs2 * (1 - 1e-12)):
-            x0 = x0 * np.sqrt(np.max(rhs_abs2 / y2))
-        x = _sca_descent(h, rhs_abs2, x0)
-        p = float(np.real(x.conj() @ x))
-        used += 1
-        if p < best_p:
-            best_x, best_p = x, p
-    feas = bool(np.all(np.abs(h @ best_x) ** 2 >= rhs_abs2 - 1e-9))
-    return MulticastSolution(x=best_x, power=best_p, feasible=feas, restarts_used=used)
+    """solve_multicast_stack on one channel (K, Nt) and an optional warm start (Nt,)."""
+    warm = None if warm_start is None else np.asarray(warm_start, dtype=complex)[None]
+    x, power, feas = solve_multicast_stack(_as_entries(channel)[None], targets, restarts,
+                                           seed, warm)
+    return MulticastSolution(x=x[0], power=float(power[0]), feasible=bool(feas[0]))

@@ -106,16 +106,18 @@ def effective_channel(channel: ChannelMatrix,
 
     Row j is multiplied by exp(i(angle(reference) - angle(d_j))) / |d_j|,
     which maps the exact-constraint target for symbol d_j onto the common
-    unit-modulus reference point.
+    unit-modulus reference point. symbols is one index row (K,) or a stack
+    (C, K); a stack gives entries (C, K, Nt) and a_diag (C, K).
     """
     if abs(abs(reference) - 1.0) > 1e-12:
         raise ValueError("reference symbol must be unit-modulus")
-    d = np.array([spec.points[idx] for spec, idx in zip(specs, symbols)])
+    idx = np.asarray(symbols)
+    d = np.stack([spec.points[idx[..., j]] for j, spec in enumerate(specs)], axis=-1)
     kappa = np.abs(d)
     if np.any(kappa == 0):
         raise ValueError("symbol amplitude is zero; cannot form the effective channel")
     a = np.exp(1j * (np.angle(reference) - np.angle(d))) / kappa
-    return EquivalentChannel(entries=a[:, None] * channel.entries, a_diag=a)
+    return EquivalentChannel(entries=a[..., None] * channel.entries, a_diag=a)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .baselines import ob_frame_power, solve_multicast_bound, solve_ob
+from .baselines import ob_frame_power, solve_multicast_stack, solve_ob
 from .channel import (ChannelMatrix, FadingConfig, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats)
@@ -54,6 +54,8 @@ class FrameConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.precoder not in PRECODERS:
             raise ValueError(f"precoder must be one of {PRECODERS}")
+        if self.multicast_restarts < 0:
+            raise ValueError("need multicast_restarts >= 0")
 
     @property
     def beta(self):
@@ -146,18 +148,15 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
             # receiver rescales by the constraint scaling before the slicer
             det_scale = np.sqrt(targets.zeta) * targets.sigma_z
             if cfg.precoder == "multicast":
-                # bound on the effective channel, warm started at the row's
-                # CIPM point so it never exceeds it; one seed for every row
-                # keeps each row's bound independent of the solve order
-                for c, combo in enumerate(combos):
-                    eff = effective_channel(channel, specs, combo)
-                    sol = solve_multicast_bound(
-                        eff.entries, targets, restarts=cfg.multicast_restarts,
-                        seed=mc_seed, warm_start=xs[c])
-                    if not sol.feasible:
-                        raise SolverError(
-                            "multicast bound infeasible despite warm start")
-                    xs[c] = sol.x
+                # bounds on the effective channels, warm started at each row's
+                # CIPM point so none exceeds it; one seed for every row keeps
+                # each row's bound independent of the others
+                eff = effective_channel(channel, specs, combos).entries
+                xs, _, feasible = solve_multicast_stack(
+                    eff, targets, cfg.multicast_restarts, mc_seed, xs)
+                if not feasible.all():
+                    raise SolverError(f"combination {combos[~feasible][0].tolist()}: "
+                                      "multicast bound infeasible despite warm start")
                 det_scale = None
             # the inverse's shape changed across numpy 2.0.x; flatten it
             x = xs[inverse.ravel()]

@@ -8,10 +8,10 @@ one sign-normalized real system on [Re x; Im x]. The transmit vector of
 minimum norm is found with a primal active-set method warm-started from the
 all-equality solution; each working set is factorized once (one SVD gives
 both its least-norm point and its multipliers). Frames run it in lock-step over
-their combinations (solve_cipm_stack, min_norm_qp_batch); solve_cipm, solve_strict
-and the multicast bound's SCA rounds use the scalar loop, min_norm_qp. The KKT
-report keeps the multipliers and builds its residual, violation, active set and
-correlation matrix only on request.
+their combinations (solve_cipm_stack, min_norm_qp_batch), as do the multicast
+bound's SCA rounds; only solve_cipm and solve_strict use the scalar loop,
+min_norm_qp. The KKT report keeps the multipliers and builds its residual,
+violation, active set and correlation matrix only on request.
 """
 
 from __future__ import annotations
@@ -183,8 +183,7 @@ def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
     return u, left[:, :r] @ (c / s[:r]), float(np.linalg.norm(a @ u - b))
 
 
-def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
-                max_iter: int, labels=None):
+def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *, max_iter: int):
     """min ||u||^2 subject to mixed equality / >= rows, primal active set.
 
     Starts from the all-equality least-norm point, which is feasible by
@@ -200,7 +199,7 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
     u, nu_w, resid = _least_norm(rows, rhs)
     if resid > _FEAS_TOL * scale:
         gaps = np.abs(rows @ u - rhs)
-        bad = [i if labels is None else labels[i] for i in np.nonzero(gaps > _FEAS_TOL * scale)[0]]
+        bad = [_row_labels(m)[i] for i in np.flatnonzero(gaps > _FEAS_TOL * scale)]
         raise InfeasibleConstraintsError(
             f"equality system inconsistent (residual {resid:.3e}); conflicting rows: {bad}",
             conflicts=bad)
@@ -210,7 +209,7 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
         if u_star is None:
             u_star, nu_w, resid = _least_norm(rows[work], rhs[work])
             if resid > _FEAS_TOL * scale:
-                bad = [i if labels is None else labels[i] for i in np.flatnonzero(work)]
+                bad = [_row_labels(m)[i] for i in np.flatnonzero(work)]
                 raise InfeasibleConstraintsError(
                     f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
         if np.linalg.norm(u_star - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
@@ -335,8 +334,7 @@ def _pass_cap(k_users: int) -> int:
 
 
 def _solve(problem: PrecodeProblem, is_eq: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
-    u, nu = min_norm_qp(problem.rows, problem.rhs, is_eq,
-                        max_iter=_pass_cap(problem.k_users), labels=_row_labels(len(is_eq)))
+    u, nu = min_norm_qp(problem.rows, problem.rhs, is_eq, max_iter=_pass_cap(problem.k_users))
     nt = problem.n_antennas
     # map working-set multipliers back to the unflipped I/Q frame
     nu_eff = problem.flips * nu

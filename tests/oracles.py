@@ -4,13 +4,15 @@ Everything here is deliberately written from scratch against the problem
 definitions, not by calling into the implementations under test: the QP
 oracle is an accelerated projected-gradient method on the dual, the Q
 function comes from numerical quadrature, and detection is brute-force
-nearest point.
+nearest point. The multicast oracle is the scalar SCA loop (one descent per
+start on the scalar QP core), against which the lock-step stack is checked.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
 from cipm.constellation import Relation, constraints_for, get_constellation
+from cipm.solver import min_norm_qp
 
 
 def embed_constraints(h, specs, symbols, zeta, sigma_z, mode):
@@ -137,3 +139,74 @@ def seeded_instances(count, base_seed=1000, modulations=("qpsk", "8qam", "16qam"
         zeta = 10.0 ** (rng.uniform(2.0, 12.0, size=k) / 10.0)
         symbols = [int(rng.integers(0, spec.order)) for _ in range(k)]
         yield h, spec, symbols, zeta
+
+
+def sca_descent_oracle(h: np.ndarray, rhs_abs2: np.ndarray, x0: np.ndarray,
+                       max_rounds: int = 200, tol: float = 1e-12) -> np.ndarray:
+    """Feasible descent for min ||x||^2 s.t. |h_j x|^2 >= rhs_abs2[j].
+
+    Each round replaces |h_j x|^2 with its tangent lower bound at the
+    current iterate, giving a least-norm problem with linear constraints.
+    Iterates stay feasible and the power never increases.
+    """
+    nt = h.shape[1]
+    x = x0.copy()
+    power = float(np.real(x.conj() @ x))
+    for _ in range(max_rounds):
+        y = h @ x
+        rows_c = y.conj()[:, None] * h                # Re(rows_c @ x) = Re(conj(y) h x)
+        rows = np.hstack([rows_c.real, -rows_c.imag])
+        rhs = 0.5 * (rhs_abs2 + np.abs(y) ** 2)
+        # collinear rows (users sharing a channel direction) are nested
+        # half-spaces; keep only the tightest so the QP start stays consistent
+        norms = np.linalg.norm(rows, axis=1)
+        unit = rows / norms[:, None]
+        scaled = rhs / norms
+        keep = []
+        for i in range(len(scaled)):
+            dup = next((j for j in keep
+                        if np.linalg.norm(unit[i] - unit[j]) < 1e-9), None)
+            if dup is None:
+                keep.append(i)
+            elif scaled[i] > scaled[dup]:
+                scaled[dup] = scaled[i]
+        u, _ = min_norm_qp(unit[keep], scaled[keep],
+                           np.zeros(len(keep), dtype=bool),
+                           max_iter=8 * len(keep) + 8)
+        x_new = u[:nt] + 1j * u[nt:]
+        p_new = float(np.real(x_new.conj() @ x_new))
+        if p_new > power - tol * (1.0 + power):
+            if p_new < power:
+                x, power = x_new, p_new
+            break
+        x, power = x_new, p_new
+    return x
+
+
+def multicast_oracle(h, rhs_abs2, restarts, seed, warm_start=None):
+    """Scalar multicast bound: one SCA descent per start, first best power kept.
+
+    The reference for solve_multicast_stack's lock-step descents. Returns
+    (x, power).
+    """
+    nt = h.shape[1]
+    rng = np.random.default_rng(seed)
+    starts = []
+    if warm_start is not None:
+        starts.append(np.asarray(warm_start, dtype=complex))
+    for _ in range(restarts):
+        x0 = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        y2 = np.abs(h @ x0) ** 2
+        if np.min(y2) <= 0:
+            continue
+        starts.append(x0 * np.sqrt(np.max(rhs_abs2 / y2)))
+    best_x, best_p = None, np.inf
+    for x0 in starts:
+        y2 = np.abs(h @ x0) ** 2
+        if np.any(y2 < rhs_abs2 * (1 - 1e-12)):
+            x0 = x0 * np.sqrt(np.max(rhs_abs2 / y2))
+        x = sca_descent_oracle(h, rhs_abs2, x0)
+        p = float(np.real(x.conj() @ x))
+        if p < best_p:
+            best_x, best_p = x, p
+    return best_x, best_p

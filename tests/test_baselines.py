@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
                             achieved_sinrs, ob_frame_power,
-                            solve_multicast_bound, solve_ob)
+                            solve_multicast_bound, solve_multicast_stack, solve_ob)
 from cipm.constellation import get_constellation
-from cipm.solver import SinrTargets, make_problem, solve_cipm
+from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
+
+from oracles import multicast_oracle
 
 
 def _channel(seed, k, nt):
@@ -163,6 +166,64 @@ def test_multicast_restarts_only_improve():
     p1 = solve_multicast_bound(h, targets, restarts=1, seed=0).power
     p8 = solve_multicast_bound(h, targets, restarts=8, seed=0).power
     assert p8 <= p1 * (1 + 1e-12)
+
+
+def test_multicast_without_a_usable_start_raises():
+    h = _channel(10, 2, 2)
+    targets = SinrTargets(zeta=np.array([2.0, 3.0]), sigma_z=1.0)
+    with pytest.raises(ValueError, match="start"):
+        solve_multicast_bound(h, targets, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        solve_multicast_stack(h[None], targets, -1, 0, np.ones((1, 2), dtype=complex))
+    # a warm start orthogonal to user 1's channel reaches nobody there
+    warm = np.array([h[0, 1], -h[0, 0]])
+    with pytest.raises(ValueError, match="no usable start"):
+        solve_multicast_bound(h, targets, restarts=0, warm_start=warm)
+    # an all-zero channel row: every draw is skipped, and no point can serve it
+    h[1] = 0.0
+    with pytest.raises(InfeasibleConstraintsError) as err:
+        solve_multicast_bound(h, targets, restarts=4)
+    assert err.value.conflicts == ("user2",)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nt=st.integers(1, 4), data=st.data(), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
+    k = data.draw(st.integers(1, nt), label="k")
+    n_rows = data.draw(st.integers(1, 8), label="rows")
+    restarts = data.draw(st.integers(0, 3), label="restarts")
+    zeta_db = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k),
+                                 label="zeta_db"))
+    rng = np.random.default_rng(seed)
+    h = 10.0 ** log_scale * (rng.standard_normal((n_rows, k, nt))
+                             + 1j * rng.standard_normal((n_rows, k, nt))) / np.sqrt(2)
+    for c, j in itertools.product(range(n_rows), range(1, k)):
+        if rng.random() < 0.2:      # user j shares an earlier user's direction
+            h[c, j] = h[c, rng.integers(j)] * rng.uniform(0.5, 2.0) * np.exp(2j * rng.random())
+    warm = None
+    if restarts == 0 or rng.random() < 0.5:
+        warm = rng.standard_normal((n_rows, nt)) + 1j * rng.standard_normal((n_rows, nt))
+    targets = SinrTargets(zeta=10.0 ** (zeta_db / 10.0), sigma_z=1.0)
+    rhs = targets.zeta
+    x, power, feasible = solve_multicast_stack(h, targets, restarts, seed, warm)
+
+    # the certificate is direct evaluation, and it holds
+    got = np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2
+    assert feasible.all() and np.all(got >= rhs - 1e-9)
+    assert np.allclose(power, np.sum(np.abs(x) ** 2, axis=1), rtol=1e-12, atol=0.0)
+    for c in range(n_rows):
+        _, p_ref = multicast_oracle(h[c], rhs, restarts, seed,
+                                    None if warm is None else warm[c])
+        assert power[c] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+        if warm is not None:    # never above the warm start, scaled onto the feasible set
+            y2 = np.abs(h[c] @ warm[c]) ** 2
+            p_warm = np.sum(np.abs(warm[c]) ** 2) * max(1.0, np.max(rhs / y2))
+            assert power[c] <= p_warm * (1 + 1e-12)
+    perm = rng.permutation(n_rows)
+    _, p_perm, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
+                                         None if warm is None else warm[perm])
+    assert np.allclose(p_perm, power[perm], rtol=1e-12, atol=0.0)
 
 
 def test_frozen_reference_instance():

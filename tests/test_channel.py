@@ -86,6 +86,20 @@ def test_effective_channel_rows_share_reference_target():
     assert np.allclose(eq.entries, eq.a_diag[:, None] * chan.entries)
 
 
+def test_effective_channel_stack_is_bitwise_per_row():
+    # a (C, K) stack of symbol rows gives each row's channel bit for bit
+    rng = np.random.default_rng(4)
+    chan = ChannelMatrix(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    specs = [get_constellation(m) for m in ("qpsk", "8qam", "16qam")]
+    combos = np.column_stack([rng.integers(0, s.order, size=12) for s in specs])
+    stack = effective_channel(chan, specs, combos)
+    assert stack.entries.shape == (12, 3, 2)
+    for c, row in enumerate(combos):
+        one = effective_channel(chan, specs, row)
+        assert np.array_equal(stack.entries[c], one.entries)
+        assert np.array_equal(stack.a_diag[c], one.a_diag)
+
+
 def test_effective_channel_rejects_non_unit_reference():
     chan = ChannelMatrix(np.ones((1, 1), dtype=complex))
     spec = get_constellation("qpsk")

@@ -180,6 +180,11 @@ def test_modmap_analytic_output(capsys):
     assert "SER 0.1," in out
 
 
+def test_sweep_rejects_negative_restarts(tmp_path, capsys):
+    assert main(["sweep", "--restarts", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "multicast_restarts" in capsys.readouterr().err
+
+
 def test_modmap_requires_rates(capsys):
     assert main(["modmap", "--backend", "analytic"]) == EXIT_CONFIG
     assert "--rates" in capsys.readouterr().err

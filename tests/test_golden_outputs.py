@@ -25,6 +25,11 @@ CASES = {
     "sweep_sinr": ["sweep", "--axis", "sinr", "--grid", "4,12", "--precoders",
                    "cipm,ob,multicast", "--restarts", "0", "--frames", "2",
                    "--symbols", "30", "--seed", "3"],
+    # multicast with random restarts: the restart draws and their scaling
+    "sweep_sinr_restarts": ["sweep", "--axis", "sinr", "--grid", "10,14",
+                            "--modulations", "8qam", "--users", "3", "--antennas", "3",
+                            "--precoders", "cipm,multicast", "--restarts", "2",
+                            "--frames", "2", "--symbols", "30", "--seed", "7"],
     # The header row here is the one write_sweep_csv writes today: it is sized
     # for the first grid value's K only, so the K=3 rows are wider. The header
     # fix is a benchmark change; it updates this file and

@@ -27,7 +27,7 @@ from cipm.simulator import (
     write_region_csv,
     write_sweep_csv,
 )
-from cipm.baselines import solve_multicast_bound, solve_ob
+from cipm.baselines import solve_multicast_bound, solve_multicast_stack, solve_ob
 from cipm.channel import ChannelMatrix, effective_channel
 from cipm.linkadapt import ModulationTable
 from cipm.solver import (InfeasibleConstraintsError, SolverError, make_problem,
@@ -51,7 +51,9 @@ def _frame_symbols(cfg, specs):
     ("multicast", "relaxed", "qpsk"),
 ])
 def test_frame_slots_map_to_their_combination(precoder, mode, mods):
-    # bit-exact: every slot carries the batched solution of its own row
+    # bit-exact: every slot carries the batched solution of its own row; the
+    # multicast bound is one stacked call on the frame's combinations, warm
+    # started at their CIPM points, with the frame's one seed for every row
     cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
                       modulations=mods, zeta_db=8.0, seed=6,
                       multicast_restarts=1)
@@ -62,10 +64,9 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
     xs, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
     if precoder == "multicast":
-        for c, combo in enumerate(combos):
-            eff = effective_channel(ch, specs, combo).entries
-            xs[c] = solve_multicast_bound(eff, targets, restarts=1,
-                                          seed=mc_seed, warm_start=xs[c]).x
+        eff = np.stack([effective_channel(ch, specs, combo).entries for combo in combos])
+        xs, _, feasible = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
+        assert feasible.all()
     assert len(combos) < cfg.n_symbols
     assert r.cache_entries == len(combos)
     assert r.cache_hits == cfg.n_symbols - len(combos)
@@ -143,7 +144,8 @@ def test_enumerate_combinations_order():
 
 def test_frame_config_validation():
     for kw in ({"n_symbols": 0}, {"frames": 0}, {"k_users": 0},
-               {"n_antennas": 0}, {"mode": "loose"}, {"precoder": "zf"}):
+               {"n_antennas": 0}, {"mode": "loose"}, {"precoder": "zf"},
+               {"multicast_restarts": -1}):
         with pytest.raises(ValueError):
             FrameConfig(**kw)
 
