@@ -1,13 +1,10 @@
 """Constructive-interference symbol-level precoding for MISO downlinks."""
 
-from .constellation import (
-    ConstellationSpec, DetectionConstraint, PointClass, Relation,
-    build_qam, classify, constraints_for, detect, get_constellation,
-)
+from .constellation import ConstellationSpec, build_qam, detect, get_constellation
 from .channel import (
     ChannelMatrix, EquivalentChannel, FadingConfig, SymbolStats,
-    effective_channel, eq_amplitude_pdf, eq_power_cdf, eq_power_mean,
-    eq_power_pdf, sample_rayleigh, symbol_stats, REFERENCE_SYMBOL,
+    effective_channel, eq_power_cdf, eq_power_mean, eq_power_pdf,
+    sample_rayleigh, symbol_stats, REFERENCE_SYMBOL,
 )
 from .solver import (
     ActiveSetLimitError, InfeasibleConstraintsError, KktReport,

@@ -26,7 +26,6 @@ class FadingConfig:
     beta: float
     n_antennas: int
     k_users: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -75,15 +74,20 @@ class ChannelMatrix:
                 parts = fh.readline().split()
                 if len(parts) != nt:
                     raise ValueError(f"channel row {j} has {len(parts)} entries, expected {nt}")
-                rows.append([complex(float(p.split(",")[0]), float(p.split(",")[1]))
-                             for p in parts])
+                try:
+                    row = [complex(float(re), float(im))
+                           for re, _, im in (p.partition(",") for p in parts)]
+                except ValueError:
+                    row = [np.nan]
+                if not np.all(np.isfinite(row)):
+                    raise ValueError(f"channel row {j} must hold finite 're,im' entries, "
+                                     f"got {' '.join(parts)!r}")
+                rows.append(row)
         return cls(entries=np.array(rows, dtype=complex))
 
 
-def sample_rayleigh(cfg: FadingConfig, rng: np.random.Generator | None = None) -> ChannelMatrix:
+def sample_rayleigh(cfg: FadingConfig, rng: np.random.Generator) -> ChannelMatrix:
     """Draw one channel realization with per-entry power 1/beta."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     scale = np.sqrt(1.0 / (2.0 * cfg.beta))
     shape = (cfg.k_users, cfg.n_antennas)
     h = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -173,8 +177,3 @@ def eq_power_mean(cfg: FadingConfig, stats: SymbolStats) -> float:
     inv = float(np.sum(stats.gamma_probs / stats.gamma))
     return cfg.n_antennas / cfg.beta * inv
 
-
-def eq_amplitude_pdf(u, cfg: FadingConfig, stats: SymbolStats) -> np.ndarray:
-    """Density of ||h|| / |d|, the change of variables u = sqrt(z)."""
-    u = np.asarray(u, dtype=float)
-    return 2.0 * u * eq_power_pdf(u * u, cfg, stats)

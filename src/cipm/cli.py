@@ -12,24 +12,27 @@ Subcommands
 
 Exit codes: 0 success, 2 bad configuration or input, 3 solver failure,
 4 validation failure.  Config files are flat ``key = value`` text; command
-line flags override file values.
+line flags override file values.  Each option is declared once, in
+``_SCHEMAS``, which generates both its flag and its config-file key.
 """
 
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import ChannelMatrix
+from .constellation import get_constellation
 from .linkadapt import (AnalyticBackend, EmpiricalBackend, ModulationTable,
                         allocate, load_table)
-from .simulator import (DEFAULT_ZETA_DB, MODES, PRECODERS, SWEEP_AXES,
+from .simulator import (DEFAULT_ZETA_DB, PRECODERS, SWEEP_AXES,
                         FrameConfig, fixed_channel_experiment, region_maps,
                         run_sweep, validate_distribution,
                         write_combination_csv, write_distribution_csv,
                         write_region_csv, write_sweep_csv)
-from .solver import SolverError
+from .solver import MODES, SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,70 +75,84 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float_list(text):
+def float_list(text):
     parts = [p for p in str(text).split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
     return [float(p) for p in parts]
 
 
-def _parse_str_list(text):
+def name_list(text):
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of names")
     return parts
 
 
-# per-subcommand option schema: name -> (parser, default).  Drives both the
-# config-file merge and the hard defaults, so file keys and flags stay in sync.
+class _Opt(NamedTuple):
+    """One option: parses a flag or config value; a _parse_bool one is a bare flag."""
+
+    parse: Callable
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+# per-subcommand option schema: the one declaration of each option.  It
+# generates the flags (key zeta_db is --zeta-db), the accepted config-file
+# keys and the hard defaults.
 _COMMON = {
-    "out": (str, "."),
-    "seed": (int, 0),
-    "threads": (int, 0),  # 0 = all available cores
-    "frames": (int, 50),
-    "symbols": (int, 100),
+    "out": _Opt(str, ".", "output directory (default: .)"),
+    "seed": _Opt(int, 0, "base RNG seed"),
+    "threads": _Opt(int, 0, "worker processes; 0 = all cores"),
+    "frames": _Opt(int, 50, "Monte-Carlo frames"),
+    "symbols": _Opt(int, 100, "symbol slots per frame"),
 }
 
 _SCHEMAS = {
     "sweep": dict(_COMMON, **{
-        "axis": (str, "sinr"),
-        "grid": (_parse_float_list, [4.0, 8.0, 12.0]),
-        "precoders": (_parse_str_list, ["cipm", "ob"]),
-        "modulations": (_parse_str_list, ["qpsk"]),
-        "mode": (str, "relaxed"),
-        "antennas": (int, 2),
-        "users": (int, 2),
-        "zeta_db": (float, DEFAULT_ZETA_DB),
-        "sigma_h2_db": (float, 0.0),
-        "sigma_z2_db": (float, 0.0),
-        "restarts": (int, 2),
-        "summary": (_parse_bool, False),
+        "axis": _Opt(str, "sinr", "sweep variable (default: sinr)", SWEEP_AXES),
+        "grid": _Opt(float_list, [4.0, 8.0, 12.0], "comma-separated grid values"),
+        "precoders": _Opt(name_list, ["cipm", "ob"],
+                          "comma list from {%s}" % ",".join(PRECODERS)),
+        "modulations": _Opt(name_list, ["qpsk"],
+                            "per-user constellation names (single name = all users)"),
+        "mode": _Opt(str, "relaxed", "constraint mode", MODES),
+        "antennas": _Opt(int, 2, "transmit antennas"),
+        "users": _Opt(int, 2, "number of users"),
+        "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "target SINR in dB (fixed axes)"),
+        "sigma_h2_db": _Opt(float, 0.0, "channel variance in dB"),
+        "sigma_z2_db": _Opt(float, 0.0, "noise variance in dB"),
+        "restarts": _Opt(int, 2, "multicast bound restarts per combination"),
+        "summary": _Opt(_parse_bool, False, "print headline numbers"),
     }),
     "fixed": dict(_COMMON, **{
-        "preset": (str, None),
-        "channel": (str, None),
-        "grid": (str, None),  # region grid: count or comma list of dB values
-        "modulations": (_parse_str_list, ["qpsk"]),
-        "mode": (str, "relaxed"),
-        "zeta_db": (float, DEFAULT_ZETA_DB),
-        "sigma_z2_db": (float, 0.0),
-        "table": (str, None),
-        "summary": (_parse_bool, False),
+        "preset": _Opt(str, None, "built-in 2x2 channel: 'combos' for the per-combination "
+                       "table, 'regions' for the SINR region map", tuple(PRESET_CHANNELS)),
+        "channel": _Opt(str, None, "channel file (K Nt header + rows)"),
+        "grid": _Opt(str, None, "region grid: point count or comma dB list"),
+        "modulations": _Opt(name_list, ["qpsk"], "per-user constellation names"),
+        "mode": _Opt(str, "relaxed", "constraint mode", MODES),
+        "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "per-user target SINR in dB"),
+        "sigma_z2_db": _Opt(float, 0.0, "noise variance in dB"),
+        "table": _Opt(str, None, "modulation table file for region maps"),
+        "summary": _Opt(_parse_bool, False, "print headline numbers"),
     }),
     "pdfcheck": dict(_COMMON, **{
-        "constellation": (str, "16qam"),
-        "samples": (int, 100_000),
-        "bins": (int, None),
-        "antennas": (int, 2),
-        "beta": (float, 1.0),
-        "threshold": (float, None),
+        "constellation": _Opt(str, "16qam", "constellation name (default 16qam)"),
+        "samples": _Opt(int, 100_000, "Monte-Carlo draws"),
+        "bins": _Opt(int, None, "equal-probability bins (default 24, qpsk 12)"),
+        "antennas": _Opt(int, 2, "transmit antennas"),
+        "beta": _Opt(float, 1.0, "fading rate parameter"),
+        "threshold": _Opt(float, None, "L1 pass threshold (default 0.02, qpsk 0.01)"),
     }),
     "modmap": dict(_COMMON, **{
-        "symbols": (int, 1_000_000),  # per SER-curve point, not per frame
-        "rates": (_parse_float_list, None),
-        "backend": (str, "both"),
-        "table": (str, None),
-        "reference_ser": (float, 1e-2),
+        "symbols": _Opt(int, 1_000_000, "symbols per SER curve point"),
+        "rates": _Opt(float_list, None, "comma list of per-user goodput targets"),
+        "backend": _Opt(str, "both", "SINR lookup backend (default: both)",
+                        ("analytic", "empirical", "both")),
+        "table": _Opt(str, None, "modulation table file"),
+        "reference_ser": _Opt(float, 1e-2, "SER defining analytic ladder thresholds"),
     }),
 }
 
@@ -145,101 +162,38 @@ def build_parser():
         prog="cipm",
         description="symbol-level precoding experiments (CSV artifacts)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, schema in _SCHEMAS.items():
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--threads", type=int,
-                       help="worker processes; 0 = all cores")
-        p.add_argument("--frames", type=int, help="Monte-Carlo frames")
-        p.add_argument("--symbols", type=int,
-                       help="symbol slots per frame (modmap: symbols per "
-                            "SER curve point)")
-
-    p = sub.add_parser("sweep", help="Monte-Carlo sweep, one CSV row per "
-                                     "(grid value, precoder)")
-    common(p)
-    p.add_argument("--axis", choices=SWEEP_AXES,
-                   help="sweep variable (default: sinr)")
-    p.add_argument("--grid", help="comma-separated grid values")
-    p.add_argument("--precoders",
-                   help="comma list from {%s}" % ",".join(PRECODERS))
-    p.add_argument("--modulations",
-                   help="per-user constellation names (single name = all users)")
-    p.add_argument("--mode", choices=MODES, help="constraint mode")
-    p.add_argument("--antennas", type=int, help="transmit antennas")
-    p.add_argument("--users", type=int, help="number of users")
-    p.add_argument("--zeta-db", type=float, dest="zeta_db",
-                   help="target SINR in dB (fixed axes)")
-    p.add_argument("--sigma-h2-db", type=float, dest="sigma_h2_db",
-                   help="channel variance in dB")
-    p.add_argument("--sigma-z2-db", type=float, dest="sigma_z2_db",
-                   help="noise variance in dB")
-    p.add_argument("--restarts", type=int,
-                   help="multicast bound restarts per combination")
-    p.add_argument("--summary", action="store_const", const=True,
-                   help="print headline numbers")
-
-    p = sub.add_parser("fixed", help="deterministic single-channel studies")
-    common(p)
-    p.add_argument("--preset", choices=sorted(PRESET_CHANNELS),
-                   help="built-in 2x2 channel: 'combos' for the "
-                        "per-combination table, 'regions' for the SINR "
-                        "region map")
-    p.add_argument("--channel", help="channel file (K Nt header + rows)")
-    p.add_argument("--grid",
-                   help="region grid: point count or comma dB list")
-    p.add_argument("--modulations", help="per-user constellation names")
-    p.add_argument("--mode", choices=MODES, help="constraint mode")
-    p.add_argument("--zeta-db", type=float, dest="zeta_db",
-                   help="per-user target SINR in dB")
-    p.add_argument("--sigma-z2-db", type=float, dest="sigma_z2_db",
-                   help="noise variance in dB")
-    p.add_argument("--table", help="modulation table file for region maps")
-    p.add_argument("--summary", action="store_const", const=True,
-                   help="print headline numbers")
-
-    p = sub.add_parser("pdfcheck", help="equivalent-channel density fit check")
-    common(p)
-    p.add_argument("--constellation", help="constellation name (default 16qam)")
-    p.add_argument("--samples", type=int, help="Monte-Carlo draws")
-    p.add_argument("--bins", type=int, help="equal-probability bins")
-    p.add_argument("--antennas", type=int, help="transmit antennas")
-    p.add_argument("--beta", type=float, help="fading rate parameter")
-    p.add_argument("--threshold", type=float,
-                   help="L1 pass threshold (default 0.02, qpsk 0.01)")
-
-    p = sub.add_parser("modmap", help="rate -> modulation/SER/SINR mapping")
-    common(p)
-    p.add_argument("--rates", help="comma list of per-user goodput targets")
-    p.add_argument("--backend", choices=("analytic", "empirical", "both"),
-                   help="SINR lookup backend (default: both)")
-    p.add_argument("--table", help="modulation table file")
-    p.add_argument("--reference-ser", type=float, dest="reference_ser",
-                   help="SER defining analytic ladder thresholds")
-
+        for key, opt in schema.items():
+            flag = "--" + key.replace("_", "-")
+            if opt.parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True,
+                               help=opt.help)
+            else:
+                p.add_argument(flag, dest=key, type=opt.parse, choices=opt.choices,
+                               help=opt.help)
     return parser
 
 
 def resolve_options(args):
     """Hard defaults < config file < explicit flags."""
     schema = _SCHEMAS[args.subcommand]
-    opts = {key: default for key, (_, default) in schema.items()}
+    opts = {key: opt.default for key, opt in schema.items()}
     if args.config is not None:
         for key, text in read_config(args.config).items():
             if key not in schema:
                 raise ValueError(f"unknown config key {key!r} for "
                                  f"'{args.subcommand}'")
-            parse, _ = schema[key]
-            opts[key] = parse(text)
+            opt = schema[key]
+            opts[key] = opt.parse(text)
+            if opt.choices is not None and opts[key] not in opt.choices:
+                raise ValueError(f"config key {key!r} must be one of "
+                                 f"{opt.choices}, got {opts[key]!r}")
     for key in schema:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
-            parse, _ = schema[key]
-            # argparse already typed scalar flags; list-valued ones arrive
-            # as raw comma strings
-            opts[key] = parse(flag) if isinstance(flag, str) else flag
+            opts[key] = flag
     return opts
 
 
@@ -255,6 +209,7 @@ def _threads(opts):
 
 
 def cmd_sweep(opts):
+    """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
     mods = opts["modulations"]
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
@@ -281,11 +236,12 @@ def _parse_region_grid(text):
     if text is None:
         return list(np.linspace(4.0, 14.0, 6))
     if "," in text or "." in text:
-        return _parse_float_list(text)
+        return float_list(text)
     return list(np.linspace(4.0, 14.0, int(text)))
 
 
 def cmd_fixed(opts):
+    """deterministic single-channel studies"""
     if (opts["preset"] is None) == (opts["channel"] is None):
         raise ValueError("exactly one of --preset or --channel is required")
     if opts["preset"] is not None:
@@ -332,13 +288,15 @@ def cmd_fixed(opts):
 
 
 def cmd_pdfcheck(opts):
+    """equivalent-channel density fit check"""
     name = opts["constellation"]
+    qpsk = get_constellation(name).order == 4
     bins = opts["bins"]
     if bins is None:
-        bins = 12 if name == "qpsk" else 24
+        bins = 12 if qpsk else 24
     threshold = opts["threshold"]
     if threshold is None:
-        threshold = 0.01 if name == "qpsk" else 0.02
+        threshold = 0.01 if qpsk else 0.02
     report = validate_distribution(
         constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
         samples=opts["samples"], bins=bins, seed=opts["seed"])
@@ -363,6 +321,7 @@ def cmd_pdfcheck(opts):
 
 
 def cmd_modmap(opts):
+    """rate -> modulation/SER/SINR mapping"""
     if opts["rates"] is None:
         raise ValueError("--rates is required")
     if opts["table"] is not None:

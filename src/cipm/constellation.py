@@ -1,16 +1,17 @@
-"""MQAM constellations, detection regions and per-point constraint taxonomy.
+"""MQAM constellations as precomputed tables, and minimum-distance detection.
 
 Constellations are normalized to unit average power. Each point's decision
 region is described per axis (I and Q) by either an equality constraint at
 the point's component, or a one-sided inequality pointing away from the
 origin when the point sits on the boundary of the lattice in that axis.
-Both are tabulated once per constellation (``coeffs`` and ``free``), and
-``get_constellation`` hands out one cached, read-only spec per order.
+The point components (``coeffs``) and the lattice-edge mask (``free``) are
+the only record of that rule: solver.make_problem reads them to assemble a
+slot's constraints. ``get_constellation`` hands out one cached, read-only
+spec per order.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,36 +21,6 @@ QAM_ORDERS = (4, 8, 16, 32, 64)
 _ALIASES = {
     "qpsk": 4, "4qam": 4, "8qam": 8, "16qam": 16, "32qam": 32, "64qam": 64,
 }
-
-
-class PointClass(enum.Enum):
-    """Position of a point within the lattice, per axis extremeness."""
-
-    INNER = "inner"
-    OUTER_I = "outer_i"
-    OUTER_Q = "outer_q"
-    OUTERMOST = "outermost"
-
-
-class Relation(enum.Enum):
-    EQUAL = "equal"
-    TOWARD_SIGN = "toward_sign"
-
-
-@dataclass(frozen=True)
-class DetectionConstraint:
-    """One real-axis constraint of a decision region.
-
-    axis: 'I' or 'Q'.
-    relation: EQUAL pins the received component to the scaled rhs_coeff;
-        TOWARD_SIGN allows it to exceed the rhs away from the origin
-        (>= for positive rhs_coeff, <= for negative).
-    rhs_coeff: the point's component on the unit-power constellation.
-    """
-
-    axis: str
-    relation: Relation
-    rhs_coeff: float
 
 
 @dataclass(frozen=True)
@@ -124,40 +95,6 @@ def get_constellation(name: str) -> ConstellationSpec:
     if key not in _ALIASES:
         raise ValueError(f"unknown constellation {name!r}; expected one of {sorted(_ALIASES)}")
     return _SPECS[_ALIASES[key]]
-
-
-def classify(spec: ConstellationSpec, index: int) -> PointClass:
-    """Class of a point: inner, edge of one axis, or edge of both."""
-    i_ext, q_ext = spec.free[index]
-    if i_ext and q_ext:
-        return PointClass.OUTERMOST
-    if i_ext:
-        return PointClass.OUTER_I
-    if q_ext:
-        return PointClass.OUTER_Q
-    return PointClass.INNER
-
-
-def constraints_for(spec: ConstellationSpec, index: int, mode: str
-                    ) -> tuple[DetectionConstraint, DetectionConstraint]:
-    """(I, Q) constraints of the point's decision region.
-
-    mode 'strict' pins both components; mode 'relaxed' frees the components
-    on which the point is lattice-extreme, away from the origin.
-    """
-    _check_mode(mode)
-    ci, cq = spec.coeffs[index]
-    i_free, q_free = spec.free[index] if mode == "relaxed" else (False, False)
-    rel_i = Relation.TOWARD_SIGN if i_free else Relation.EQUAL
-    rel_q = Relation.TOWARD_SIGN if q_free else Relation.EQUAL
-    return (DetectionConstraint("I", rel_i, float(ci)),
-            DetectionConstraint("Q", rel_q, float(cq)))
-
-
-def _check_mode(mode: str) -> None:
-    """Reject a constraint mode other than 'strict' or 'relaxed'."""
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
 
 
 def _quantize(levels_max: int, x: np.ndarray) -> np.ndarray:

@@ -21,10 +21,9 @@ from .channel import (ChannelMatrix, FadingConfig, effective_channel,
                       sample_rayleigh, symbol_stats)
 from .constellation import detect, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
-from .solver import SinrTargets, SolverError, solve_cipm_stack
+from .solver import SinrTargets, SolverError, _check_mode, solve_cipm_stack
 
 PRECODERS = ("cipm", "ob", "multicast")
-MODES = ("relaxed", "strict")
 
 DEFAULT_ZETA_DB = 4.712  # per-user target used by the fixed-channel runs
 
@@ -50,8 +49,7 @@ class FrameConfig:
             raise ValueError("need n_symbols >= 1 and frames >= 1")
         if self.k_users < 1 or self.n_antennas < 1:
             raise ValueError("need k_users >= 1 and n_antennas >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         if self.precoder not in PRECODERS:
             raise ValueError(f"precoder must be one of {PRECODERS}")
         if self.multicast_restarts < 0:
@@ -108,7 +106,7 @@ def _frame_rng(seed, frame_index, stream):
 def draw_channel(cfg: FrameConfig, frame_index: int) -> ChannelMatrix:
     rng = _frame_rng(cfg.seed, frame_index, 0)
     fading = FadingConfig(beta=cfg.beta, n_antennas=cfg.n_antennas,
-                          k_users=cfg.k_users, seed=0)
+                          k_users=cfg.k_users)
     return sample_rayleigh(fading, rng=rng)
 
 
@@ -437,7 +435,7 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     """
     spec = get_constellation(constellation)
     stats = symbol_stats(spec)
-    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1, seed=seed)
+    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(1.0 / (2.0 * beta))
     rows = scale * (rng.standard_normal((samples, n_antennas))

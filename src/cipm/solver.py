@@ -22,9 +22,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
-from .constellation import ConstellationSpec, DetectionConstraint, Relation, _check_mode
+from .constellation import ConstellationSpec
 
 _FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # both cores: feasibility (times 1 + max|rhs|), release
+MODES = ("relaxed", "strict")
 
 
 class SolverError(Exception):
@@ -39,6 +40,12 @@ class InfeasibleConstraintsError(SolverError):
 
 class ActiveSetLimitError(SolverError):
     """The active-set loop exceeded its iteration budget."""
+
+
+def _check_mode(mode: str) -> None:
+    """Reject a constraint mode other than 'relaxed' or 'strict'."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,6 @@ class PrecodeProblem:
     @property
     def n_antennas(self) -> int:
         return self.channel.shape[1]
-
-    @property
-    def constraints(self) -> tuple:
-        """Per-user (I, Q) DetectionConstraints in the unflipped frame."""
-        rel = [Relation.EQUAL if e else Relation.TOWARD_SIGN for e in self.is_eq]
-        b = (self.flips * self.rhs).tolist()
-        return tuple((DetectionConstraint("I", rel[i], b[i]),
-                      DetectionConstraint("Q", rel[i + 1], b[i + 1]))
-                     for i in range(0, len(b), 2))
 
 
 @dataclass(frozen=True)

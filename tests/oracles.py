@@ -4,44 +4,54 @@ Everything here is deliberately written from scratch against the problem
 definitions, not by calling into the implementations under test: the QP
 oracle is an accelerated projected-gradient method on the dual, the Q
 function comes from numerical quadrature, and detection is brute-force
-nearest point. The multicast oracle is the scalar SCA loop (one descent per
-start on the scalar QP core), against which the lock-step stack is checked.
+nearest point. Each point's free (lattice-edge) axes are found by searching
+its lattice row and column, not read from the constellation's tables. The
+multicast oracle is the scalar SCA loop (one descent per start on the scalar
+QP core), against which the lock-step stack is checked.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from cipm.constellation import Relation, constraints_for, get_constellation
+from cipm.constellation import get_constellation
 from cipm.solver import min_norm_qp
+
+
+def free_axes(spec, index):
+    """(I free, Q free) of a point: no point of its row (same Q) lies further
+    out along I, and none of its column (same I) further out along Q."""
+    lattice = np.asarray(spec.lattice)
+    a, b = lattice[index]
+    row_i = lattice[lattice[:, 1] == b, 0]
+    col_q = lattice[lattice[:, 0] == a, 1]
+    return (not np.any(np.sign(a) * row_i > abs(a)),
+            not np.any(np.sign(b) * col_q > abs(b)))
 
 
 def embed_constraints(h, specs, symbols, zeta, sigma_z, mode):
     """Real-embedded constraint system for u = [Re x; Im x].
 
     Re(h x) = [Re h, -Im h] u and Im(h x) = [Im h, Re h] u; one I row and
-    one Q row per user, scaled by sqrt(zeta_j) * sigma_z.  Inequality rows
-    are sign-normalized so every one reads row . u >= rhs.
+    one Q row per user, scaled by sqrt(zeta_j) * sigma_z.  Mode 'strict'
+    pins both components; mode 'relaxed' turns each free axis into an
+    inequality, sign-normalized so that it reads row . u >= rhs.
     """
+    if mode not in ("relaxed", "strict"):
+        raise ValueError(f"unknown mode {mode!r}")
     h = np.asarray(h, dtype=complex)
     rows, rhs, is_eq = [], [], []
     for j, (spec, sym) in enumerate(zip(specs, symbols)):
-        ci, cq = constraints_for(spec, sym, mode)
         re, im = h[j].real, h[j].imag
-        axis_rows = {"I": np.concatenate([re, -im]),
-                     "Q": np.concatenate([im, re])}
+        point = spec.points[sym]
+        free = free_axes(spec, sym) if mode == "relaxed" else (False, False)
         s = np.sqrt(zeta[j]) * sigma_z
-        for con in (ci, cq):
-            row = axis_rows[con.axis]
-            b = s * con.rhs_coeff
-            if con.relation is Relation.EQUAL:
-                rows.append(row)
-                rhs.append(b)
-                is_eq.append(True)
-            else:
-                sg = 1.0 if b >= 0 else -1.0
-                rows.append(sg * row)
-                rhs.append(sg * b)
-                is_eq.append(False)
+        for row, c, is_free in zip((np.concatenate([re, -im]), np.concatenate([im, re])),
+                                   (point.real, point.imag), free):
+            b = s * c
+            sg = -1.0 if is_free and b < 0 else 1.0
+            rows.append(sg * row)
+            rhs.append(sg * b)
+            is_eq.append(not is_free)
     return np.array(rows), np.array(rhs), np.array(is_eq, dtype=bool)
 
 

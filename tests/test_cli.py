@@ -1,5 +1,7 @@
 """CLI tests: option resolution, artifacts, exit codes."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cipm.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    _SCHEMAS,
     _parse_region_grid,
     build_parser,
     main,
@@ -54,6 +57,65 @@ def test_unknown_config_key_exits_config(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "bogus" in capsys.readouterr().err
+    # a config value outside its flag's choices is rejected like the flag
+    cfg.write_text("backend = y\n", encoding="ascii")
+    assert main(["modmap", "--rates", "2", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "'backend'" in capsys.readouterr().err
+
+
+_COMMON_FLAGS = [("--config", "config"), ("--out", "out"), ("--seed", "seed"),
+                 ("--threads", "threads"), ("--frames", "frames"), ("--symbols", "symbols")]
+
+# every subcommand's (flag, dest) pairs, in parser order
+CLI_SURFACE = {
+    "sweep": _COMMON_FLAGS + [
+        ("--axis", "axis"), ("--grid", "grid"), ("--precoders", "precoders"),
+        ("--modulations", "modulations"), ("--mode", "mode"), ("--antennas", "antennas"),
+        ("--users", "users"), ("--zeta-db", "zeta_db"), ("--sigma-h2-db", "sigma_h2_db"),
+        ("--sigma-z2-db", "sigma_z2_db"), ("--restarts", "restarts"), ("--summary", "summary")],
+    "fixed": _COMMON_FLAGS + [
+        ("--preset", "preset"), ("--channel", "channel"), ("--grid", "grid"),
+        ("--modulations", "modulations"), ("--mode", "mode"), ("--zeta-db", "zeta_db"),
+        ("--sigma-z2-db", "sigma_z2_db"), ("--table", "table"), ("--summary", "summary")],
+    "pdfcheck": _COMMON_FLAGS + [
+        ("--constellation", "constellation"), ("--samples", "samples"), ("--bins", "bins"),
+        ("--antennas", "antennas"), ("--beta", "beta"), ("--threshold", "threshold")],
+    "modmap": _COMMON_FLAGS + [
+        ("--rates", "rates"), ("--backend", "backend"), ("--table", "table"),
+        ("--reference-ser", "reference_ser")],
+}
+
+
+def _subparsers():
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_surface_is_pinned():
+    subs = _subparsers()
+    assert list(subs) == list(CLI_SURFACE)
+    for name, sub in subs.items():
+        got = [(opt, a.dest) for a in sub._actions if a.dest != "help"
+               for opt in a.option_strings]
+        assert got == CLI_SURFACE[name], name
+        # every config-file key is also a flag
+        assert {dest for _, dest in got} >= set(_SCHEMAS[name]), name
+    summary = next(a for a in subs["sweep"]._actions if a.dest == "summary")
+    assert summary.nargs == 0 and summary.const is True
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--mode", "loose"], "--mode"),
+    (["sweep", "--axis", "foo"], "--axis"),
+    (["fixed", "--preset", "x"], "--preset"),
+    (["modmap", "--backend", "y"], "--backend"),
+    (["sweep", "--frames", "abc"], "--frames"),
+])
+def test_bad_flag_values_exit_config_naming_the_option(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_parse_region_grid_forms():
@@ -133,6 +195,14 @@ def test_fixed_requires_one_channel_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fixed_malformed_channel_file_exits_config(tmp_path, capsys):
+    ch = tmp_path / "ch.txt"
+    for row in ("1.0 0.5,0.2", "nan,0 1.0,0.0"):
+        ch.write_text(f"1 2\n{row}\n", encoding="ascii")
+        assert main(["fixed", "--channel", str(ch), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "channel row 0" in capsys.readouterr().err
+
+
 def test_fixed_conflicting_users_exit_solver(tmp_path, capsys):
     # identical rows: any combination with distinct symbols is infeasible
     ch = tmp_path / "ch.txt"
@@ -154,6 +224,19 @@ def test_pdfcheck_passes_at_scale(tmp_path, capsys):
     lines = _read(tmp_path / "distribution.csv")
     assert lines[0] == "z,analytic_pdf,empirical_pdf"
     assert len(lines) == 201
+
+
+def test_pdfcheck_defaults_follow_aliases(tmp_path, capsys):
+    # 4qam is qpsk: same bins, same threshold, same verdict
+    runs = []
+    for name in ("qpsk", "4qam", "QPSK"):
+        out = tmp_path / name
+        code = main(["pdfcheck", "--constellation", name, "--samples", "20000",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        runs.append((code, (out / "distribution.csv").read_bytes(),
+                     captured.out.replace(str(out), ""), captured.err))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_pdfcheck_fails_undersampled(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cipm.constellation import (PointClass, Relation, build_qam, classify,
-                                constraints_for, detect, get_constellation)
-from oracles import nearest_point_oracle
+from cipm.constellation import detect, get_constellation
+from cipm.solver import SinrTargets, make_problem
+from oracles import free_axes, nearest_point_oracle
 
 ALL_NAMES = ("qpsk", "8qam", "16qam", "32qam", "64qam")
 
@@ -59,60 +59,42 @@ def test_32qam_is_cross_shaped():
     ("64qam", 36, 24, 4),
 ])
 def test_point_class_census(name, inner, single, outermost):
+    n_free = get_constellation(name).free.sum(axis=1)
+    assert np.count_nonzero(n_free == 0) == inner
+    assert np.count_nonzero(n_free == 1) == single
+    assert np.count_nonzero(n_free == 2) == outermost
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_free_mask_matches_lattice_search(name):
     spec = get_constellation(name)
-    kinds = [classify(spec, i) for i in range(spec.order)]
-    assert kinds.count(PointClass.INNER) == inner
-    n_single = sum(1 for k in kinds
-                   if k in (PointClass.OUTER_I, PointClass.OUTER_Q))
-    assert n_single == single
-    assert kinds.count(PointClass.OUTERMOST) == outermost
+    assert np.array_equal(spec.free, [free_axes(spec, i) for i in range(spec.order)])
 
 
 def test_constraints_inner_point_pins_both_axes():
     spec = get_constellation("16qam")
-    inner = [i for i in range(16) if classify(spec, i) is PointClass.INNER]
-    for i in inner:
-        ci, cq = constraints_for(spec, i, "relaxed")
-        assert ci.relation is Relation.EQUAL
-        assert cq.relation is Relation.EQUAL
-        assert ci.rhs_coeff == pytest.approx(spec.points[i].real)
-        assert cq.rhs_coeff == pytest.approx(spec.points[i].imag)
+    inner = ~spec.free.any(axis=1)
+    assert np.array_equal(np.flatnonzero(inner), [5, 6, 9, 10])
+    assert np.array_equal(spec.coeffs, np.column_stack([spec.points.real, spec.points.imag]))
 
 
 def test_constraints_outermost_point_frees_both_axes():
-    spec = get_constellation("qpsk")
-    for i in range(4):
-        ci, cq = constraints_for(spec, i, "relaxed")
-        assert ci.relation is Relation.TOWARD_SIGN
-        assert cq.relation is Relation.TOWARD_SIGN
+    assert get_constellation("qpsk").free.all()
 
 
 def test_constraints_edge_point_frees_only_extreme_axis():
     spec = get_constellation("16qam")
-    for i in range(16):
-        kind = classify(spec, i)
-        ci, cq = constraints_for(spec, i, "relaxed")
-        if kind is PointClass.OUTER_I:
-            assert ci.relation is Relation.TOWARD_SIGN
-            assert cq.relation is Relation.EQUAL
-        elif kind is PointClass.OUTER_Q:
-            assert ci.relation is Relation.EQUAL
-            assert cq.relation is Relation.TOWARD_SIGN
+    single = spec.free.sum(axis=1) == 1
+    assert np.array_equal(spec.free[single], np.abs(spec.lattice[single]) == 3)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_strict_mode_pins_everything(name):
     spec = get_constellation(name)
-    for i in range(spec.order):
-        ci, cq = constraints_for(spec, i, "strict")
-        assert ci.relation is Relation.EQUAL
-        assert cq.relation is Relation.EQUAL
-
-
-def test_constraints_reject_unknown_mode():
-    spec = get_constellation("qpsk")
-    with pytest.raises(ValueError):
-        constraints_for(spec, 0, "loose")
+    h = np.ones((spec.order, 2), dtype=complex)
+    targets = SinrTargets(zeta=np.ones(spec.order), sigma_z=1.0)
+    prob = make_problem(h, [spec] * spec.order, range(spec.order), targets, "strict")
+    assert prob.is_eq.all()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cipm.channel import ChannelMatrix
-from cipm.constellation import (QAM_ORDERS, PointClass, Relation, classify,
-                                constraints_for, get_constellation)
+from cipm.constellation import QAM_ORDERS, get_constellation
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, _embed_rows, _least_norm,
+                         SinrTargets, _least_norm,
                          kkt_residual, make_problem, min_norm_qp, min_norm_qp_batch,
                          solve_cipm, solve_cipm_stack, solve_strict,
                          solve_strict_equivalent)
-from oracles import seeded_instances, solve_reference
+from oracles import embed_constraints, seeded_instances, solve_reference
 
 ORACLE_MAX_ITER = 300_000    # oracles.qp_oracle's iteration cap
 
@@ -40,11 +39,10 @@ def test_make_problem_scales_rhs_by_target():
     zeta = np.array([4.0])
     targets = SinrTargets(zeta=zeta, sigma_z=3.0)
     prob = make_problem(h, [spec], [3], targets, "relaxed")
-    ci, cq = prob.constraints[0]
     s = np.sqrt(4.0) * 3.0
-    assert ci.rhs_coeff == pytest.approx(s * spec.points[3].real, rel=1e-15)
-    assert cq.rhs_coeff == pytest.approx(s * spec.points[3].imag, rel=1e-15)
-    assert ci.relation is Relation.TOWARD_SIGN  # every qpsk point is a corner
+    assert prob.flips * prob.rhs == pytest.approx(
+        [s * spec.points[3].real, s * spec.points[3].imag], rel=1e-15)
+    assert not prob.is_eq.any()  # every qpsk point is a corner
 
 
 def test_make_problem_validates_lengths():
@@ -197,7 +195,7 @@ def test_relaxed_outer_symbols_exploit_interference():
     h = np.array([[1.0 + 0.2j, 0.8 - 0.1j],
                   [0.9 + 0.3j, 0.85 + 0.0j]])
     spec = get_constellation("16qam")
-    outer = [i for i in range(16) if classify(spec, i) is PointClass.OUTERMOST]
+    outer = np.flatnonzero(spec.free.all(axis=1))
     symbols = [outer[3], outer[3]]
     targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)
     p_rel = solve_cipm(make_problem(h, [spec] * 2, symbols, targets, "relaxed"))[0].power
@@ -205,20 +203,16 @@ def test_relaxed_outer_symbols_exploit_interference():
     assert p_rel < 0.9 * p_str
 
 
-def _row_by_row(h, specs, symbols, targets, mode):
-    """Sign-normalized system built one constraint at a time from constraints_for."""
-    a_all, b_all = _embed_rows(h)[0::2], _embed_rows(h)[1::2]
-    rows, rhs, is_eq, flips = [], [], [], []
-    for j, (spec, sym) in enumerate(zip(specs, symbols)):
-        s = np.sqrt(targets.zeta[j]) * targets.sigma_z
-        for axis_row, con in zip((a_all[j], b_all[j]), constraints_for(spec, sym, mode)):
-            b = s * con.rhs_coeff
-            sign = 1.0 if con.relation is Relation.EQUAL or b >= 0 else -1.0
-            rows.append(sign * axis_row)
-            rhs.append(sign * b)
-            is_eq.append(con.relation is Relation.EQUAL)
-            flips.append(sign)
-    return np.array(rows), np.array(rhs), np.array(is_eq), np.array(flips)
+def _assert_matches_oracle(prob, h, specs, symbols, targets, mode):
+    """make_problem's system equals the oracle's; flips undo its sign normalization."""
+    for got, want in zip((prob.rows, prob.rhs, prob.is_eq),
+                         embed_constraints(h, specs, symbols, targets.zeta,
+                                           targets.sigma_z, mode)):
+        assert np.array_equal(got, want)
+    points = np.array([spec.points[sym] for spec, sym in zip(specs, symbols)])
+    s = np.sqrt(targets.zeta) * targets.sigma_z
+    assert np.array_equal(prob.flips * prob.rhs,
+                          np.column_stack([s * points.real, s * points.imag]).ravel())
 
 
 @pytest.mark.parametrize("mode", ["relaxed", "strict"])
@@ -232,12 +226,7 @@ def test_make_problem_tables_match_row_by_row_assembly(order, mode):
     targets = SinrTargets(zeta=10.0 ** rng.uniform(0.0, 2.0, size=order), sigma_z=0.7)
     symbols = rng.permutation(order)
     prob = make_problem(h, [spec] * order, symbols, targets, mode)
-    expected = _row_by_row(h, [spec] * order, symbols, targets, mode)
-    for got, want in zip((prob.rows, prob.rhs, prob.is_eq, prob.flips), expected):
-        assert np.array_equal(got, want)
-    for j, sym in enumerate(symbols):
-        for con, ref in zip(prob.constraints[j], constraints_for(spec, sym, mode)):
-            assert con.axis == ref.axis and con.relation is ref.relation
+    _assert_matches_oracle(prob, h, [spec] * order, symbols, targets, mode)
 
 
 def test_make_problem_mixed_constellations_and_bad_mode():
@@ -246,9 +235,7 @@ def test_make_problem_mixed_constellations_and_bad_mode():
     targets = SinrTargets(zeta=np.array([2.0, 30.0, 90.0]), sigma_z=1.0)
     symbols = [1, 5, 62]
     prob = make_problem(h, specs, symbols, targets, "relaxed")
-    expected = _row_by_row(h, specs, symbols, targets, "relaxed")
-    for got, want in zip((prob.rows, prob.rhs, prob.is_eq, prob.flips), expected):
-        assert np.array_equal(got, want)
+    _assert_matches_oracle(prob, h, specs, symbols, targets, "relaxed")
     with pytest.raises(ValueError):
         make_problem(h, specs, symbols, targets, "loose")
 
