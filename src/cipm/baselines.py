@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zposv
 
 from .channel import ChannelMatrix
 from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_qp_batch
@@ -52,26 +53,41 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
     Solved through the virtual-uplink fixed point: iterate uplink powers
     against MMSE receive directions, then rescale to downlink powers with
     a K x K linear system so every SINR constraint holds with equality.
+    Each iteration assembles the uplink covariance M = sigma_z^2 I +
+    sum_j q_j h_j^H h_j from a table of outer products and solves it against
+    H^H with one Cholesky factorization. A covariance that is not numerically
+    positive definite (q diverging, as on collinear users) raises
+    BeamformingConvergenceError, like any other sign of infeasible targets.
     """
     h, zeta, s2 = _as_entries(channel), targets.zeta, targets.sigma_z ** 2
     k, nt = h.shape
-    noise, gain, hc = s2 * np.eye(nt, dtype=complex), zeta / (1.0 + zeta), h.conj()
+    gain, hc = zeta / (1.0 + zeta), h.conj()
+    outer = (hc[:, :, None] * h[:, None, :]).reshape(k, nt * nt)   # row j: h_j^H h_j
+    noise, hh = s2 * np.eye(nt, dtype=complex).ravel(), np.asfortranarray(hc.T)
+
+    def receive(q, it):
+        """M(q)^-1 H^H: column j is user j's unnormalized MMSE direction."""
+        _, x, info = zposv((q @ outer + noise).reshape(nt, nt), hh)
+        if info:
+            raise BeamformingConvergenceError(
+                f"uplink covariance is not positive definite at iteration {it} "
+                "(targets may be infeasible)", iterations=it)
+        return x
+
     q, it = np.zeros(k), 0
     for it in range(1, max_iter + 1):
-        m = noise + (hc.T * q) @ h
-        minv = np.linalg.inv(m)
-        c = np.real(np.einsum("ji,ik,jk->j", h, minv, hc))
-        q_new = gain / c
-        delta = np.max(np.abs(q_new - q))
+        q_new = gain / (h * receive(q, it).T).sum(1).real
+        # stop test on Python floats: at this size one numpy reduction costs
+        # about as much as the Cholesky solve
+        delta = max(map(abs, (q_new - q).tolist()))
         q = q_new
-        if delta < tol * max(1.0, np.max(q)):
+        if delta < tol * max(1.0, *q.tolist()):
             break
     else:
         raise BeamformingConvergenceError(
             f"uplink power iteration did not converge in {max_iter} iterations "
             "(targets may be infeasible)", iterations=max_iter)
-    m = noise + (hc.T * q) @ h
-    dirs = np.linalg.solve(m, hc.T).T                # row j: unnormalized direction
+    dirs = receive(q, it).T                          # row j: unnormalized direction
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
     d_mat = -g.copy()

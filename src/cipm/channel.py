@@ -83,6 +83,10 @@ class ChannelMatrix:
                     raise ValueError(f"channel row {j} must hold finite 're,im' entries, "
                                      f"got {' '.join(parts)!r}")
                 rows.append(row)
+            extra = next((line for line in fh if line.strip()), None)
+            if extra is not None:
+                raise ValueError(f"channel file has rows beyond the K={k} in its header, "
+                                 f"starting with {extra.strip()!r}")
         return cls(entries=np.array(rows, dtype=complex))
 
 

@@ -249,6 +249,9 @@ def cmd_fixed(opts):
         channel = ChannelMatrix(entries)
     else:
         channel = ChannelMatrix.load_text(opts["channel"])
+    stray = [f"--{key}" for key in ("grid", "table") if opts[key] is not None]
+    if stray and opts["preset"] != "regions":
+        raise ValueError(f"{' and '.join(stray)} only apply with --preset regions")
     out = _outdir(opts)
 
     if opts["preset"] == "regions":

@@ -7,12 +7,15 @@ function comes from numerical quadrature, and detection is brute-force
 nearest point. Each point's free (lattice-edge) axes are found by searching
 its lattice row and column, not read from the constellation's tables. The
 multicast oracle is the scalar SCA loop (one descent per start on the scalar
-QP core), against which the lock-step stack is checked.
+QP core), against which the lock-step stack is checked. The OB oracle is the
+uplink fixed point with an explicit inverse of the covariance per iteration,
+against which the Cholesky iteration of solve_ob is checked.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
+from cipm.baselines import BeamformerSet, BeamformingConvergenceError, achieved_sinrs
 from cipm.constellation import get_constellation
 from cipm.solver import min_norm_qp
 
@@ -220,3 +223,47 @@ def multicast_oracle(h, rhs_abs2, restarts, seed, warm_start=None):
         if p < best_p:
             best_x, best_p = x, p
     return best_x, best_p
+
+
+def ob_fixed_point_oracle(h, targets, tol=1e-10, max_iter=10000):
+    """OB beams by the virtual-uplink fixed point, one np.linalg.inv per iteration.
+
+    The same iterates and stop rule as solve_ob, in the inverse-and-einsum
+    arithmetic: iteration counts must agree exactly, beams to rounding.
+    """
+    h, zeta, s2 = np.asarray(h, dtype=complex), targets.zeta, targets.sigma_z ** 2
+    k, nt = h.shape
+    noise, gain, hc = s2 * np.eye(nt, dtype=complex), zeta / (1.0 + zeta), h.conj()
+    q, it = np.zeros(k), 0
+    for it in range(1, max_iter + 1):
+        m = noise + (hc.T * q) @ h
+        minv = np.linalg.inv(m)
+        c = np.real(np.einsum("ji,ik,jk->j", h, minv, hc))
+        q_new = gain / c
+        delta = np.max(np.abs(q_new - q))
+        q = q_new
+        if delta < tol * max(1.0, np.max(q)):
+            break
+    else:
+        raise BeamformingConvergenceError(
+            f"uplink power iteration did not converge in {max_iter} iterations "
+            "(targets may be infeasible)", iterations=max_iter)
+    m = noise + (hc.T * q) @ h
+    dirs = np.linalg.solve(m, hc.T).T                # row j: unnormalized direction
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
+    d_mat = -g.copy()
+    d_mat[np.diag_indices(k)] = np.diag(g) / zeta
+    p = np.linalg.solve(d_mat, s2 * np.ones(k))
+    if np.any(p <= 0):
+        raise BeamformingConvergenceError(
+            "downlink power rescaling produced nonpositive powers "
+            "(targets may be infeasible)", iterations=it)
+    w = np.sqrt(p)[:, None] * dirs
+    beams = BeamformerSet(w=w, total_power=float(p.sum()), iterations=it)
+    sinrs = achieved_sinrs(h, beams, targets.sigma_z)
+    err = np.max(np.abs(sinrs - zeta) / zeta)
+    if err > 1e-6:
+        raise BeamformingConvergenceError(
+            f"achieved SINRs deviate from targets by {err:.2e} relative", iterations=it)
+    return beams

@@ -11,7 +11,7 @@ from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
 from cipm.constellation import get_constellation
 from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
 
-from oracles import multicast_oracle
+from oracles import multicast_oracle, ob_fixed_point_oracle
 
 
 def _channel(seed, k, nt):
@@ -112,11 +112,15 @@ def test_ob_frame_power_enumeration_matches_long_term():
 
 
 def test_ob_infeasible_targets_raise():
-    # two identical rows cannot both get high SINR from one array
-    h = np.array([[1.0 + 0.0j, 0.5], [1.0 + 0.0j, 0.5]])
+    # two identical rows cannot both get high SINR from one array; the
+    # uplink powers diverge until the covariance is numerically singular,
+    # which ends the iteration long before its cap
     targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)
-    with pytest.raises(BeamformingConvergenceError):
-        solve_ob(h, targets)
+    for h in (np.array([[1.0 + 0.0j, 0.5], [1.0 + 0.0j, 0.5]]), np.array([[1, 1j], [1, 1j]])):
+        with pytest.raises(BeamformingConvergenceError,
+                           match="targets may be infeasible") as exc:
+            solve_ob(h, targets)
+        assert exc.value.iterations < 100
 
 
 def test_multicast_single_user_is_matched_filter():
@@ -244,4 +248,19 @@ def test_ob_fixed_point_frozen_4x4():
     targets = SinrTargets(zeta=np.full(4, 10.0 ** 1.7), sigma_z=1.0)
     beams = solve_ob(h, targets)
     assert beams.iterations == 987
-    assert beams.total_power == 215.61203544165738
+    assert beams.total_power == 215.61203544165733
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("zeta_db", [0.0, 10.0, 20.0])
+@pytest.mark.parametrize("k,nt", [(k, k) for k in range(2, 9)]
+                         + [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)])
+def test_ob_matches_inverse_fixed_point_oracle(k, nt, zeta_db, scale):
+    # the Cholesky iteration runs the oracle's iterates: the same stop
+    # iteration, and beams equal up to rounding amplified by the fixed point
+    h = scale * _channel(10 * k + nt, k, nt)
+    targets = SinrTargets(zeta=np.full(k, 10.0 ** (zeta_db / 10.0)), sigma_z=1.0)
+    beams, ref = solve_ob(h, targets), ob_fixed_point_oracle(h, targets)
+    assert beams.iterations == ref.iterations
+    assert beams.total_power == pytest.approx(ref.total_power, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(beams.w - ref.w) <= 1e-12 * np.linalg.norm(ref.w)

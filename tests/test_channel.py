@@ -56,6 +56,12 @@ def test_load_rejects_malformed_files(tmp_path):
         path.write_text(f"2 2\n1.0,0.0 0.0,1.0\n{row}\n")
         with pytest.raises(ValueError, match="channel row 1"):
             ChannelMatrix.load_text(path)
+    # rows beyond the header's K are an error, trailing blank lines are not
+    path.write_text("1 1\n1.0,0.5\n2.0,0.0\n")
+    with pytest.raises(ValueError, match="beyond the K=1"):
+        ChannelMatrix.load_text(path)
+    path.write_text("1 1\n1.0,0.5\n\n  \n")
+    assert np.array_equal(ChannelMatrix.load_text(path).entries, [[1.0 + 0.5j]])
 
 
 def test_sample_rayleigh_statistics():

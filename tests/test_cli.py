@@ -195,6 +195,18 @@ def test_fixed_requires_one_channel_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fixed_region_flags_need_region_preset(tmp_path, capsys):
+    ch = tmp_path / "ch.txt"
+    ChannelMatrix(np.array([[1.0 + 0.0j]])).save_text(ch)
+    out = tmp_path / "out"
+    for argv in (["--preset", "combos", "--grid", "abc", "--table", "nothere"],
+                 ["--preset", "combos", "--grid", "6"],
+                 ["--channel", str(ch), "--table", "nothere"]):
+        assert main(["fixed", *argv, "--out", str(out)]) == EXIT_CONFIG
+        assert "only apply with --preset regions" in capsys.readouterr().err
+        assert not (out / "combinations.csv").exists()
+
+
 def test_fixed_malformed_channel_file_exits_config(tmp_path, capsys):
     ch = tmp_path / "ch.txt"
     for row in ("1.0 0.5,0.2", "nan,0 1.0,0.0"):
