@@ -5,7 +5,8 @@ downlink beamforming (interference treated as noise, beams fixed per frame),
 and the phase-unconstrained multicast problem on the effective channel,
 whose optimum lower-bounds the symbol-level power. The multicast bound runs
 the SCA descents of a whole stack of channels (a frame's combinations) in
-lock-step, each round one call of the batched QP core, min_norm_qp_batch.
+lock-step, each round one call of the solver's QP core, min_norm_ldp, which
+takes collinear users' tangent rows as they are.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import zposv
 
 from .channel import ChannelMatrix
-from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_qp_batch
+from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_ldp
 
 
 class BeamformingConvergenceError(SolverError):
@@ -39,6 +40,14 @@ def _as_entries(channel) -> np.ndarray:
             else np.asarray(channel, dtype=complex))
 
 
+def _reject_zero_rows(h: np.ndarray) -> None:
+    """Raise InfeasibleConstraintsError naming each user with an all-zero row in h (..., K, Nt)."""
+    live = np.any(h, axis=-1).reshape(-1, h.shape[-2]).all(axis=0)
+    zero = [f"user{j + 1}" for j in np.flatnonzero(~live)]
+    if zero:
+        raise InfeasibleConstraintsError(f"all-zero channel row for {zero}", zero)
+
+
 def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
     h = _as_entries(channel)
     g = np.abs(h @ beams.w.T) ** 2            # g[j, k] = |h_j w_k|^2
@@ -57,9 +66,11 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
     sum_j q_j h_j^H h_j from a table of outer products and solves it against
     H^H with one Cholesky factorization. A covariance that is not numerically
     positive definite (q diverging, as on collinear users) raises
-    BeamformingConvergenceError, like any other sign of infeasible targets.
+    BeamformingConvergenceError, like any other sign of infeasible targets;
+    an all-zero channel row raises InfeasibleConstraintsError up front.
     """
     h, zeta, s2 = _as_entries(channel), targets.zeta, targets.sigma_z ** 2
+    _reject_zero_rows(h)
     k, nt = h.shape
     gain, hc = zeta / (1.0 + zeta), h.conj()
     outer = (hc[:, :, None] * h[:, None, :]).reshape(k, nt * nt)   # row j: h_j^H h_j
@@ -127,26 +138,12 @@ class MulticastSolution:
 
 
 def _tangent_rows(h: np.ndarray, x: np.ndarray, rhs_abs2: np.ndarray):
-    """Unit rows (B, K, 2Nt) and rhs (B, K) of the tangent bounds of |h_j x'|^2 at x (B, Nt).
-
-    Collinear rows (users sharing a channel direction) are nested half-spaces:
-    each folds its rhs into the first earlier kept row it matches and becomes
-    0 >= 0, so the all-equality start stays consistent.
-    """
+    """Unit rows (B, K, 2Nt) and rhs (B, K) of the tangent bounds of |h_j x'|^2 at x (B, Nt)."""
     y = np.einsum("bkn,bn->bk", h, x)
     rows_c = y.conj()[..., None] * h                  # Re(rows_c @ x) = Re(conj(y) h x)
     rows = np.concatenate([rows_c.real, -rows_c.imag], axis=2)
     norms = np.linalg.norm(rows, axis=2)
-    unit, scaled = rows / norms[..., None], 0.5 * (rhs_abs2 + np.abs(y) ** 2) / norms
-    near = np.linalg.norm(unit[:, :, None] - unit[:, None], axis=3) < 1e-9
-    into = np.full(scaled.shape, -1)
-    for i in range(1, scaled.shape[1]):
-        hit = near[:, i, :i] & (into[:, :i] < 0)
-        into[:, i] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
-    b, i = np.nonzero(into >= 0)
-    np.maximum.at(scaled, (b, into[b, i]), scaled[b, i])
-    unit[b, i], scaled[b, i] = 0.0, 0.0
-    return unit, scaled
+    return rows / norms[..., None], 0.5 * (rhs_abs2 + np.abs(y) ** 2) / norms
 
 
 def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
@@ -157,7 +154,7 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     Gaussian draws of `seed`, the same for every row, scaled onto the
     feasible set (a warm start only if infeasible; starts with some
     h_cj x0 = 0 are skipped). All starts take up to 200 SCA rounds in
-    lock-step, one min_norm_qp_batch call each. A start stops once its power
+    lock-step, one min_norm_ldp call each. A start stops once its power
     drops by no more than 1e-12 (1 + p), taking that step only if lower.
     Each row keeps its first minimum-power start, certified feasible by
     evaluation: returns x (C, Nt), power (C,) and feasible (C,).
@@ -165,9 +162,7 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     if restarts < 0 or (warm is None and restarts == 0):
         raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
                          f" and {'no' if warm is None else 'a'} warm start")
-    zero = [f"user{j + 1}" for j in np.flatnonzero(~np.all(np.any(h, axis=2), axis=0))]
-    if zero:
-        raise InfeasibleConstraintsError(f"all-zero channel row for {zero}", zero)
+    _reject_zero_rows(h)
     nt, rhs_abs2 = h.shape[2], targets.zeta * targets.sigma_z ** 2
     draws = np.random.default_rng(seed).standard_normal((restarts, 2, nt))
     starts = np.broadcast_to(draws[:, 0] + 1j * draws[:, 1], (len(h), restarts, nt))
@@ -183,8 +178,7 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
     for _ in range(200):
         rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
-        u, _ = min_norm_qp_batch(rows, rhs, np.zeros(rhs.shape, dtype=bool),
-                                 max_iter=8 * h.shape[1] + 8, keys=c_idx[a])
+        u, _ = min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a])
         p_new = np.einsum("bn,bn->b", u, u)
         stop = p_new > power[a] - 1e-12 * (1.0 + power[a])
         take = ~stop | (p_new < power[a])

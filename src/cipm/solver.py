@@ -5,13 +5,14 @@ h_j x: an equality at the scaled symbol component, or a one-sided bound
 away from the origin for lattice-edge components. make_problem gathers
 them from the constellations' cached coefficient and free-axis tables into
 one sign-normalized real system on [Re x; Im x]. The transmit vector of
-minimum norm is found with a primal active-set method warm-started from the
-all-equality solution; each working set is factorized once (one SVD gives
-both its least-norm point and its multipliers). Frames run it in lock-step over
-their combinations (solve_cipm_stack, min_norm_qp_batch), as do the multicast
-bound's SCA rounds; only solve_cipm and solve_strict use the scalar loop,
-min_norm_qp. The KKT report keeps the multipliers and builds its residual,
-violation, active set and correlation matrix only on request.
+minimum norm solves a least-distance program. One QP core, min_norm_ldp,
+solves a stack of them: one NNLS each finds the active set, or a Farkas
+certificate of infeasibility, for any rank of the rows (overloaded and
+collinear users included); one batched SVD then gives every active set's
+point and multipliers. solve_cipm, solve_strict and the equivalent-channel
+form run it on one problem, frames and the multicast SCA rounds on stacks.
+The KKT report keeps the multipliers and builds its residual, violation,
+active set and correlation matrix only on request.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
 from .constellation import ConstellationSpec
 
-_FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # both cores: feasibility (times 1 + max|rhs|), release
+_FEAS_TOL = 1e-9    # feasibility of a solution, times 1 + max|rhs|
+_LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
 MODES = ("relaxed", "strict")
 
 
@@ -33,13 +36,19 @@ class SolverError(Exception):
 
 
 class InfeasibleConstraintsError(SolverError):
-    def __init__(self, message, conflicts=()):
+    """No point meets the rows (or users) in conflicts; farkas, if given, proves it.
+
+    It has rows.T @ farkas ~ 0, rhs @ farkas == 1 and farkas >= 0 on inequality rows.
+    """
+
+    def __init__(self, message, conflicts=(), farkas=None):
         super().__init__(message)
         self.conflicts = tuple(conflicts)
+        self.farkas = farkas
 
 
 class ActiveSetLimitError(SolverError):
-    """The active-set loop exceeded its iteration budget."""
+    """NNLS exceeded its iteration budget."""
 
 
 def _check_mode(mode: str) -> None:
@@ -138,9 +147,11 @@ class KktReport:
 
 def _embed_rows(h: np.ndarray) -> np.ndarray:
     """Real functionals of u = [Re x; Im x]: row 2j gives Re(h_j x), row 2j+1 Im(h_j x)."""
-    a = np.hstack([h.real, -h.imag])
-    b = np.hstack([h.imag, h.real])
-    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
+    k, nt = h.shape[-2:]
+    out = np.empty(h.shape[:-2] + (k, 2, 2 * nt))
+    out[..., 0, :nt] = out[..., 1, nt:] = h.real
+    out[..., 1, :nt], out[..., 0, nt:] = h.imag, -h.imag
+    return out.reshape(*h.shape[:-2], 2 * k, 2 * nt)
 
 
 def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: SinrTargets):
@@ -165,139 +176,57 @@ def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: Sinr
     return PrecodeProblem(h, *_assemble(h, coeffs, free, targets), mode)
 
 
-def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
-    """Least-norm u of a u = b and multipliers nu of a.T nu = u, from one SVD.
+def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
+    """Least-norm u (C, n) of rows u = rhs on the work rows, and nu (C, m) with rows.T nu = u.
 
-    With a = U S V^T and singular values at or below rcond * s_max cut (as
-    np.linalg.lstsq does), u = V S^-1 U^T b and nu = U S^-2 U^T b.
-    Returns (u, nu, ||a u - b||).
+    One batched SVD a = U S V^T of the work rows (others zeroed; singular values at or
+    below 1e-12 s_max cut, as in np.linalg.lstsq): u = V S^-1 U^T b, nu = U S^-2 U^T b.
     """
-    if a.shape[0] == 0:
-        return np.zeros(a.shape[1]), np.zeros(0), 0.0
-    left, s, vt = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(s > rcond * s[0]))
-    c = (left[:, :r].T @ b) / s[:r]
-    u = vt[:r].T @ c
-    return u, left[:, :r] @ (c / s[:r]), float(np.linalg.norm(a @ u - b))
+    left, sv, vt = np.linalg.svd(rows * work[..., None], full_matrices=False)
+    sv_inv = 1.0 / np.where(sv > 1e-12 * sv[:, :1], sv, np.inf)
+    c = (np.where(work, rhs, 0.0)[:, None] @ left)[:, 0] * sv_inv
+    return (c[:, None] @ vt)[:, 0], (left @ (c * sv_inv)[..., None])[..., 0] * work
 
 
-def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *, max_iter: int):
-    """min ||u||^2 subject to mixed equality / >= rows, primal active set.
+def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None):
+    """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
 
-    Starts from the all-equality least-norm point, which is feasible by
-    construction, then releases inequality rows whose multipliers say the
-    norm can shrink by moving into the allowed half-space. Each working set
-    is factorized once; that factorization gives both its least-norm point
-    and its multipliers.
-    Returns (u, nu) where nu holds the multipliers of the final working set
-    (zero on inactive rows), with u = rows.T @ nu.
+    Each problem is a least-distance program, solved for any rank of its rows
+    by one NNLS (Lawson and Hanson, Solving Least Squares Problems, ch. 23):
+    min ||E y - e_n+1|| over y >= 0, E = [A^T; b^T] with A and b scaled to
+    unit max-norm and equality rows entered as +- pairs. A residual at or
+    below _LDP_TOL leaves A^T y ~ 0, b^T y ~ 1: a Farkas certificate. Else
+    the equality rows and those with y > 0 are the active set, whose point
+    _polish recomputes (-r[:n] / r[n] loses digits to cancellation). Errors
+    name problem c by keys[c], if given. Returns u (C, n) and nu (C, m) with
+    u[c] = rows[c].T @ nu[c].
     """
-    m = len(rhs)
-    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
-    u, nu_w, resid = _least_norm(rows, rhs)
-    if resid > _FEAS_TOL * scale:
-        gaps = np.abs(rows @ u - rhs)
-        bad = [_row_labels(m)[i] for i in np.flatnonzero(gaps > _FEAS_TOL * scale)]
-        raise InfeasibleConstraintsError(
-            f"equality system inconsistent (residual {resid:.3e}); conflicting rows: {bad}",
-            conflicts=bad)
-    work = np.ones(m, dtype=bool)  # all rows active at the strict start
-    u_star = u                     # least-norm point of the working set
-    for _ in range(max_iter):
-        if u_star is None:
-            u_star, nu_w, resid = _least_norm(rows[work], rhs[work])
-            if resid > _FEAS_TOL * scale:
-                bad = [_row_labels(m)[i] for i in np.flatnonzero(work)]
-                raise InfeasibleConstraintsError(
-                    f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
-        if np.linalg.norm(u_star - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
-            u = u_star
-            neg = ~is_eq[work] & (nu_w < -_MULT_TOL)
-            if not neg.any():
-                nu = np.zeros(m)
-                nu[work] = nu_w
-                return u, nu
-            # most negative multiplier; ties go to the lowest row
-            work[np.flatnonzero(work)[np.argmin(np.where(neg, nu_w, np.inf))]] = False
-            u_star = None
-            continue
-        d = u_star - u
-        g = rows @ d
-        cand = np.flatnonzero(~is_eq & ~work & (g < -1e-14))
-        # step to the first inequality the move would cross (ratios clamped
-        # at 0 against rounding-level violations); ties go to the lowest row
-        ratios = np.maximum((rhs[cand] - rows[cand] @ u) / g[cand], 0.0)
-        first = int(np.argmin(ratios)) if len(cand) else -1
-        if first >= 0 and ratios[first] < 1.0:
-            u = u + ratios[first] * d
-            work[cand[first]] = True
-            u_star = None
-        else:
-            u = u + d
-    raise ActiveSetLimitError(f"active-set loop did not converge within {max_iter} iterations")
-
-
-def min_norm_qp_batch(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
-                      max_iter: int, keys: np.ndarray):
-    """min_norm_qp run in lock-step on C stacked problems (C, m, n), (C, m), (C, m).
-
-    Each problem keeps its own working set, rules and pass count. A pass
-    factorizes the working sets that changed in one batched SVD (other rows
-    zeroed, _least_norm's rcond cut). Errors name problem c by keys[c].
-    Returns u (C, n) and nu (C, m) with u[c] = rows[c].T @ nu[c].
-    """
-    tol = _FEAS_TOL * (1.0 + np.max(np.abs(rhs), axis=1, initial=0.0))
-    work, nu = np.ones(rhs.shape, dtype=bool), np.zeros(rhs.shape)
-    u_star = np.zeros((len(rhs), rows.shape[2]))   # least-norm points of the working sets
-    live, stale = np.ones(len(rhs), dtype=bool), np.ones(len(rhs), dtype=bool)
-    for it in range(max_iter):
-        f = np.flatnonzero(stale)
-        if len(f):
-            w = work[f]
-            a, b = rows[f] * w[..., None], np.where(w, rhs[f], 0.0)
-            left, sv, vt = np.linalg.svd(a, full_matrices=False)
-            sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[:, :1])
-            c = np.einsum("cmr,cm->cr", left, b) * sv_inv
-            u_star[f] = np.einsum("crn,cr->cn", vt, c)
-            nu[f] = np.einsum("cmr,cr->cm", left, c * sv_inv) * w
-            gaps = np.abs(np.einsum("cmn,cn->cm", a, u_star[f]) - b)
-            for i in np.flatnonzero(np.linalg.norm(gaps, axis=1) > tol[f])[:1]:
-                bad = [_row_labels(rhs.shape[1])[j] for j in np.flatnonzero(gaps[i] > tol[f[i]])]
-                raise InfeasibleConstraintsError(
-                    f"combination {keys[f[i]].tolist()}: {'working-set' if it else 'equality'}"
-                    f" system inconsistent (residual {np.linalg.norm(gaps[i]):.3e});"
-                    f" conflicting rows: {bad}", conflicts=bad)
-            stale[:] = False
-        if it == 0:
-            u = u_star.copy()   # the all-equality start
-        act = np.flatnonzero(live)
-        at = (np.linalg.norm(u_star[act] - u[act], axis=1)
-              <= 1e-12 * (1.0 + np.linalg.norm(u[act], axis=1)))
-        # at the working set's optimum: finish, or release the most negative
-        # multiplier (ties to the lowest row)
-        r = act[at]
-        u[r] = u_star[r]
-        neg = ~is_eq[r] & work[r] & (nu[r] < -_MULT_TOL)
-        live[r[~neg.any(axis=1)]] = False
-        r, neg = r[neg.any(axis=1)], neg[neg.any(axis=1)]
-        work[r, np.argmin(np.where(neg, nu[r], np.inf), axis=1)] = False
-        stale[r] = True
-        # otherwise step toward it, blocked at the first inequality the move
-        # would cross (ratios clamped at 0; ties to the lowest row)
-        s = act[~at]
-        d = u_star[s] - u[s]
-        g = np.einsum("cmn,cn->cm", rows[s], d)
-        gap = rhs[s] - np.einsum("cmn,cn->cm", rows[s], u[s])
-        ratios = np.maximum(np.divide(gap, g, out=np.full_like(g, np.inf),
-                                      where=~is_eq[s] & ~work[s] & (g < -1e-14)), 0.0)
-        first = np.argmin(ratios, axis=1)
-        t = ratios[np.arange(len(s)), first]
-        u[s] += np.minimum(t, 1.0)[:, None] * d
-        work[s[t < 1.0], first[t < 1.0]] = stale[s[t < 1.0]] = True
-        if not live.any():
-            return u, nu
-    raise ActiveSetLimitError(f"combination {keys[np.flatnonzero(live)[0]].tolist()}: "
-                              f"active-set loop did not converge within {max_iter} iterations")
+    where = (lambda c: "") if keys is None else (lambda c: f"combination {keys[c].tolist()}: ")
+    m, n = rows.shape[1:]
+    b_max = np.abs(rhs).max(axis=1, keepdims=True)
+    b = rhs * (np.abs(rows).max(axis=(1, 2))[:, None] / np.maximum(b_max, np.finfo(float).tiny))
+    e = np.concatenate([rows, b[..., None]], axis=2)
+    e = np.concatenate([e, -e * is_eq[..., None]], axis=1).transpose(0, 2, 1).copy()
+    target, y = np.eye(n + 1)[n], np.empty((len(e), 2 * m))
+    for c in range(len(e)):
+        try:
+            y[c], resid = nnls(e[c], target)
+        except RuntimeError as exc:
+            raise ActiveSetLimitError(f"{where(c)}NNLS stopped: {exc}") from exc
+        if resid <= _LDP_TOL:
+            z = y[c, :m] - y[c, m:]
+            bad = [_row_labels(m)[i] for i in np.flatnonzero(z)]
+            raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
+                                             f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
+    u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    np.abs(gaps, out=gaps, where=is_eq)
+    bad = gaps > _FEAS_TOL * (1.0 + b_max)
+    if bad.any():
+        c = int(np.argmax(bad.any(axis=1)))
+        raise SolverError(f"{where(c)}active-set point violates rows "
+                          f"{[_row_labels(m)[i] for i in np.flatnonzero(bad[c])]}")
+    return u, nu
 
 
 def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
@@ -307,7 +236,7 @@ def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.n
     coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
     free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (mode == "relaxed")
     rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
-    u, _ = min_norm_qp_batch(rows, rhs, is_eq, max_iter=_pass_cap(len(specs)), keys=combos)
+    u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
     return u[:, :h.shape[1]] + 1j * u[:, h.shape[1]:], np.einsum("cn,cn->c", u, u)
 
 
@@ -327,13 +256,9 @@ def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
     return float(np.linalg.norm(x - s))
 
 
-def _pass_cap(k_users: int) -> int:
-    return 20 * k_users + 20   # release and block passes both count; a wide margin
-
-
 def _solve(problem: PrecodeProblem, is_eq: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
-    u, nu = min_norm_qp(problem.rows, problem.rhs, is_eq, max_iter=_pass_cap(problem.k_users))
-    nt = problem.n_antennas
+    u, nu = min_norm_ldp(problem.rows[None], problem.rhs[None], is_eq[None])
+    u, nu, nt = u[0], nu[0], problem.n_antennas
     # map working-set multipliers back to the unflipped I/Q frame
     nu_eff = problem.flips * nu
     sig = PrecodedSignal(x=u[:nt] + 1j * u[nt:], power=float(u @ u))

@@ -9,7 +9,10 @@ its lattice row and column, not read from the constellation's tables. The
 multicast oracle is the scalar SCA loop (one descent per start on the scalar
 QP core), against which the lock-step stack is checked. The OB oracle is the
 uplink fixed point with an explicit inverse of the covariance per iteration,
-against which the Cholesky iteration of solve_ob is checked.
+against which the Cholesky iteration of solve_ob is checked. The QP cores
+that the solver's least-distance core replaced, a scalar active-set loop
+(min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
+verbatim at the end as references for it.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from scipy.integrate import quad
 
 from cipm.baselines import BeamformerSet, BeamformingConvergenceError, achieved_sinrs
 from cipm.constellation import get_constellation
-from cipm.solver import min_norm_qp
+from cipm.solver import ActiveSetLimitError, InfeasibleConstraintsError, _row_labels
 
 
 def free_axes(spec, index):
@@ -267,3 +270,149 @@ def ob_fixed_point_oracle(h, targets, tol=1e-10, max_iter=10000):
         raise BeamformingConvergenceError(
             f"achieved SINRs deviate from targets by {err:.2e} relative", iterations=it)
     return beams
+
+
+# The two active-set cores the least-distance core replaced, kept verbatim as
+# references: a scalar loop and its lock-step batched form. Both start from
+# the all-equality least-norm point, so they reject any problem whose
+# equality system (every row pinned) is inconsistent.
+_FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # both cores: feasibility (times 1 + max|rhs|), release
+
+
+def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
+    """Least-norm u of a u = b and multipliers nu of a.T nu = u, from one SVD.
+
+    With a = U S V^T and singular values at or below rcond * s_max cut (as
+    np.linalg.lstsq does), u = V S^-1 U^T b and nu = U S^-2 U^T b.
+    Returns (u, nu, ||a u - b||).
+    """
+    if a.shape[0] == 0:
+        return np.zeros(a.shape[1]), np.zeros(0), 0.0
+    left, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(s > rcond * s[0]))
+    c = (left[:, :r].T @ b) / s[:r]
+    u = vt[:r].T @ c
+    return u, left[:, :r] @ (c / s[:r]), float(np.linalg.norm(a @ u - b))
+
+
+def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *, max_iter: int):
+    """min ||u||^2 subject to mixed equality / >= rows, primal active set.
+
+    Starts from the all-equality least-norm point, which is feasible by
+    construction, then releases inequality rows whose multipliers say the
+    norm can shrink by moving into the allowed half-space. Each working set
+    is factorized once; that factorization gives both its least-norm point
+    and its multipliers.
+    Returns (u, nu) where nu holds the multipliers of the final working set
+    (zero on inactive rows), with u = rows.T @ nu.
+    """
+    m = len(rhs)
+    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
+    u, nu_w, resid = _least_norm(rows, rhs)
+    if resid > _FEAS_TOL * scale:
+        gaps = np.abs(rows @ u - rhs)
+        bad = [_row_labels(m)[i] for i in np.flatnonzero(gaps > _FEAS_TOL * scale)]
+        raise InfeasibleConstraintsError(
+            f"equality system inconsistent (residual {resid:.3e}); conflicting rows: {bad}",
+            conflicts=bad)
+    work = np.ones(m, dtype=bool)  # all rows active at the strict start
+    u_star = u                     # least-norm point of the working set
+    for _ in range(max_iter):
+        if u_star is None:
+            u_star, nu_w, resid = _least_norm(rows[work], rhs[work])
+            if resid > _FEAS_TOL * scale:
+                bad = [_row_labels(m)[i] for i in np.flatnonzero(work)]
+                raise InfeasibleConstraintsError(
+                    f"working-set system inconsistent (residual {resid:.3e})", conflicts=bad)
+        if np.linalg.norm(u_star - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
+            u = u_star
+            neg = ~is_eq[work] & (nu_w < -_MULT_TOL)
+            if not neg.any():
+                nu = np.zeros(m)
+                nu[work] = nu_w
+                return u, nu
+            # most negative multiplier; ties go to the lowest row
+            work[np.flatnonzero(work)[np.argmin(np.where(neg, nu_w, np.inf))]] = False
+            u_star = None
+            continue
+        d = u_star - u
+        g = rows @ d
+        cand = np.flatnonzero(~is_eq & ~work & (g < -1e-14))
+        # step to the first inequality the move would cross (ratios clamped
+        # at 0 against rounding-level violations); ties go to the lowest row
+        ratios = np.maximum((rhs[cand] - rows[cand] @ u) / g[cand], 0.0)
+        first = int(np.argmin(ratios)) if len(cand) else -1
+        if first >= 0 and ratios[first] < 1.0:
+            u = u + ratios[first] * d
+            work[cand[first]] = True
+            u_star = None
+        else:
+            u = u + d
+    raise ActiveSetLimitError(f"active-set loop did not converge within {max_iter} iterations")
+
+
+def min_norm_qp_batch(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
+                      max_iter: int, keys: np.ndarray):
+    """min_norm_qp run in lock-step on C stacked problems (C, m, n), (C, m), (C, m).
+
+    Each problem keeps its own working set, rules and pass count. A pass
+    factorizes the working sets that changed in one batched SVD (other rows
+    zeroed, _least_norm's rcond cut). Errors name problem c by keys[c].
+    Returns u (C, n) and nu (C, m) with u[c] = rows[c].T @ nu[c].
+    """
+    tol = _FEAS_TOL * (1.0 + np.max(np.abs(rhs), axis=1, initial=0.0))
+    work, nu = np.ones(rhs.shape, dtype=bool), np.zeros(rhs.shape)
+    u_star = np.zeros((len(rhs), rows.shape[2]))   # least-norm points of the working sets
+    live, stale = np.ones(len(rhs), dtype=bool), np.ones(len(rhs), dtype=bool)
+    for it in range(max_iter):
+        f = np.flatnonzero(stale)
+        if len(f):
+            w = work[f]
+            a, b = rows[f] * w[..., None], np.where(w, rhs[f], 0.0)
+            left, sv, vt = np.linalg.svd(a, full_matrices=False)
+            sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[:, :1])
+            c = np.einsum("cmr,cm->cr", left, b) * sv_inv
+            u_star[f] = np.einsum("crn,cr->cn", vt, c)
+            nu[f] = np.einsum("cmr,cr->cm", left, c * sv_inv) * w
+            gaps = np.abs(np.einsum("cmn,cn->cm", a, u_star[f]) - b)
+            for i in np.flatnonzero(np.linalg.norm(gaps, axis=1) > tol[f])[:1]:
+                bad = [_row_labels(rhs.shape[1])[j] for j in np.flatnonzero(gaps[i] > tol[f[i]])]
+                raise InfeasibleConstraintsError(
+                    f"combination {keys[f[i]].tolist()}: {'working-set' if it else 'equality'}"
+                    f" system inconsistent (residual {np.linalg.norm(gaps[i]):.3e});"
+                    f" conflicting rows: {bad}", conflicts=bad)
+            stale[:] = False
+        if it == 0:
+            u = u_star.copy()   # the all-equality start
+        act = np.flatnonzero(live)
+        at = (np.linalg.norm(u_star[act] - u[act], axis=1)
+              <= 1e-12 * (1.0 + np.linalg.norm(u[act], axis=1)))
+        # at the working set's optimum: finish, or release the most negative
+        # multiplier (ties to the lowest row)
+        r = act[at]
+        u[r] = u_star[r]
+        neg = ~is_eq[r] & work[r] & (nu[r] < -_MULT_TOL)
+        live[r[~neg.any(axis=1)]] = False
+        r, neg = r[neg.any(axis=1)], neg[neg.any(axis=1)]
+        work[r, np.argmin(np.where(neg, nu[r], np.inf), axis=1)] = False
+        stale[r] = True
+        # otherwise step toward it, blocked at the first inequality the move
+        # would cross (ratios clamped at 0; ties to the lowest row)
+        s = act[~at]
+        d = u_star[s] - u[s]
+        g = np.einsum("cmn,cn->cm", rows[s], d)
+        gap = rhs[s] - np.einsum("cmn,cn->cm", rows[s], u[s])
+        ratios = np.maximum(np.divide(gap, g, out=np.full_like(g, np.inf),
+                                      where=~is_eq[s] & ~work[s] & (g < -1e-14)), 0.0)
+        first = np.argmin(ratios, axis=1)
+        t = ratios[np.arange(len(s)), first]
+        u[s] += np.minimum(t, 1.0)[:, None] * d
+        work[s[t < 1.0], first[t < 1.0]] = stale[s[t < 1.0]] = True
+        if not live.any():
+            return u, nu
+    raise ActiveSetLimitError(f"combination {keys[np.flatnonzero(live)[0]].tolist()}: "
+                              f"active-set loop did not converge within {max_iter} iterations")
+
+
+def _pass_cap(k_users: int) -> int:
+    return 20 * k_users + 20   # release and block passes both count; a wide margin

@@ -121,6 +121,11 @@ def test_ob_infeasible_targets_raise():
                            match="targets may be infeasible") as exc:
             solve_ob(h, targets)
         assert exc.value.iterations < 100
+    # a user with an all-zero channel row cannot be served at any power; it
+    # is named before the first iteration instead of iterating on NaN
+    with pytest.raises(InfeasibleConstraintsError, match="all-zero channel row") as err:
+        solve_ob(np.array([[1.0, 0.0], [0.0, 0.0]]), SinrTargets(zeta=np.ones(2), sigma_z=1.0))
+    assert err.value.conflicts == ("user2",)
 
 
 def test_multicast_single_user_is_matched_filter():

@@ -3,15 +3,17 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from cipm import solver
 from cipm.channel import ChannelMatrix
-from cipm.constellation import QAM_ORDERS, get_constellation
+from cipm.constellation import QAM_ORDERS, detect, get_constellation
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, _least_norm,
-                         kkt_residual, make_problem, min_norm_qp, min_norm_qp_batch,
+                         SinrTargets, _polish, _row_labels,
+                         kkt_residual, make_problem, min_norm_ldp,
                          solve_cipm, solve_cipm_stack, solve_strict,
                          solve_strict_equivalent)
-from oracles import embed_constraints, seeded_instances, solve_reference
+from oracles import embed_constraints, min_norm_qp, seeded_instances, solve_reference
 
 ORACLE_MAX_ITER = 300_000    # oracles.qp_oracle's iteration cap
 
@@ -150,6 +152,18 @@ def test_strict_equivalent_channel_reformulation_matches():
         assert equiv == pytest.approx(direct, rel=1e-9)
 
 
+def _assert_farkas(z, rows, rhs, is_eq):
+    """z certifies that no u has rows u == rhs on is_eq rows and >= on the rest.
+
+    rows.T z ~ 0 (relative to the rows-to-rhs scale of the problem),
+    rhs @ z == 1 and z >= 0 on inequality rows: then 1 = rhs @ z <=
+    (rows u) @ z = 0 for any feasible u, a contradiction.
+    """
+    assert rhs @ z == pytest.approx(1.0, rel=1e-12)
+    assert np.all(z[~is_eq] >= 0.0)
+    assert np.linalg.norm(rows.T @ z) <= 1e-9 * np.abs(rows).max() / np.abs(rhs).max()
+
+
 def test_conflicting_users_raise_infeasible():
     # identical rows, opposite corner symbols: no x satisfies both regions
     h = np.array([[1.0 + 0.5j, 0.3 - 0.2j],
@@ -159,24 +173,26 @@ def test_conflicting_users_raise_infeasible():
     prob = make_problem(h, [spec, spec], [0, 3], targets, "relaxed")
     with pytest.raises(InfeasibleConstraintsError) as err:
         solve_cipm(prob)
-    assert err.value.conflicts
+    # the conflicting rows are the support of the NNLS Farkas certificate
+    z = err.value.farkas
+    _assert_farkas(z, prob.rows, prob.rhs, prob.is_eq)
+    assert err.value.conflicts == tuple(_row_labels(4)[i] for i in np.flatnonzero(z))
     assert "user" in str(err.value)
 
 
-def test_iteration_budget_error_is_raised_when_capped():
-    # with a one-iteration budget some instances cannot finish their
-    # release/re-block passes; the failure must be the dedicated error
-    hits = 0
-    for h, spec, symbols, zeta in seeded_instances(50):
-        k = h.shape[0]
-        targets = SinrTargets(zeta=zeta, sigma_z=1.0)
-        prob = make_problem(h, [spec] * k, symbols, targets, "relaxed")
-        rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
-        try:
-            min_norm_qp(rows, rhs, is_eq, max_iter=1)
-        except ActiveSetLimitError:
-            hits += 1
-    assert hits > 0
+def test_iteration_budget_error_is_raised_when_capped(monkeypatch):
+    # NNLS reports an exhausted iteration budget with a RuntimeError; the
+    # core turns it into the dedicated error, naming the combination
+    def capped(a, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    h, spec, _, targets = _random_instance(10, k=2, nt=2)
+    combos = np.array([[3, 7], [0, 1]])
+    monkeypatch.setattr(solver, "nnls", capped)
+    with pytest.raises(ActiveSetLimitError, match=re.escape("combination [3, 7]: NNLS")):
+        solve_cipm_stack(h, [spec, spec], combos, targets, "relaxed")
+    with pytest.raises(ActiveSetLimitError, match="Maximum number of iterations"):
+        solve_cipm(make_problem(h, [spec, spec], combos[1], targets))
 
 
 def test_solver_is_deterministic():
@@ -264,17 +280,23 @@ def test_kkt_report_fields_match_direct_formulas():
 
 @pytest.mark.parametrize("shape,rank", [((4, 6), 4), ((6, 6), 6), ((5, 8), 3), ((3, 2), 2)])
 def test_least_norm_matches_lstsq_pair(shape, rank):
-    # the one-SVD factorization gives what the pair of lstsq solves gave,
-    # also when rows are dependent (rank below the row count)
+    # the polish's one-SVD factorization gives what the pair of lstsq solves
+    # gives, also when rows are dependent (rank below the row count); rows off
+    # the working set take no part
     rng = np.random.default_rng(rank)
     a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
     b = rng.standard_normal(shape[0])
-    u, nu, resid = _least_norm(a, b)
     u_ref = np.linalg.lstsq(a, b, rcond=1e-12)[0]
     nu_ref = np.linalg.lstsq(a.T, u_ref, rcond=1e-12)[0]
-    assert np.allclose(u, u_ref, rtol=1e-10, atol=1e-12)
-    assert np.allclose(nu, nu_ref, rtol=1e-10, atol=1e-12)
-    assert resid == pytest.approx(np.linalg.norm(a @ u_ref - b), rel=1e-8, abs=1e-12)
+    extra = rng.standard_normal((2, shape[1]))
+    work = np.arange(shape[0] + 2) < shape[0]
+    u, nu = _polish(np.vstack([a, extra])[None], np.concatenate([b, [5.0, -5.0]])[None],
+                    work[None])
+    assert np.allclose(u[0], u_ref, rtol=1e-10, atol=1e-12)
+    assert np.allclose(nu[0, :shape[0]], nu_ref, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(nu[0, shape[0]:], [0.0, 0.0])
+    assert np.linalg.norm(a @ u[0] - b) == pytest.approx(np.linalg.norm(a @ u_ref - b),
+                                                         rel=1e-8, abs=1e-12)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -302,9 +324,9 @@ def test_solver_properties(nt, data, mode, log_scale, seed):
         assert sig.power * c ** 2 == pytest.approx(p_ref, rel=1e-8)
 
     rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
-    u, nu = min_norm_qp(rows, rhs, is_eq, max_iter=20 * k + 20)
+    u, nu = (v[0] for v in min_norm_ldp(rows[None], rhs[None], is_eq[None]))
     assert np.array_equal(u, np.concatenate([sig.x.real, sig.x.imag]))
-    tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))       # min_norm_qp's feasibility tolerance
+    tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))       # the core's feasibility tolerance
     slack = rows @ u - rhs
     assert np.all(np.abs(slack[is_eq]) <= tol)
     assert np.all(slack[~is_eq] >= -tol)
@@ -313,17 +335,21 @@ def test_solver_properties(nt, data, mode, log_scale, seed):
     assert np.all(nu[~is_eq & (slack > tol)] == 0.0)
 
 
-def _scalar_passes(rows, rhs, is_eq, cap):
-    """Fewest passes min_norm_qp needs, or None when it reports infeasibility."""
-    for passes in range(cap + 1):
-        try:
-            min_norm_qp(rows, rhs, is_eq, max_iter=passes)
-            return passes
-        except ActiveSetLimitError:
-            continue
-        except InfeasibleConstraintsError:
-            return None
-    raise AssertionError("scalar core needs more passes than its cap")
+def _lp_feasible(rows, rhs, is_eq):
+    """linprog's verdict on rows u == rhs (is_eq rows) and >= rhs (the rest).
+
+    Asked on unit rows and a unit-max rhs, so that its absolute tolerances
+    mean the same at every channel and target scale.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    a, b, ineq = rows / norms[:, None], rhs / norms, ~is_eq
+    b = b / np.max(np.abs(b))
+    lp = linprog(np.zeros(rows.shape[1]), A_ub=-a[ineq] if ineq.any() else None,
+                 b_ub=-b[ineq] if ineq.any() else None,
+                 A_eq=a[is_eq] if is_eq.any() else None, b_eq=b[is_eq] if is_eq.any() else None,
+                 bounds=[(None, None)] * rows.shape[1], method="highs")
+    assert lp.status in (0, 2), lp.message
+    return lp.status == 0
 
 
 def _draw_stack(data, nt, k_min, mode, log_scale, seed, n_combos, collinear=False):
@@ -338,7 +364,7 @@ def _draw_stack(data, nt, k_min, mode, log_scale, seed, n_combos, collinear=Fals
     h = (rng.standard_normal((k, nt)) + 1j * rng.standard_normal((k, nt))) / np.sqrt(2)
     if collinear:
         # identical users: only combinations that send every user the same
-        # symbol have a consistent all-equality start
+        # symbol are feasible
         specs, zeta_db, h = specs[:1] * k, np.full(k, zeta_db[0]), np.tile(h[0], (k, 1))
     combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
     if collinear:
@@ -358,10 +384,10 @@ _STACKS = dict(nt=st.integers(1, 4), data=st.data(), mode=st.sampled_from(["rela
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(**_STACKS)
 def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_combos):
+    # the least-distance core against the replaced scalar active-set loop
     combos, probs, (rows, rhs, is_eq), cap, (specs, targets) = _draw_stack(
         data, nt, 1, mode, log_scale, seed, n_combos)
-    passes = [_scalar_passes(p.rows, p.rhs, p.is_eq, cap) for p in probs]
-    u, nu = min_norm_qp_batch(rows, rhs, is_eq, max_iter=max(passes), keys=combos)
+    u, nu = min_norm_ldp(rows, rhs, is_eq, combos)
     # the frame path assembles the same stack in one call, bit for bit
     _, powers = solve_cipm_stack(probs[0].channel, specs, combos, targets, mode)
     assert np.array_equal(powers, np.einsum("cn,cn->c", u, u))
@@ -374,24 +400,79 @@ def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_com
     slack = np.einsum("cmn,cn->cm", rows, u) - rhs
     tol = 1e-9 * (1.0 + np.max(np.abs(rhs), axis=1, keepdims=True))
     assert np.all(nu[~is_eq & (slack > tol)] == 0.0)
-    # lock-step: the stack needs as many passes as its slowest member, and
-    # one fewer names the lowest combination still running
-    slowest = combos[passes.index(max(passes))].tolist()
-    with pytest.raises(ActiveSetLimitError, match=re.escape(f"combination {slowest}:")):
-        min_norm_qp_batch(rows, rhs, is_eq, max_iter=max(passes) - 1, keys=combos)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(**{**_STACKS, "nt": st.integers(2, 4)})
-def test_batched_core_rejects_collinear_users_like_scalar(nt, data, mode, log_scale, seed,
-                                                         n_combos):
+def test_batched_core_names_first_infeasible_collinear_combination(nt, data, mode, log_scale,
+                                                                   seed, n_combos):
     combos, probs, (rows, rhs, is_eq), cap, _ = _draw_stack(
         data, nt, 2, mode, log_scale, seed, n_combos, collinear=True)
-    passes = [_scalar_passes(p.rows, p.rhs, p.is_eq, cap) for p in probs]
-    if None not in passes:
-        min_norm_qp_batch(rows, rhs, is_eq, max_iter=cap, keys=combos)
+    feasible = [_lp_feasible(p.rows, p.rhs, p.is_eq) for p in probs]
+    if all(feasible):
+        u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
+        for c, p in enumerate(probs):
+            u_ref, _ = min_norm_qp(p.rows, p.rhs, p.is_eq, max_iter=cap)
+            assert u[c] @ u[c] == pytest.approx(u_ref @ u_ref, rel=1e-12)
         return
-    # the lowest combination the scalar core rejects is the one named
+    # the first combination linprog rejects is the one named, with a certificate
+    first = feasible.index(False)
     with pytest.raises(InfeasibleConstraintsError,
-                       match=re.escape(f"combination {combos[passes.index(None)].tolist()}:")):
-        min_norm_qp_batch(rows, rhs, is_eq, max_iter=cap, keys=combos)
+                       match=re.escape(f"combination {combos[first].tolist()}:")) as err:
+        min_norm_ldp(rows, rhs, is_eq, combos)
+    _assert_farkas(err.value.farkas, rows[first], rhs[first], is_eq[first])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(nt=st.integers(1, 3), data=st.data(), collinear=st.booleans(),
+       log_channel=st.floats(-6.0, 6.0), log_target=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_overloaded_and_collinear_slots(nt, data, collinear, log_channel, log_target, seed):
+    # more users than antennas, or users sharing one channel direction with
+    # their own gain and phase (some of them twins of user 1: same channel,
+    # constellation, symbol and target), at channel and target scales 1e-6..1e6
+    k = data.draw(st.integers(2 if collinear else nt + 1, nt + 2), label="k")
+    specs = [get_constellation(n) for n in
+             data.draw(st.lists(st.sampled_from(["qpsk", "16qam"]), min_size=k, max_size=k),
+                       label="constellations")]
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((k, nt)) + 1j * rng.standard_normal((k, nt))) / np.sqrt(2)
+    symbols = [int(rng.integers(0, s.order)) for s in specs]
+    zeta = 10.0 ** rng.uniform(0.0, 2.0, k)
+    if collinear:
+        twins = np.flatnonzero(rng.random(k) < 0.5)
+        gains = rng.uniform(0.5, 2.0, k) * np.exp(2j * np.pi * rng.random(k))
+        gains[twins] = 1.0
+        h = gains[:, None] * h[0]
+        for j in twins:
+            specs[j], symbols[j], zeta[j], h[j] = specs[0], symbols[0], zeta[0], h[0]
+    h *= 10.0 ** log_channel
+    targets = SinrTargets(zeta=zeta, sigma_z=10.0 ** log_target)
+    prob = make_problem(h, specs, symbols, targets, "relaxed")
+    rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
+
+    powers = {}
+    for mode, eq in (("relaxed", is_eq), ("strict", np.ones_like(is_eq))):
+        try:
+            u, nu = (v[0] for v in min_norm_ldp(rows[None], rhs[None], eq[None]))
+        except InfeasibleConstraintsError as err:
+            assert not _lp_feasible(rows, rhs, eq)
+            _assert_farkas(err.farkas, rows, rhs, eq)
+            continue
+        assert _lp_feasible(rows, rhs, eq)
+        # KKT: feasible, rows.T nu = u, nu >= 0 on inequalities and 0 off the
+        # binding ones, so u is the optimum
+        slack = rows @ u - rhs
+        tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))
+        assert np.all(np.abs(slack[eq]) <= tol) and np.all(slack[~eq] >= -tol)
+        assert np.allclose(rows.T @ nu, u, rtol=1e-9, atol=1e-12 * np.linalg.norm(u))
+        assert np.all(nu[~eq] >= -1e-10)
+        assert np.all(nu[~eq & (slack > tol)] == 0.0)
+        powers[mode] = u @ u
+    if "strict" in powers:
+        assert powers["relaxed"] <= powers["strict"] * (1 + 1e-10)
+    if "relaxed" in powers:
+        sig, _ = solve_cipm(prob)
+        assert sig.power == powers["relaxed"]
+        received = (h @ sig.x) / (np.sqrt(targets.zeta) * targets.sigma_z)
+        assert [detect(s, r) for s, r in zip(specs, received)] == symbols
