@@ -17,6 +17,7 @@ line flags override file values.  Each option is declared once, in
 """
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -157,7 +158,13 @@ _SCHEMAS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of every subcommand, built once per process.
+
+    It holds no per-call state: every flag defaults to None, and
+    resolve_options applies the real defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="cipm",
         description="symbol-level precoding experiments (CSV artifacts)")

@@ -6,11 +6,16 @@ away from the origin for lattice-edge components. make_problem gathers
 them from the constellations' cached coefficient and free-axis tables into
 one sign-normalized real system on [Re x; Im x]. The transmit vector of
 minimum norm solves a least-distance program. One QP core, min_norm_ldp,
-solves a stack of them: one NNLS each finds the active set, or a Farkas
+solves a stack of them. A stack of two or more first tries every row
+active, in one batched SVD: where that point is feasible and its
+multipliers are nonnegative on the inequality rows, it is the optimum. The
+other problems, and a lone one (where the guess would cost about what it
+saves), run one NNLS each, which finds the active set, or a Farkas
 certificate of infeasibility, for any rank of the rows (overloaded and
-collinear users included); one batched SVD then gives every active set's
-point and multipliers. solve_cipm, solve_strict and the equivalent-channel
-form run it on one problem, frames and the multicast SCA rounds on stacks.
+collinear users included); one more batched SVD then gives every active
+set's point and multipliers. solve_cipm, solve_strict and the
+equivalent-channel form run the core on one problem, frames and the
+multicast SCA rounds on stacks.
 The KKT report keeps the multipliers and builds its residual, violation,
 active set and correlation matrix only on request.
 """
@@ -191,15 +196,46 @@ def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
 def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None):
     """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
 
-    Each problem is a least-distance program, solved for any rank of its rows
-    by one NNLS (Lawson and Hanson, Solving Least Squares Problems, ch. 23):
-    min ||E y - e_n+1|| over y >= 0, E = [A^T; b^T] with A and b scaled to
-    unit max-norm and equality rows entered as +- pairs. A residual at or
-    below _LDP_TOL leaves A^T y ~ 0, b^T y ~ 1: a Farkas certificate. Else
-    the equality rows and those with y > 0 are the active set, whose point
-    _polish recomputes (-r[:n] / r[n] loses digits to cancellation). Errors
+    A stack of two or more is first solved with every row active, in one
+    batched _polish. Where that point passes _violations' test and its
+    multipliers are nonnegative on the inequality rows, it meets the KKT
+    conditions, so it is the optimum: bit for bit what _ldp_nnls returns
+    when NNLS keeps every row. The other problems go to _ldp_nnls, in index
+    order. A stack of one goes straight there: at C=1 the guess costs about
+    what one NNLS costs and certifies only about half of the slots. Errors
     name problem c by keys[c], if given. Returns u (C, n) and nu (C, m) with
     u[c] = rows[c].T @ nu[c].
+    """
+    if len(rows) < 2:
+        return _ldp_nnls(rows, rhs, is_eq, keys)
+    u, nu = _polish(rows, rhs, np.ones(rhs.shape, dtype=bool))
+    b_max = np.abs(rhs).max(axis=1, keepdims=True)
+    rest = np.flatnonzero((_violations(rows, rhs, is_eq, u, b_max) | ((nu < 0.0) & ~is_eq))
+                          .any(axis=1))
+    if len(rest):
+        u[rest], nu[rest] = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest],
+                                      None if keys is None else keys[rest])
+    return u, nu
+
+
+def _violations(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, u: np.ndarray,
+                b_max: np.ndarray) -> np.ndarray:
+    """Rows (C, m) that u misses by more than _FEAS_TOL (1 + b_max): |gap| on is_eq rows,
+    the shortfall on the rest."""
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    np.abs(gaps, out=gaps, where=is_eq)
+    return gaps > _FEAS_TOL * (1.0 + b_max)
+
+
+def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
+    """min_norm_ldp by one NNLS per problem, for any rank of its rows.
+
+    Lawson and Hanson, Solving Least Squares Problems, ch. 23: min ||E y -
+    e_n+1|| over y >= 0, E = [A^T; b^T] with A and b scaled to unit max-norm
+    and equality rows entered as +- pairs. A residual at or below _LDP_TOL
+    leaves A^T y ~ 0, b^T y ~ 1: a Farkas certificate. Else the equality rows
+    and those with y > 0 are the active set, whose point _polish recomputes
+    (-r[:n] / r[n] loses digits to cancellation).
     """
     where = (lambda c: "") if keys is None else (lambda c: f"combination {keys[c].tolist()}: ")
     m, n = rows.shape[1:]
@@ -219,9 +255,7 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
             raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
                                              f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
     u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
-    gaps = rhs - (rows @ u[..., None])[..., 0]
-    np.abs(gaps, out=gaps, where=is_eq)
-    bad = gaps > _FEAS_TOL * (1.0 + b_max)
+    bad = _violations(rows, rhs, is_eq, u, b_max)
     if bad.any():
         c = int(np.argmax(bad.any(axis=1)))
         raise SolverError(f"{where(c)}active-set point violates rows "

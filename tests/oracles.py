@@ -12,15 +12,19 @@ uplink fixed point with an explicit inverse of the covariance per iteration,
 against which the Cholesky iteration of solve_ob is checked. The QP cores
 that the solver's least-distance core replaced, a scalar active-set loop
 (min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
-verbatim at the end as references for it.
+verbatim at the end as references for it, followed by that core as it was
+before it certified a stack's all-active points (min_norm_ldp: one NNLS per
+problem), the reference for the certify-first step.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import nnls
 
 from cipm.baselines import BeamformerSet, BeamformingConvergenceError, achieved_sinrs
 from cipm.constellation import get_constellation
-from cipm.solver import ActiveSetLimitError, InfeasibleConstraintsError, _row_labels
+from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
+                         SolverError, _polish, _row_labels)
 
 
 def free_axes(spec, index):
@@ -416,3 +420,47 @@ def min_norm_qp_batch(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
 
 def _pass_cap(k_users: int) -> int:
     return 20 * k_users + 20   # release and block passes both count; a wide margin
+
+
+# The least-distance core as it was before it certified the all-active point
+# of a stack first: one NNLS per problem, then one batched polish. Kept
+# verbatim as the reference the certify-first core must match.
+def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None):
+    """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
+
+    Each problem is a least-distance program, solved for any rank of its rows
+    by one NNLS (Lawson and Hanson, Solving Least Squares Problems, ch. 23):
+    min ||E y - e_n+1|| over y >= 0, E = [A^T; b^T] with A and b scaled to
+    unit max-norm and equality rows entered as +- pairs. A residual at or
+    below _LDP_TOL leaves A^T y ~ 0, b^T y ~ 1: a Farkas certificate. Else
+    the equality rows and those with y > 0 are the active set, whose point
+    _polish recomputes (-r[:n] / r[n] loses digits to cancellation). Errors
+    name problem c by keys[c], if given. Returns u (C, n) and nu (C, m) with
+    u[c] = rows[c].T @ nu[c].
+    """
+    where = (lambda c: "") if keys is None else (lambda c: f"combination {keys[c].tolist()}: ")
+    m, n = rows.shape[1:]
+    b_max = np.abs(rhs).max(axis=1, keepdims=True)
+    b = rhs * (np.abs(rows).max(axis=(1, 2))[:, None] / np.maximum(b_max, np.finfo(float).tiny))
+    e = np.concatenate([rows, b[..., None]], axis=2)
+    e = np.concatenate([e, -e * is_eq[..., None]], axis=1).transpose(0, 2, 1).copy()
+    target, y = np.eye(n + 1)[n], np.empty((len(e), 2 * m))
+    for c in range(len(e)):
+        try:
+            y[c], resid = nnls(e[c], target)
+        except RuntimeError as exc:
+            raise ActiveSetLimitError(f"{where(c)}NNLS stopped: {exc}") from exc
+        if resid <= _LDP_TOL:
+            z = y[c, :m] - y[c, m:]
+            bad = [_row_labels(m)[i] for i in np.flatnonzero(z)]
+            raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
+                                             f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
+    u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    np.abs(gaps, out=gaps, where=is_eq)
+    bad = gaps > _FEAS_TOL * (1.0 + b_max)
+    if bad.any():
+        c = int(np.argmax(bad.any(axis=1)))
+        raise SolverError(f"{where(c)}active-set point violates rows "
+                          f"{[_row_labels(m)[i] for i in np.flatnonzero(bad[c])]}")
+    return u, nu

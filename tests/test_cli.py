@@ -1,10 +1,14 @@
 """CLI tests: option resolution, artifacts, exit codes."""
 
 import argparse
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cipm
 from cipm.channel import ChannelMatrix
 from cipm.cli import (
     EXIT_CONFIG,
@@ -149,6 +153,28 @@ def test_sweep_summary_prints_rows(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "sinr=4" in out and "dBW" in out
+
+
+def test_main_calls_in_one_process_match_separate_runs(tmp_path, capsys):
+    # main reuses one parser per process: flags of one call (here --mode,
+    # --seed, --summary and the grid) must not carry over to the next
+    runs = [["sweep", "--frames", "1", "--symbols", "10", "--grid", "4.0,8.0",
+             "--precoders", "cipm,ob", "--threads", "1", "--mode", "strict",
+             "--seed", "3", "--summary"],
+            ["sweep", "--frames", "1", "--symbols", "10", "--grid", "6.0",
+             "--precoders", "cipm", "--threads", "1"]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"same{i}")]) == EXIT_OK
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for i, argv in enumerate(runs):
+        subprocess.run([sys.executable, "-m", "cipm.cli", *argv,
+                        "--out", str(tmp_path / f"own{i}")],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert (_read(tmp_path / f"same{i}" / "sweep.csv")
+                == _read(tmp_path / f"own{i}" / "sweep.csv"))
 
 
 # ------------------------------------------------------------- fixed channel

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from cipm import solver
+import oracles
+from cipm import baselines, solver
 from cipm.channel import ChannelMatrix
 from cipm.constellation import QAM_ORDERS, detect, get_constellation
+from cipm.simulator import FrameConfig, draw_channel, run_frame
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, _polish, _row_labels,
+                         SinrTargets, SolverError, _assemble, _polish, _row_labels,
                          kkt_residual, make_problem, min_norm_ldp,
                          solve_cipm, solve_cipm_stack, solve_strict,
                          solve_strict_equivalent)
@@ -186,8 +188,13 @@ def test_iteration_budget_error_is_raised_when_capped(monkeypatch):
     def capped(a, b):
         raise RuntimeError("Maximum number of iterations reached.")
 
-    h, spec, _, targets = _random_instance(10, k=2, nt=2)
+    h, spec, _, targets = _random_instance(14, k=2, nt=2)
     combos = np.array([[3, 7], [0, 1]])
+    # [3, 7]'s all-active point has negative multipliers, so the stack sends
+    # it to NNLS rather than certifying it
+    prob = make_problem(h, [spec, spec], combos[0], targets)
+    _, nu = _polish(prob.rows[None], prob.rhs[None], np.ones((1, 4), dtype=bool))
+    assert np.any(nu[0, ~prob.is_eq] < 0.0)
     monkeypatch.setattr(solver, "nnls", capped)
     with pytest.raises(ActiveSetLimitError, match=re.escape("combination [3, 7]: NNLS")):
         solve_cipm_stack(h, [spec, spec], combos, targets, "relaxed")
@@ -476,3 +483,112 @@ def test_overloaded_and_collinear_slots(nt, data, collinear, log_channel, log_ta
         assert sig.power == powers["relaxed"]
         received = (h @ sig.x) / (np.sqrt(targets.zeta) * targets.sigma_z)
         assert [detect(s, r) for s, r in zip(specs, received)] == symbols
+
+
+def _certify_first_stack(load, stack, nt, data, log_channel, log_target, seed, n_combos):
+    """(rows, rhs, is_eq, keys) of C stacked problems on one channel.
+
+    load: 'loaded' (K <= Nt), 'overloaded' (K > Nt) or 'collinear' (users on
+    one direction with their own gain and phase, twins of user 1 among them).
+    stack: 'relaxed' or 'strict' symbol combinations of QPSK and 16QAM users,
+    or 'sca': all-inequality tangent rows of |h_j x|^2 >= zeta_j sigma_z^2 at
+    C random points scaled onto that set, as a multicast SCA round builds them.
+    """
+    k_min, k_max = {"loaded": (1, nt), "overloaded": (nt + 1, nt + 2),
+                    "collinear": (2, nt + 2)}[load]
+    k = data.draw(st.integers(k_min, k_max), label="k")
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((k, nt)) + 1j * rng.standard_normal((k, nt))) / np.sqrt(2)
+    zeta = 10.0 ** rng.uniform(0.0, 2.0, k)
+    specs = [get_constellation(n) for n in
+             data.draw(st.lists(st.sampled_from(["qpsk", "16qam"]), min_size=k, max_size=k),
+                       label="constellations")]
+    twins = np.zeros(k, dtype=bool)
+    if load == "collinear":
+        twins[1:] = rng.random(k - 1) < 0.5
+        gains = np.where(twins, 1.0, rng.uniform(0.5, 2.0, k) * np.exp(2j * np.pi * rng.random(k)))
+        h = gains[:, None] * h[0]
+        zeta[twins] = zeta[0]
+        specs = [specs[0] if t else s for s, t in zip(specs, twins)]
+    h *= 10.0 ** log_channel
+    targets = SinrTargets(zeta=zeta, sigma_z=10.0 ** log_target)
+    if stack == "sca":
+        x = rng.standard_normal((n_combos, nt)) + 1j * rng.standard_normal((n_combos, nt))
+        rhs_abs2 = targets.zeta * targets.sigma_z ** 2
+        x *= np.sqrt(np.max(rhs_abs2 / np.abs(x @ h.T) ** 2, axis=1))[:, None]
+        rows, rhs = baselines._tangent_rows(np.broadcast_to(h, (n_combos, k, nt)), x, rhs_abs2)
+        return rows, rhs, np.zeros(rhs.shape, dtype=bool), np.arange(n_combos)
+    combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
+    combos[:, twins] = combos[:, :1]
+    coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
+    free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (stack == "relaxed")
+    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
+    return rows, rhs, is_eq, combos
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(load=st.sampled_from(["loaded", "overloaded", "collinear"]),
+       stack=st.sampled_from(["relaxed", "strict", "sca"]), nt=st.integers(1, 3),
+       data=st.data(), log_channel=st.floats(-6.0, 6.0), log_target=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1), n_combos=st.integers(2, 10))
+def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channel, log_target,
+                                               seed, n_combos):
+    # stacks of two or more take the all-active certificate where it holds and
+    # NNLS elsewhere; outputs and errors must be those of the NNLS-only core
+    rows, rhs, is_eq, keys = _certify_first_stack(load, stack, nt, data, log_channel,
+                                                  log_target, seed, n_combos)
+    try:
+        u_ref, nu_ref = oracles.min_norm_ldp(rows, rhs, is_eq, keys)
+    except SolverError as ref:
+        with pytest.raises(type(ref)) as err:
+            min_norm_ldp(rows, rhs, is_eq, keys)
+        named = re.match(r"combination (.*?): ", str(ref)).group(1)
+        assert str(err.value).startswith(f"combination {named}: ")
+        if isinstance(ref, InfeasibleConstraintsError):
+            c = [str(key.tolist()) for key in keys].index(named)
+            _assert_farkas(err.value.farkas, rows[c], rhs[c], is_eq[c])
+        return
+    u, nu = min_norm_ldp(rows, rhs, is_eq, keys)
+    norms = np.linalg.norm(u_ref, axis=1)
+    assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * norms)
+    assert np.einsum("cn,cn->c", u, u) == pytest.approx(norms ** 2, rel=1e-12)
+    # where NNLS kept every row, the certificate's point is the same polish
+    full = np.all(nu_ref != 0.0, axis=1)
+    assert np.array_equal(u[full], u_ref[full]) and np.array_equal(nu[full], nu_ref[full])
+
+
+def test_certified_stack_rows_skip_nnls(monkeypatch):
+    # most rows of a frame's stacks are certified by the all-active point; a
+    # lone problem always runs NNLS once. Seed 0, frame 0: 120 of 128
+    # multicast-frame rows (CIPM warm start and SCA rounds) and 37 of 99
+    # 4x4 16QAM rows are certified
+    counts = {"nnls": 0, "stacked": 0, "stacked_nnls": 0}
+    core, ldp = solver.nnls, solver.min_norm_ldp
+
+    def counting_nnls(a, b):
+        counts["nnls"] += 1
+        return core(a, b)
+
+    def counting_ldp(rows, rhs, is_eq, keys=None):
+        before = counts["nnls"]
+        out = ldp(rows, rhs, is_eq, keys)
+        if len(rows) > 1:
+            counts["stacked"] += len(rows)
+            counts["stacked_nnls"] += counts["nnls"] - before
+        return out
+
+    monkeypatch.setattr(solver, "nnls", counting_nnls)
+    monkeypatch.setattr(solver, "min_norm_ldp", counting_ldp)
+    monkeypatch.setattr(baselines, "min_norm_ldp", counting_ldp)
+    for cfg in (FrameConfig(n_symbols=100, frames=1, modulations="qpsk", precoder="multicast",
+                            multicast_restarts=0, seed=0),
+                FrameConfig(n_symbols=100, frames=1, n_antennas=4, k_users=4, zeta_db=17.0,
+                            modulations="16qam", seed=0)):
+        run_frame(cfg, draw_channel(cfg, 0), 0)
+    assert counts["stacked"] > 0
+    assert counts["stacked_nnls"] <= counts["stacked"] / 2
+    h, spec, symbols, targets = _random_instance(11, k=2, nt=2)
+    counts["nnls"] = 0
+    solve_cipm(make_problem(h, [spec, spec], symbols, targets))
+    assert counts["nnls"] == 1
+
