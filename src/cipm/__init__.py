@@ -9,8 +9,7 @@ from .channel import (
 from .solver import (
     ActiveSetLimitError, InfeasibleConstraintsError, KktReport,
     PrecodeProblem, PrecodedSignal, SinrTargets, SolverError,
-    kkt_residual, make_problem, solve_cipm, solve_strict,
-    solve_strict_equivalent,
+    kkt_residual, make_problem, solve_cipm, solve_strict_equivalent,
 )
 from .baselines import (
     BeamformerSet, BeamformingConvergenceError, MulticastSolution,

@@ -90,6 +90,15 @@ class ChannelMatrix:
         return cls(entries=np.array(rows, dtype=complex))
 
 
+def write_csv(path, header, rows) -> None:
+    """CSV file of header names and rows: str and int cells as str, other numbers repr(float)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v))
+                              for v in row) + "\n")
+
+
 def sample_rayleigh(cfg: FadingConfig, rng: np.random.Generator) -> ChannelMatrix:
     """Draw one channel realization with per-entry power 1/beta."""
     scale = np.sqrt(1.0 / (2.0 * cfg.beta))

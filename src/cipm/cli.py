@@ -101,17 +101,15 @@ class _Opt(NamedTuple):
 
 # per-subcommand option schema: the one declaration of each option.  It
 # generates the flags (key zeta_db is --zeta-db), the accepted config-file
-# keys and the hard defaults.
-_COMMON = {
-    "out": _Opt(str, ".", "output directory (default: .)"),
-    "seed": _Opt(int, 0, "base RNG seed"),
-    "threads": _Opt(int, 0, "worker processes; 0 = all cores"),
-    "frames": _Opt(int, 50, "Monte-Carlo frames"),
-    "symbols": _Opt(int, 100, "symbol slots per frame"),
-}
+# keys and the hard defaults.  A subcommand lists only the options it reads.
+_COMMON = {"out": _Opt(str, ".", "output directory (default: .)")}
+_SEEDED = dict(_COMMON, seed=_Opt(int, 0, "base RNG seed"))
 
 _SCHEMAS = {
-    "sweep": dict(_COMMON, **{
+    "sweep": dict(_SEEDED, **{
+        "threads": _Opt(int, 0, "worker processes; 0 = all cores"),
+        "frames": _Opt(int, 50, "Monte-Carlo frames"),
+        "symbols": _Opt(int, 100, "symbol slots per frame"),
         "axis": _Opt(str, "sinr", "sweep variable (default: sinr)", SWEEP_AXES),
         "grid": _Opt(float_list, [4.0, 8.0, 12.0], "comma-separated grid values"),
         "precoders": _Opt(name_list, ["cipm", "ob"],
@@ -139,7 +137,7 @@ _SCHEMAS = {
         "table": _Opt(str, None, "modulation table file for region maps"),
         "summary": _Opt(_parse_bool, False, "print headline numbers"),
     }),
-    "pdfcheck": dict(_COMMON, **{
+    "pdfcheck": dict(_SEEDED, **{
         "constellation": _Opt(str, "16qam", "constellation name (default 16qam)"),
         "samples": _Opt(int, 100_000, "Monte-Carlo draws"),
         "bins": _Opt(int, None, "equal-probability bins (default 24, qpsk 12)"),
@@ -147,7 +145,7 @@ _SCHEMAS = {
         "beta": _Opt(float, 1.0, "fading rate parameter"),
         "threshold": _Opt(float, None, "L1 pass threshold (default 0.02, qpsk 0.01)"),
     }),
-    "modmap": dict(_COMMON, **{
+    "modmap": dict(_SEEDED, **{
         "symbols": _Opt(int, 1_000_000, "symbols per SER curve point"),
         "rates": _Opt(float_list, None, "comma list of per-user goodput targets"),
         "backend": _Opt(str, "both", "SINR lookup backend (default: both)",
@@ -282,10 +280,9 @@ def cmd_fixed(opts):
     if len(mods) == 1:
         mods = mods * channel.k_users
     cfg = FrameConfig(
-        n_symbols=opts["symbols"], frames=1,
         n_antennas=channel.n_antennas, k_users=channel.k_users,
         sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-        modulations=tuple(mods), mode=opts["mode"], seed=opts["seed"])
+        modulations=tuple(mods), mode=opts["mode"])
     table = fixed_channel_experiment(channel.entries, cfg)
     path = os.path.join(out, "combinations.csv")
     write_combination_csv(table, path)

@@ -10,8 +10,10 @@ SER-vs-SNR curve.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 from scipy.special import erfc, erfcinv
 
+from .channel import write_csv
 from .constellation import detect, get_constellation
 
 
@@ -165,25 +167,6 @@ def load_table(path):
         return parse_table(fh.read())
 
 
-def _isotonic_nonincreasing(y):
-    """Pool-adjacent-violators fit, nonincreasing in the index."""
-    y = np.asarray(y, dtype=float)
-    # fit the flipped sequence as nondecreasing, then flip back
-    vals = list(-y)
-    weights = [1.0] * len(vals)
-    blocks = []  # (value, weight)
-    for v, w in zip(vals, weights):
-        blocks.append([v, w])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v2, w2 = blocks.pop()
-            v1, w1 = blocks.pop()
-            blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2])
-    out = []
-    for v, w in blocks:
-        out.extend([v] * int(round(w)))
-    return -np.array(out)
-
-
 @dataclass(frozen=True)
 class SerCurve:
     """Simulated single-user AWGN SER curve for one constellation."""
@@ -196,11 +179,15 @@ class SerCurve:
         object.__setattr__(self, "ser", np.asarray(self.ser, dtype=float))
         if self.snr_db.shape != self.ser.shape or self.snr_db.ndim != 1:
             raise ValueError("snr_db and ser must be matching 1-d arrays")
+        if not (np.all(np.isfinite(self.snr_db)) and np.all(np.isfinite(self.ser))):
+            raise ValueError(f"{self.name} SER curve holds non-finite values")
         if np.any(np.diff(self.snr_db) <= 0):
             raise ValueError("snr_db grid must be strictly increasing")
 
     def monotonized(self):
-        return SerCurve(self.name, self.snr_db, _isotonic_nonincreasing(self.ser))
+        """Least-squares nonincreasing fit (pool adjacent violators)."""
+        return SerCurve(self.name, self.snr_db,
+                        isotonic_regression(self.ser, increasing=False).x)
 
     def sinr_db_for_ser(self, target):
         """SNR in dB where the (monotonized) curve crosses the target SER.
@@ -210,7 +197,7 @@ class SerCurve:
         """
         if not 0.0 < target < 1.0:
             raise ValueError(f"target SER must lie in (0, 1), got {target}")
-        ser = _isotonic_nonincreasing(self.ser)
+        ser = self.monotonized().ser
         floor = 1e-12
         logs = np.log10(np.maximum(ser, floor))
         lt = np.log10(target)
@@ -229,16 +216,19 @@ class SerCurve:
         return float(x0 + (lt - y0) * (x1 - x0) / (y1 - y0))
 
     def save_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("snr_db,ser\n")
-            for s, e in zip(self.snr_db, self.ser):
-                fh.write(f"{float(s)!r},{float(e)!r}\n")
+        write_csv(path, ["snr_db", "ser"], zip(self.snr_db, self.ser))
 
     @classmethod
     def load_csv(cls, name, path):
-        rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-        rows = np.atleast_2d(rows)
-        return cls(name, rows[:, 0], rows[:, 1])
+        with open(path, encoding="ascii") as fh:
+            lines = [line.split(",") for line in fh.read().splitlines()[1:] if line.strip()]
+        try:
+            rows = np.array(lines, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != 2:
+                raise ValueError("expected 'snr_db,ser' data rows after the header")
+            return cls(name, rows[:, 0], rows[:, 1])
+        except ValueError as exc:
+            raise ValueError(f"SER curve file {path}: {exc}") from None
 
 
 def build_ser_curve(name, snr_db_grid=None, symbols_per_point=1_000_000, seed=0):

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from .baselines import ob_frame_power, solve_multicast_stack, solve_ob
 from .channel import (ChannelMatrix, FadingConfig, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
-                      sample_rayleigh, symbol_stats)
+                      sample_rayleigh, symbol_stats, write_csv)
 from .constellation import detect, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
 from .solver import SinrTargets, SolverError, _check_mode, solve_cipm_stack
@@ -269,15 +269,8 @@ def write_sweep_csv(rows, path):
     cols += [f"ser_user{j+1}" for j in range(k)]
     cols += [f"goodput_user{j+1}" for j in range(k)]
     cols += ["eta"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            vals = [repr(float(r.value)), r.precoder, repr(r.avg_power_dbw),
-                    repr(r.avg_power_watts)]
-            vals += [repr(float(s)) for s in r.ser]
-            vals += [repr(float(g)) for g in r.goodputs]
-            vals += [repr(float(r.eta))]
-            fh.write(",".join(vals) + "\n")
+    write_csv(path, cols, ([r.value, r.precoder, r.avg_power_dbw, r.avg_power_watts,
+                            *r.ser, *r.goodputs, r.eta] for r in rows))
 
 
 def enumerate_combinations(orders):
@@ -331,15 +324,9 @@ def write_combination_csv(table: CombinationTable, path):
     k = table.symbols.shape[1]
     cols = ["combination"] + [f"symbol_user{j+1}" for j in range(k)]
     cols += ["cipm_power_dbw", "ob_power_dbw", "gap_db"]
-    gap = table.gap_db
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for c in range(table.symbols.shape[0]):
-            vals = [str(c)] + [str(int(s)) for s in table.symbols[c]]
-            vals += [repr(float(10.0 * np.log10(table.cipm_power[c]))),
-                     repr(float(10.0 * np.log10(table.ob_power[c]))),
-                     repr(float(gap[c]))]
-            fh.write(",".join(vals) + "\n")
+    cipm, ob = 10.0 * np.log10(table.cipm_power), 10.0 * np.log10(table.ob_power)
+    write_csv(path, cols, ([c, *table.symbols[c], cipm[c], ob[c], gap]
+                           for c, gap in enumerate(table.gap_db)))
 
 
 @dataclass(frozen=True)
@@ -391,14 +378,9 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
 
 
 def write_region_csv(points, path):
-    cols = ["zeta1_db", "zeta2_db", "modulation1", "modulation2",
-            "avg_power_dbw", "eta"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p in points:
-            fh.write(",".join([repr(p.zeta1_db), repr(p.zeta2_db),
-                               p.modulation1, p.modulation2,
-                               repr(p.avg_power_dbw), repr(p.eta)]) + "\n")
+    cols = ["zeta1_db", "zeta2_db", "modulation1", "modulation2", "avg_power_dbw", "eta"]
+    write_csv(path, cols, ([p.zeta1_db, p.zeta2_db, p.modulation1, p.modulation2,
+                            p.avg_power_dbw, p.eta] for p in points))
 
 
 CURVE_POINTS = 200  # z-grid points of the exported density curves
@@ -437,9 +419,7 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     stats = symbol_stats(spec)
     cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1)
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(1.0 / (2.0 * beta))
-    rows = scale * (rng.standard_normal((samples, n_antennas))
-                    + 1j * rng.standard_normal((samples, n_antennas)))
+    rows = sample_rayleigh(replace(cfg, k_users=samples), rng).entries
     raw = np.sum(np.abs(rows) ** 2, axis=1)
     sym = rng.integers(0, spec.order, size=samples)
     pts = np.asarray(spec.points)[sym]
@@ -481,7 +461,4 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
 
 
 def write_distribution_csv(z_grid, analytic, empirical, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("z,analytic_pdf,empirical_pdf\n")
-        for z, a, e in zip(z_grid, analytic, empirical):
-            fh.write(f"{float(z)!r},{float(a)!r},{float(e)!r}\n")
+    write_csv(path, ["z", "analytic_pdf", "empirical_pdf"], zip(z_grid, analytic, empirical))

@@ -13,9 +13,9 @@ other problems, and a lone one (where the guess would cost about what it
 saves), run one NNLS each, which finds the active set, or a Farkas
 certificate of infeasibility, for any rank of the rows (overloaded and
 collinear users included); one more batched SVD then gives every active
-set's point and multipliers. solve_cipm, solve_strict and the
-equivalent-channel form run the core on one problem, frames and the
-multicast SCA rounds on stacks.
+set's point and multipliers. solve_cipm (strict mode included, through
+make_problem(..., "strict")) and the equivalent-channel form run the core on
+one problem, frames and the multicast SCA rounds on stacks.
 The KKT report keeps the multipliers and builds its residual, violation,
 active set and correlation matrix only on request.
 """
@@ -113,15 +113,13 @@ class PrecodedSignal:
 class KktReport:
     """Multipliers of a solve; the certificate fields are computed on first access.
 
-    u is the real-embedded optimum and is_eq the row kinds the solve used
-    (all True for solve_strict).
+    u is the real-embedded optimum.
     """
 
     lam: np.ndarray                   # I-constraint multipliers, one per user
     mu: np.ndarray                    # Q-constraint multipliers
     problem: PrecodeProblem = field(repr=False, compare=False)
     u: np.ndarray = field(repr=False, compare=False)
-    is_eq: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def _slack(self) -> np.ndarray:
@@ -134,13 +132,13 @@ class KktReport:
 
     @cached_property
     def max_constraint_violation(self) -> float:
-        slack = self._slack
-        return float(np.max(np.where(self.is_eq, np.abs(slack), np.maximum(0.0, -slack))))
+        slack, is_eq = self._slack, self.problem.is_eq
+        return float(np.max(np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
 
     @cached_property
     def active_set(self) -> tuple:
         """Indices 2j (I) / 2j+1 (Q) of binding inequalities."""
-        return tuple(np.flatnonzero(~self.is_eq & (np.abs(self._slack) < 1e-9)).tolist())
+        return tuple(np.flatnonzero(~self.problem.is_eq & (np.abs(self._slack) < 1e-9)).tolist())
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -290,17 +288,6 @@ def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
     return float(np.linalg.norm(x - s))
 
 
-def _solve(problem: PrecodeProblem, is_eq: np.ndarray) -> tuple[PrecodedSignal, KktReport]:
-    u, nu = min_norm_ldp(problem.rows[None], problem.rhs[None], is_eq[None])
-    u, nu, nt = u[0], nu[0], problem.n_antennas
-    # map working-set multipliers back to the unflipped I/Q frame
-    nu_eff = problem.flips * nu
-    sig = PrecodedSignal(x=u[:nt] + 1j * u[nt:], power=float(u @ u))
-    rep = KktReport(lam=-2.0 * nu_eff[0::2], mu=-2.0 * nu_eff[1::2],
-                    problem=problem, u=u, is_eq=is_eq)
-    return sig, rep
-
-
 @cache
 def _row_labels(m: int) -> tuple:
     return tuple(f"user{i // 2 + 1}/{'I' if i % 2 == 0 else 'Q'}" for i in range(m))
@@ -308,12 +295,12 @@ def _row_labels(m: int) -> tuple:
 
 def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
     """Minimum-power transmit vector honoring every detection region."""
-    return _solve(problem, problem.is_eq)
-
-
-def solve_strict(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
-    """All-equality variant: the received values hit the scaled symbols exactly."""
-    return _solve(problem, np.ones_like(problem.is_eq))
+    u, nu = min_norm_ldp(problem.rows[None], problem.rhs[None], problem.is_eq[None])
+    u, nu, nt = u[0], nu[0], problem.n_antennas
+    # map working-set multipliers back to the unflipped I/Q frame
+    nu_eff = problem.flips * nu
+    sig = PrecodedSignal(x=u[:nt] + 1j * u[nt:], power=float(u @ u))
+    return sig, KktReport(lam=-2.0 * nu_eff[0::2], mu=-2.0 * nu_eff[1::2], problem=problem, u=u)
 
 
 def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
@@ -330,4 +317,4 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
     k = ch.k_users
     coeffs, free = np.tile([reference.real, reference.imag], (k, 1)), np.zeros((k, 2), dtype=bool)
     prob = PrecodeProblem(eq.entries, *_assemble(eq.entries, coeffs, free, targets), "strict")
-    return solve_strict(prob)
+    return solve_cipm(prob)

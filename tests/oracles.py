@@ -14,7 +14,9 @@ that the solver's least-distance core replaced, a scalar active-set loop
 (min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
 verbatim at the end as references for it, followed by that core as it was
 before it certified a stack's all-active points (min_norm_ldp: one NNLS per
-problem), the reference for the certify-first step.
+problem), the reference for the certify-first step. Last comes the
+hand-written pool-adjacent-violators fit (_isotonic_nonincreasing) that
+SerCurve.monotonized used before it called scipy's isotonic_regression.
 """
 
 import numpy as np
@@ -464,3 +466,22 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
         raise SolverError(f"{where(c)}active-set point violates rows "
                           f"{[_row_labels(m)[i] for i in np.flatnonzero(bad[c])]}")
     return u, nu
+
+
+def _isotonic_nonincreasing(y):
+    """Pool-adjacent-violators fit, nonincreasing in the index."""
+    y = np.asarray(y, dtype=float)
+    # fit the flipped sequence as nondecreasing, then flip back
+    vals = list(-y)
+    weights = [1.0] * len(vals)
+    blocks = []  # (value, weight)
+    for v, w in zip(vals, weights):
+        blocks.append([v, w])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            v2, w2 = blocks.pop()
+            v1, w1 = blocks.pop()
+            blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2])
+    out = []
+    for v, w in blocks:
+        out.extend([v] * int(round(w)))
+    return -np.array(out)

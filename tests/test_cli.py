@@ -1,9 +1,11 @@
 """CLI tests: option resolution, artifacts, exit codes."""
 
 import argparse
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cipm.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    _COMMANDS,
     _SCHEMAS,
     _parse_region_grid,
     build_parser,
@@ -67,12 +70,13 @@ def test_unknown_config_key_exits_config(tmp_path, capsys):
     assert "'backend'" in capsys.readouterr().err
 
 
-_COMMON_FLAGS = [("--config", "config"), ("--out", "out"), ("--seed", "seed"),
-                 ("--threads", "threads"), ("--frames", "frames"), ("--symbols", "symbols")]
+_COMMON_FLAGS = [("--config", "config"), ("--out", "out")]
+_SEEDED_FLAGS = _COMMON_FLAGS + [("--seed", "seed")]
 
 # every subcommand's (flag, dest) pairs, in parser order
 CLI_SURFACE = {
-    "sweep": _COMMON_FLAGS + [
+    "sweep": _SEEDED_FLAGS + [
+        ("--threads", "threads"), ("--frames", "frames"), ("--symbols", "symbols"),
         ("--axis", "axis"), ("--grid", "grid"), ("--precoders", "precoders"),
         ("--modulations", "modulations"), ("--mode", "mode"), ("--antennas", "antennas"),
         ("--users", "users"), ("--zeta-db", "zeta_db"), ("--sigma-h2-db", "sigma_h2_db"),
@@ -81,12 +85,12 @@ CLI_SURFACE = {
         ("--preset", "preset"), ("--channel", "channel"), ("--grid", "grid"),
         ("--modulations", "modulations"), ("--mode", "mode"), ("--zeta-db", "zeta_db"),
         ("--sigma-z2-db", "sigma_z2_db"), ("--table", "table"), ("--summary", "summary")],
-    "pdfcheck": _COMMON_FLAGS + [
+    "pdfcheck": _SEEDED_FLAGS + [
         ("--constellation", "constellation"), ("--samples", "samples"), ("--bins", "bins"),
         ("--antennas", "antennas"), ("--beta", "beta"), ("--threshold", "threshold")],
-    "modmap": _COMMON_FLAGS + [
-        ("--rates", "rates"), ("--backend", "backend"), ("--table", "table"),
-        ("--reference-ser", "reference_ser")],
+    "modmap": _SEEDED_FLAGS + [
+        ("--symbols", "symbols"), ("--rates", "rates"), ("--backend", "backend"),
+        ("--table", "table"), ("--reference-ser", "reference_ser")],
 }
 
 
@@ -106,6 +110,60 @@ def test_cli_surface_is_pinned():
         assert {dest for _, dest in got} >= set(_SCHEMAS[name]), name
     summary = next(a for a in subs["sweep"]._actions if a.dest == "summary")
     assert summary.nargs == 0 and summary.const is True
+
+
+class _ReadLog(dict):
+    """Options that record every key a command reads."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_option_is_read(tmp_path, capsys):
+    # over these runs (both fixed branches, both modmap backends) each command
+    # reads every key of its schema: no flag is accepted and then ignored
+    runs = {"sweep": [["--frames", "1", "--symbols", "5", "--grid", "4",
+                       "--precoders", "cipm", "--threads", "1"]],
+            "fixed": [["--preset", "combos"], ["--preset", "regions", "--grid", "2"]],
+            "pdfcheck": [["--samples", "2000"]],
+            "modmap": [["--backend", "both", "--rates", "1.9", "--symbols", "200"]]}
+    for name, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = build_parser().parse_args([name, *argv, "--out", str(tmp_path / name)])
+            opts = _ReadLog(resolve_options(args))
+            assert _COMMANDS[name](opts) == EXIT_OK, capsys.readouterr().err
+            read |= opts.read
+        assert read == set(_SCHEMAS[name]), name
+    capsys.readouterr()
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_argvs_parse(tmp_path, monkeypatch):
+    # every argv the benchmark hands to cli.main, its warm-ups included, parses
+    wl = _bench_workloads()
+    argvs = []
+    monkeypatch.setattr(wl, "cli_call", argvs.append)
+    for name in ("sweep_full_load", "sweep_qpsk_bound"):
+        argvs.append(wl.WORKLOADS[name](wl.DEFAULT_SEED, str(tmp_path)).prepare(0))
+        wl.warm_up(name, str(tmp_path))
+    argvs.extend(wl.ModmapPdfcheck(wl.DEFAULT_SEED, str(tmp_path)).prepare(0))
+    wl.warm_up("modmap_pdfcheck", str(tmp_path))
+    assert len(argvs) == 8
+    for argv in argvs:
+        assert build_parser().parse_args(argv).subcommand == argv[0]
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -304,6 +362,21 @@ def test_modmap_analytic_output(capsys):
 def test_sweep_rejects_negative_restarts(tmp_path, capsys):
     assert main(["sweep", "--restarts", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "multicast_restarts" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+def test_modmap_rejects_bad_ser_curves(tmp_path, capsys):
+    # a header-only cache file, and a curve built from zero symbols per point
+    cache = tmp_path / "ser_cache"
+    cache.mkdir()
+    (cache / "qpsk_ser.csv").write_text("snr_db,ser\n", encoding="ascii")
+    argv = ["modmap", "--backend", "empirical", "--rates", "1.9"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "qpsk_ser.csv" in capsys.readouterr().err
+    out = tmp_path / "zero"
+    assert main(argv + ["--symbols", "0", "--out", str(out)]) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert list((out / "ser_cache").iterdir()) == []
 
 
 def test_modmap_requires_rates(capsys):

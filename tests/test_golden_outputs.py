@@ -49,7 +49,8 @@ CASES = {
 
 
 def _run(case, out):
-    return main(CASES[case] + ["--threads", "1", "--out", str(out)])
+    threads = ["--threads", "1"] if CASES[case][0] == "sweep" else []
+    return main(CASES[case] + threads + ["--out", str(out)])
 
 
 def _csvs(root):

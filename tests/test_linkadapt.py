@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipm.linkadapt import (
     ZETA0_DEFAULT,
@@ -25,7 +26,7 @@ from cipm.linkadapt import (
     sinr_from_ser,
 )
 
-from oracles import q_inv_oracle, q_oracle, sinr_from_ser_oracle
+from oracles import _isotonic_nonincreasing, q_inv_oracle, q_oracle, sinr_from_ser_oracle
 
 
 # ---------------------------------------------------------------- scalar maps
@@ -193,6 +194,37 @@ def test_ser_curve_validation():
         SerCurve("qpsk", [0.0, 1.0], [0.1])
     with pytest.raises(ValueError):
         SerCurve("qpsk", [0.0, 0.0, 1.0], [0.1, 0.05, 0.01])
+    for snr, ser in (([0.0, 1.0], [0.1, np.nan]), ([0.0, np.inf], [0.1, 0.05])):
+        with pytest.raises(ValueError, match="non-finite"):
+            SerCurve("qpsk", snr, ser)
+
+
+@st.composite
+def _ser_curves(draw):
+    """Noisy, tied, all-zero-tail and already-monotone SER curves."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noisy", "tied", "zero_tail", "monotone"]))
+    ser = np.sort(rng.uniform(1e-5, 0.7, size=n))[::-1]
+    if kind == "noisy":
+        ser = np.abs(ser + rng.normal(0.0, 0.02, n))
+    elif kind == "tied":
+        ser = np.round(ser + rng.normal(0.0, 0.01, n), 2)
+    elif kind == "zero_tail":
+        ser[draw(st.integers(0, n - 1)):] = 0.0
+    return ser
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ser_curves())
+def test_monotonized_matches_pav_oracle(ser):
+    fit = SerCurve("16qam", np.arange(len(ser), dtype=float), ser).monotonized().ser
+    want = _isotonic_nonincreasing(ser)
+    assert np.allclose(fit, want, rtol=1e-12, atol=0.0)
+    assert np.all(np.diff(fit) <= 0.0)
+    assert np.sum(fit) == pytest.approx(np.sum(ser), rel=1e-12, abs=1e-15)
+    if np.all(np.diff(ser) < 0.0):
+        assert np.array_equal(fit, ser)
 
 
 def test_monotonized_pools_adjacent_violators():
@@ -227,6 +259,17 @@ def test_curve_csv_round_trip(tmp_path):
     back = SerCurve.load_csv("16qam", path)
     assert np.array_equal(back.snr_db, curve.snr_db)
     assert np.array_equal(back.ser, curve.ser)
+
+
+@pytest.mark.parametrize("body,match", [("", "data rows"),
+                                        ("0.0,0.1\n0.5,x\n", "could not convert"),
+                                        ("0.0,0.1\n0.5,nan\n", "non-finite")])
+def test_curve_csv_load_rejects_bad_files(tmp_path, body, match):
+    path = tmp_path / "qpsk_ser.csv"
+    path.write_text("snr_db,ser\n" + body, encoding="ascii")
+    with pytest.raises(ValueError, match=match) as exc:
+        SerCurve.load_csv("qpsk", path)
+    assert str(path) in str(exc.value)
 
 
 def test_build_ser_curve_matches_exact_qpsk():

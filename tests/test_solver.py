@@ -13,8 +13,7 @@ from cipm.simulator import FrameConfig, draw_channel, run_frame
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError,
                          SinrTargets, SolverError, _assemble, _polish, _row_labels,
                          kkt_residual, make_problem, min_norm_ldp,
-                         solve_cipm, solve_cipm_stack, solve_strict,
-                         solve_strict_equivalent)
+                         solve_cipm, solve_cipm_stack, solve_strict_equivalent)
 from oracles import embed_constraints, min_norm_qp, seeded_instances, solve_reference
 
 ORACLE_MAX_ITER = 300_000    # oracles.qp_oracle's iteration cap
@@ -134,14 +133,6 @@ def test_power_scales_linearly_with_targets():
         p1 = solve_cipm(make_problem(h, [spec, spec], symbols, t1, mode))[0].power
         p2 = solve_cipm(make_problem(h, [spec, spec], symbols, t2, mode))[0].power
         assert p2 == pytest.approx(c * p1, rel=1e-10)
-
-
-def test_strict_solve_ignores_mode_relaxations():
-    h, spec, symbols, targets = _random_instance(7, k=2, nt=2)
-    relaxed = make_problem(h, [spec, spec], symbols, targets, "relaxed")
-    strict = make_problem(h, [spec, spec], symbols, targets, "strict")
-    assert solve_strict(relaxed)[0].power == pytest.approx(
-        solve_cipm(strict)[0].power, rel=1e-12)
 
 
 def test_strict_equivalent_channel_reformulation_matches():
@@ -269,20 +260,17 @@ def test_kkt_report_fields_match_direct_formulas():
         h, spec, symbols, targets = _random_instance(300 + seed, k=k, nt=3,
                                                      name=("qpsk", "16qam", "64qam")[seed % 3])
         prob = make_problem(h, [spec] * k, symbols, targets, ("relaxed", "strict")[seed % 2])
-        for solve in (solve_cipm, solve_strict):
-            sig, rep = solve(prob)
-            rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
-            if solve is solve_strict:
-                is_eq = np.ones_like(is_eq)
-            u = np.concatenate([sig.x.real, sig.x.imag])
-            slack = rows @ u - rhs
-            assert rep.stationarity_residual == kkt_residual(prob, sig.x, rep.lam, rep.mu)
-            assert rep.max_constraint_violation == float(np.max(
-                np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
-            assert rep.active_set == tuple(i for i in range(len(rhs))
-                                           if not is_eq[i] and abs(slack[i]) < 1e-9)
-            norms = np.linalg.norm(h, axis=1)
-            assert np.array_equal(rep.rho, (h @ h.conj().T) / np.outer(norms, norms))
+        sig, rep = solve_cipm(prob)
+        rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
+        u = np.concatenate([sig.x.real, sig.x.imag])
+        slack = rows @ u - rhs
+        assert rep.stationarity_residual == kkt_residual(prob, sig.x, rep.lam, rep.mu)
+        assert rep.max_constraint_violation == float(np.max(
+            np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
+        assert rep.active_set == tuple(i for i in range(len(rhs))
+                                       if not is_eq[i] and abs(slack[i]) < 1e-9)
+        norms = np.linalg.norm(h, axis=1)
+        assert np.array_equal(rep.rho, (h @ h.conj().T) / np.outer(norms, norms))
 
 
 @pytest.mark.parametrize("shape,rank", [((4, 6), 4), ((6, 6), 6), ((5, 8), 3), ((3, 2), 2)])
