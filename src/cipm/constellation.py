@@ -13,6 +13,7 @@ spec per order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class ConstellationSpec:
     def scale(self) -> float:
         """Spacing factor mapping lattice coordinates to points."""
         return float(np.real(self.points[0]) / self.lattice[0, 0])
+
+    @cached_property
+    def _decision_table(self):
+        """(max |I|, max |Q|), and point (a, b)'s index at [a + max |I|, b + max |Q|]."""
+        levels = np.max(np.abs(self.lattice), axis=0)
+        table = np.full(2 * levels + 1, -1, dtype=int)
+        table[tuple((self.lattice + levels).T)] = np.arange(self.order)
+        return levels, table
 
 
 def _lattice_coords(order: int) -> np.ndarray:
@@ -97,10 +106,21 @@ def get_constellation(name: str) -> ConstellationSpec:
     return _SPECS[_ALIASES[key]]
 
 
-def _quantize(levels_max: int, x: np.ndarray) -> np.ndarray:
-    """Nearest odd level; exact midpoints resolve to the lower level."""
-    a = 2 * np.ceil(x / 2.0) - 1
-    return np.clip(a, -levels_max, levels_max)
+def _decide(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:
+    """Decided odd lattice coordinates of lattice-unit samples x (2, ...): the nearest
+    odd level per axis, midpoints to the lower one; a sample on a missing 32QAM corner
+    goes to its nearer neighbour, on the exact diagonal to the lower-index row's."""
+    levels = spec._decision_table[0].reshape((2,) + (1,) * (x.ndim - 1))
+    d = 2.0 * np.ceil(x / 2.0) - 1.0
+    np.minimum(np.maximum(d, -levels, out=d), levels, out=d)
+    if spec.order == 32:
+        bad = (np.abs(d[0]) == 5) & (np.abs(d[1]) == 5)
+        if np.any(bad):
+            ua, ub = np.abs(x[0][bad]), np.abs(x[1][bad])
+            take1 = np.where(ua == ub, d[1][bad] > 0, ua > ub)   # resolve along I
+            d[0][bad] = np.where(take1, 5.0, 3.0) * np.sign(d[0][bad])
+            d[1][bad] = np.where(take1, 3.0, 5.0) * np.sign(d[1][bad])
+    return d
 
 
 def detect(spec: ConstellationSpec, received):
@@ -111,26 +131,7 @@ def detect(spec: ConstellationSpec, received):
     vals = np.asarray(received, dtype=complex)
     scalar = vals.ndim == 0
     vals = np.atleast_1d(vals)
-    s = spec.scale
-    amax = int(np.max(np.abs(spec.lattice[:, 0])))
-    bmax = int(np.max(np.abs(spec.lattice[:, 1])))
-    a = _quantize(amax, vals.real / s)
-    b = _quantize(bmax, vals.imag / s)
-    if spec.order == 32:
-        bad = (np.abs(a) == 5) & (np.abs(b) == 5)
-        if np.any(bad):
-            sa, sb = np.sign(a[bad]), np.sign(b[bad])
-            c1 = s * (5 * sa + 3j * sb)   # corner resolved along I
-            c2 = s * (3 * sa + 5j * sb)   # corner resolved along Q
-            d1 = np.abs(vals[bad] - c1)
-            d2 = np.abs(vals[bad] - c2)
-            # on the exact diagonal, prefer the point in the lower-index row
-            take1 = np.where(d1 == d2, sb > 0, d1 < d2)
-            a[bad] = np.where(take1, 5 * sa, 3 * sa)
-            b[bad] = np.where(take1, 3 * sb, 5 * sb)
-    key = ((b.astype(int) + bmax) // 2) * (amax + 1) + (a.astype(int) + amax) // 2
-    table = np.full(((bmax + 1) * (amax + 1)), -1, dtype=int)
-    pk = (spec.lattice[:, 1] + bmax) // 2 * (amax + 1) + (spec.lattice[:, 0] + amax) // 2
-    table[pk] = np.arange(spec.order)
-    idx = table[key]
+    a, b = _decide(spec, np.stack([vals.real, vals.imag]) / spec.scale).astype(int)
+    levels, table = spec._decision_table
+    idx = table[a + levels[0], b + levels[1]]
     return int(idx[0]) if scalar else idx

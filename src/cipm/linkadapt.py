@@ -14,7 +14,7 @@ from scipy.optimize import isotonic_regression
 from scipy.special import erfc, erfcinv
 
 from .channel import write_csv
-from .constellation import detect, get_constellation
+from .constellation import _decide, get_constellation
 
 
 def qfunc(x):
@@ -235,23 +235,27 @@ def build_ser_curve(name, snr_db_grid=None, symbols_per_point=1_000_000, seed=0)
     """Monte-Carlo AWGN SER curve on a 0.5 dB grid, monotonized.
 
     Unit-energy symbols scaled by sqrt(snr); unit-variance complex noise, so
-    the grid value is the symbol SNR Es/N0 in dB.
+    the grid value is the symbol SNR Es/N0 in dB. Per point the stream is N
+    symbol indices, then 2N standard normals (N real noise parts, N imaginary):
+    the stream of earlier versions, so the SER caches they wrote stay valid.
     """
+    if symbols_per_point < 1:
+        raise ValueError(f"symbols_per_point must be >= 1, got {symbols_per_point}")
     spec = get_constellation(name)
     if snr_db_grid is None:
         snr_db_grid = np.arange(0.0, 28.0 + 1e-9, 0.5)
     snr_db_grid = np.asarray(snr_db_grid, dtype=float)
     rng = np.random.default_rng(seed)
-    pts = np.asarray(spec.points)
+    lattice = spec.lattice.T.astype(float)
     ser = np.empty(len(snr_db_grid))
     for i, sdb in enumerate(snr_db_grid):
         amp = np.sqrt(10.0 ** (sdb / 10.0))
-        idx = rng.integers(0, spec.order, size=symbols_per_point)
-        noise = (rng.standard_normal(symbols_per_point)
-                 + 1j * rng.standard_normal(symbols_per_point)) / np.sqrt(2.0)
-        received = amp * pts[idx] + noise
-        hit = detect(spec, received / amp)
-        ser[i] = np.mean(hit != idx)
+        sent = np.take(lattice, rng.integers(0, spec.order, size=symbols_per_point), axis=1)
+        x = rng.standard_normal((2, symbols_per_point))
+        x *= 1.0 / (np.sqrt(2.0) * amp * spec.scale)
+        x += sent
+        wrong = _decide(spec, x) != sent
+        ser[i] = np.count_nonzero(wrong[0] | wrong[1]) / symbols_per_point
     return SerCurve(name, snr_db_grid, ser).monotonized()
 
 
@@ -271,6 +275,8 @@ class EmpiricalBackend:
 
     def __init__(self, curves=None, cache_dir=None, symbols_per_point=1_000_000,
                  seed=20_240_001):
+        if symbols_per_point < 1:
+            raise ValueError(f"symbols_per_point must be >= 1, got {symbols_per_point}")
         self.curves = dict(curves or {})
         self.cache_dir = cache_dir
         self.symbols_per_point = symbols_per_point

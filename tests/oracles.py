@@ -17,14 +17,22 @@ before it certified a stack's all-active points (min_norm_ldp: one NNLS per
 problem), the reference for the certify-first step. Last comes the
 hand-written pool-adjacent-violators fit (_isotonic_nonincreasing) that
 SerCurve.monotonized used before it called scipy's isotonic_regression.
+After it come detect and build_ser_curve as they were before the SER curve
+counted errors per lattice axis (detect_oracle, build_ser_curve_oracle), and
+the equivalent-channel fit as it was before its bin edges were bisected
+together (brentq_edges_oracle, validate_distribution_oracle).
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 
 from cipm.baselines import BeamformerSet, BeamformingConvergenceError, achieved_sinrs
+from cipm.channel import FadingConfig, eq_power_cdf, eq_power_pdf, sample_rayleigh, symbol_stats
 from cipm.constellation import get_constellation
+from cipm.linkadapt import SerCurve
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
                          SolverError, _polish, _row_labels)
 
@@ -485,3 +493,116 @@ def _isotonic_nonincreasing(y):
     for v, w in blocks:
         out.extend([v] * int(round(w)))
     return -np.array(out)
+
+
+# Detection and the SER-curve kernel as they were before build_ser_curve
+# counted errors per lattice axis: a complex received sample per symbol,
+# rescaled by 1/amp, and a full detect whose index table is rebuilt per call.
+
+def _quantize(levels_max: int, x: np.ndarray) -> np.ndarray:
+    """Nearest odd level; exact midpoints resolve to the lower level."""
+    a = 2 * np.ceil(x / 2.0) - 1
+    return np.clip(a, -levels_max, levels_max)
+
+
+def detect_oracle(spec, received):
+    """Index of the minimum-distance point; ties go to the smaller index.
+
+    received is a complex scalar or array in unit-power constellation units.
+    """
+    vals = np.asarray(received, dtype=complex)
+    scalar = vals.ndim == 0
+    vals = np.atleast_1d(vals)
+    s = spec.scale
+    amax = int(np.max(np.abs(spec.lattice[:, 0])))
+    bmax = int(np.max(np.abs(spec.lattice[:, 1])))
+    a = _quantize(amax, vals.real / s)
+    b = _quantize(bmax, vals.imag / s)
+    if spec.order == 32:
+        bad = (np.abs(a) == 5) & (np.abs(b) == 5)
+        if np.any(bad):
+            sa, sb = np.sign(a[bad]), np.sign(b[bad])
+            c1 = s * (5 * sa + 3j * sb)   # corner resolved along I
+            c2 = s * (3 * sa + 5j * sb)   # corner resolved along Q
+            d1 = np.abs(vals[bad] - c1)
+            d2 = np.abs(vals[bad] - c2)
+            # on the exact diagonal, prefer the point in the lower-index row
+            take1 = np.where(d1 == d2, sb > 0, d1 < d2)
+            a[bad] = np.where(take1, 5 * sa, 3 * sa)
+            b[bad] = np.where(take1, 3 * sb, 5 * sb)
+    key = ((b.astype(int) + bmax) // 2) * (amax + 1) + (a.astype(int) + amax) // 2
+    table = np.full(((bmax + 1) * (amax + 1)), -1, dtype=int)
+    pk = (spec.lattice[:, 1] + bmax) // 2 * (amax + 1) + (spec.lattice[:, 0] + amax) // 2
+    table[pk] = np.arange(spec.order)
+    idx = table[key]
+    return int(idx[0]) if scalar else idx
+
+
+def build_ser_curve_oracle(name, snr_db_grid=None, symbols_per_point=1_000_000, seed=0):
+    """Monte-Carlo AWGN SER curve on a 0.5 dB grid, monotonized.
+
+    Unit-energy symbols scaled by sqrt(snr); unit-variance complex noise, so
+    the grid value is the symbol SNR Es/N0 in dB.
+    """
+    spec = get_constellation(name)
+    if snr_db_grid is None:
+        snr_db_grid = np.arange(0.0, 28.0 + 1e-9, 0.5)
+    snr_db_grid = np.asarray(snr_db_grid, dtype=float)
+    rng = np.random.default_rng(seed)
+    pts = np.asarray(spec.points)
+    ser = np.empty(len(snr_db_grid))
+    for i, sdb in enumerate(snr_db_grid):
+        amp = np.sqrt(10.0 ** (sdb / 10.0))
+        idx = rng.integers(0, spec.order, size=symbols_per_point)
+        noise = (rng.standard_normal(symbols_per_point)
+                 + 1j * rng.standard_normal(symbols_per_point)) / np.sqrt(2.0)
+        received = amp * pts[idx] + noise
+        hit = detect_oracle(spec, received / amp)
+        ser[i] = np.mean(hit != idx)
+    return SerCurve(name, snr_db_grid, ser).monotonized()
+
+
+# The equivalent-channel fit as it was before its bin edges were bisected
+# together and its phase KS statistic was computed in place: one brentq call
+# per equal-probability edge.
+
+def brentq_edges_oracle(cfg, stats, bins, hi):
+    """Edges 0, ..., inf of equal analytic probability, one brentq per edge."""
+    lo = 0.0
+    edges = [0.0]
+    for q in np.arange(1, bins) / bins:
+        edges.append(brentq(lambda v, q=q: eq_power_cdf(v, cfg, stats) - q,
+                            lo, hi, xtol=1e-12))
+    edges.append(np.inf)
+    return np.array(edges)
+
+
+def validate_distribution_oracle(constellation="16qam", n_antennas=2, beta=1.0,
+                                 samples=100_000, bins=24, seed=0):
+    """(l1, ks_phase, curves) of the equivalent-channel fit, as computed before."""
+    spec = get_constellation(constellation)
+    stats = symbol_stats(spec)
+    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1)
+    rng = np.random.default_rng(seed)
+    rows = sample_rayleigh(replace(cfg, k_users=samples), rng).entries
+    raw = np.sum(np.abs(rows) ** 2, axis=1)
+    sym = rng.integers(0, spec.order, size=samples)
+    pts = np.asarray(spec.points)[sym]
+    gamma = np.abs(pts) ** 2
+    z = raw / gamma
+
+    edges = brentq_edges_oracle(cfg, stats, bins, float(np.max(z)) * 2.0 + 10.0)
+    counts, _ = np.histogram(z, bins=edges)
+    l1 = float(np.sum(np.abs(counts / samples - 1.0 / bins)))
+
+    ref_phase = np.angle((pts.conj() / np.abs(pts))[:, None] * rows)
+    flat = np.sort(ref_phase.ravel())
+    n = flat.size
+    grid = (flat + np.pi) / (2.0 * np.pi)
+    ks = float(np.max(np.maximum(np.arange(1, n + 1) / n - grid,
+                                 grid - np.arange(0, n) / n)))
+
+    curve_edges = np.linspace(0.0, float(np.quantile(z, 0.995)), 200 + 1)
+    density, _ = np.histogram(z, bins=curve_edges, density=True)
+    centers = 0.5 * (curve_edges[:-1] + curve_edges[1:])
+    return l1, ks, (centers, eq_power_pdf(centers, cfg, stats), density)

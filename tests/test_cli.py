@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,16 @@ def test_benchmark_argvs_parse(tmp_path, monkeypatch):
     assert len(argvs) == 8
     for argv in argvs:
         assert build_parser().parse_args(argv).subcommand == argv[0]
+
+
+def test_modmap_pdfcheck_operations_pass_the_benchmark_check(tmp_path):
+    # the benchmark's own prepare, run and check on a few of its operations
+    wl = _bench_workloads()
+    for seed in (0, 1, 2):
+        workload = wl.ModmapPdfcheck(seed, str(tmp_path))
+        for index in (0, 1):
+            inputs = workload.prepare(index)
+            assert workload.check(index, inputs, workload.run(inputs)) == [], (seed, index)
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -364,19 +375,34 @@ def test_sweep_rejects_negative_restarts(tmp_path, capsys):
     assert "multicast_restarts" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 def test_modmap_rejects_bad_ser_curves(tmp_path, capsys):
-    # a header-only cache file, and a curve built from zero symbols per point
+    # a header-only cache file
     cache = tmp_path / "ser_cache"
     cache.mkdir()
     (cache / "qpsk_ser.csv").write_text("snr_db,ser\n", encoding="ascii")
     argv = ["modmap", "--backend", "empirical", "--rates", "1.9"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     assert "qpsk_ser.csv" in capsys.readouterr().err
-    out = tmp_path / "zero"
-    assert main(argv + ["--symbols", "0", "--out", str(out)]) == EXIT_CONFIG
-    assert "non-finite" in capsys.readouterr().err
-    assert list((out / "ser_cache").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["modmap", "--backend", "empirical", "--rates", "1.9", "--symbols", "0"],
+     "symbols_per_point"),
+    (["modmap", "--backend", "both", "--rates", "1.9", "--symbols", "-5"],
+     "symbols_per_point"),
+    (["pdfcheck", "--samples", "0"], "samples=0"),
+    (["pdfcheck", "--bins", "0"], "bins=0"),
+])
+def test_bad_sample_counts_exit_config_naming_the_option(tmp_path, argv, name, capsys):
+    # rejected up front: no numpy warning, no traceback, no curve written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert name in captured.err and "must be >= 1" in captured.err
+    assert captured.out == ""
+    cache = tmp_path / "ser_cache"
+    assert not cache.exists() or list(cache.iterdir()) == []
 
 
 def test_modmap_requires_rates(capsys):

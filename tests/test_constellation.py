@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cipm.constellation import detect, get_constellation
 from cipm.solver import SinrTargets, make_problem
-from oracles import free_axes, nearest_point_oracle
+from oracles import detect_oracle, free_axes, nearest_point_oracle
 
 ALL_NAMES = ("qpsk", "8qam", "16qam", "32qam", "64qam")
 
@@ -125,3 +126,40 @@ def test_detect_clips_far_outside_samples():
     far = np.array([100.0 + 100.0j, -100.0 - 100.0j])
     got = detect(spec, far)
     assert np.array_equal(got, nearest_point_oracle(spec, far))
+
+
+@st.composite
+def _boundary_samples(draw):
+    """Exact decision midpoints, far-out samples and 32QAM diagonal ties."""
+    spec = get_constellation(draw(st.sampled_from(ALL_NAMES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["midpoint", "far", "diagonal"]))
+    if kind == "midpoint":
+        # even lattice coordinates sit on a decision boundary
+        re, im = rng.integers(-9, 10, size=(2, n))
+        values = spec.scale * (re + 1j * im)
+    elif kind == "far":
+        mag = 10.0 ** rng.uniform(1.0, 12.0, size=(2, n))
+        values = mag[0] * rng.choice([-1.0, 1.0], n) + 1j * mag[1] * rng.choice([-1.0, 1.0], n)
+    else:
+        t = rng.choice([rng.uniform(3.5, 7.0, n), np.full(n, 5.0), np.full(n, 4.0)])
+        values = spec.scale * t * (rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n))
+    return spec, values
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_boundary_samples())
+def test_detect_matches_previous_detect_on_boundaries(case):
+    spec, values = case
+    assert np.array_equal(detect(spec, values), detect_oracle(spec, values))
+    assert detect(spec, values[0]) == detect_oracle(spec, values[0])
+
+
+def test_detect_32qam_corner_diagonals_match_previous_detect():
+    spec = get_constellation("32qam")
+    t = np.array([4.0, 4.5, 5.0, 5.5, 7.0, 1e6])
+    for sa in (-1.0, 1.0):
+        for sb in (-1.0, 1.0):
+            values = spec.scale * t * (sa + 1j * sb)
+            assert np.array_equal(detect(spec, values), detect_oracle(spec, values))

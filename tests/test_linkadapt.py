@@ -26,7 +26,8 @@ from cipm.linkadapt import (
     sinr_from_ser,
 )
 
-from oracles import _isotonic_nonincreasing, q_inv_oracle, q_oracle, sinr_from_ser_oracle
+from oracles import (_isotonic_nonincreasing, build_ser_curve_oracle, q_inv_oracle, q_oracle,
+                     sinr_from_ser_oracle)
 
 
 # ---------------------------------------------------------------- scalar maps
@@ -282,6 +283,26 @@ def test_build_ser_curve_matches_exact_qpsk():
     assert curve.name == "qpsk"
     assert np.all(np.diff(curve.ser) <= 1e-12)
     assert curve.sinr_db_for_ser(target) == pytest.approx(expect_db, abs=0.35)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["qpsk", "8qam", "16qam", "32qam", "64qam"]),
+       seed=st.integers(0, 2**32 - 1), symbols=st.integers(1, 3000),
+       grid=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=8, unique=True).map(sorted))
+def test_build_ser_curve_matches_complex_detect_oracle(name, seed, symbols, grid):
+    # per-axis error counts on the same stream give the SER of a full detect
+    got = build_ser_curve(name, snr_db_grid=grid, symbols_per_point=symbols, seed=seed)
+    want = build_ser_curve_oracle(name, snr_db_grid=grid, symbols_per_point=symbols, seed=seed)
+    assert np.array_equal(got.snr_db, want.snr_db)
+    assert np.array_equal(got.ser, want.ser)
+
+
+@pytest.mark.parametrize("symbols", [0, -5])
+def test_ser_curve_rejects_bad_symbol_counts(symbols):
+    with pytest.raises(ValueError, match="symbols_per_point must be >= 1"):
+        build_ser_curve("qpsk", symbols_per_point=symbols)
+    with pytest.raises(ValueError, match="symbols_per_point must be >= 1"):
+        EmpiricalBackend(symbols_per_point=symbols)
 
 
 # ------------------------------------------------------------------- backends

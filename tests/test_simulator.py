@@ -12,6 +12,7 @@ from cipm.simulator import (
     FrameConfig,
     FrameResult,
     RegionPoint,
+    _equal_probability_edges,
     _frame_rng,
     aggregate,
     draw_channel,
@@ -28,10 +29,12 @@ from cipm.simulator import (
     write_sweep_csv,
 )
 from cipm.baselines import solve_multicast_bound, solve_multicast_stack, solve_ob
-from cipm.channel import ChannelMatrix, effective_channel
+from cipm.channel import ChannelMatrix, FadingConfig, effective_channel, symbol_stats
+from cipm.constellation import get_constellation
 from cipm.linkadapt import ModulationTable
 from cipm.solver import (InfeasibleConstraintsError, SolverError, make_problem,
                          solve_cipm, solve_cipm_stack)
+from oracles import brentq_edges_oracle, validate_distribution_oracle
 
 
 # ----------------------------------------------------- distinct combinations
@@ -374,3 +377,38 @@ def test_validate_distribution_quick():
     assert rep.eq_power_mean == pytest.approx(rep.eq_power_expected, rel=0.25)
     small = validate_distribution("16qam", samples=500, bins=12, seed=0)
     assert not small.sufficient
+
+
+@pytest.mark.parametrize("name", ["qpsk", "16qam"])
+@pytest.mark.parametrize("nt", [1, 2, 3, 4])
+@pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
+def test_distribution_fit_matches_brentq_oracle(name, nt, beta):
+    bins = 12 if name == "qpsk" else 24
+    cfg, stats = FadingConfig(beta, nt, 1), symbol_stats(get_constellation(name))
+    for hi in (20.0 * nt / beta + 10.0, 400.0 * nt / beta):
+        got = _equal_probability_edges(cfg, stats, bins, hi)
+        want = brentq_edges_oracle(cfg, stats, bins, hi)
+        assert got[0] == 0.0 and got[-1] == np.inf and len(got) == bins + 1
+        assert np.max(np.abs(got[1:-1] - want[1:-1])) <= 1e-12
+    for seed in (0, 1, 2):
+        rep = validate_distribution(name, nt, beta, samples=4000, bins=bins, seed=seed)
+        l1, ks, curves = validate_distribution_oracle(name, nt, beta, 4000, bins, seed)
+        assert rep.l1 == l1
+        assert abs(rep.ks_phase - ks) <= 1e-15
+        for a, b in zip(rep.curves, curves):
+            assert np.array_equal(a, b)
+
+
+def test_distribution_edges_end_at_large_scales():
+    # edges near 1e5 are spaced wider than 1e-12: the relative term ends the bisection
+    cfg, stats = FadingConfig(1e-4, 4, 1), symbol_stats(get_constellation("64qam"))
+    got = _equal_probability_edges(cfg, stats, 24, 2e6)
+    assert np.all(np.diff(got) > 0)
+    assert validate_distribution("64qam", 4, 1e-4, samples=3000, seed=0).sufficient
+    assert _equal_probability_edges(cfg, stats, 1, 10.0).tolist() == [0.0, np.inf]
+
+
+@pytest.mark.parametrize("kw", [{"samples": 0}, {"samples": -3}, {"bins": 0}])
+def test_validate_distribution_rejects_bad_counts(kw):
+    with pytest.raises(ValueError, match=f"{next(iter(kw))}={next(iter(kw.values()))}"):
+        validate_distribution("16qam", **kw)
