@@ -154,8 +154,12 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     Gaussian draws of `seed`, the same for every row, scaled onto the
     feasible set (a warm start only if infeasible; starts with some
     h_cj x0 = 0 are skipped). All starts take up to 200 SCA rounds in
-    lock-step, one min_norm_ldp call each. A start stops once its power
-    drops by no more than 1e-12 (1 + p), taking that step only if lower.
+    lock-step, one min_norm_ldp call each. From round 2 on, each start's
+    QP starts from its previous round's support (nu > 0), which a
+    converging descent keeps, so most rounds need no NNLS; a certified
+    point is the round's unique optimum, so this changes the cost, not the
+    result. A start stops once its power drops by no more than
+    1e-12 (1 + p), taking that step only if lower.
     Each row keeps its first minimum-power start, certified feasible by
     evaluation: returns x (C, Nt), power (C,) and feasible (C,).
     """
@@ -176,14 +180,15 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     grow = (s_idx >= (warm is not None)) | np.any(y2 < rhs_abs2 * (1 - 1e-12), axis=1)
     x[grow] *= np.sqrt(np.max(rhs_abs2 / y2[grow], axis=1))[:, None]
     power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
+    work = None                       # round 1 guesses every row active
     for _ in range(200):
         rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
-        u, _ = min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a])
+        u, nu = min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a], work)
         p_new = np.einsum("bn,bn->b", u, u)
         stop = p_new > power[a] - 1e-12 * (1.0 + power[a])
         take = ~stop | (p_new < power[a])
         x[a[take]], power[a[take]] = u[take, :nt] + 1j * u[take, nt:], p_new[take]
-        a = a[~stop]
+        a, work = a[~stop], nu[~stop] > 0.0    # each live start's support, for the next round
         if not len(a):
             break
     table = np.full(starts.shape[:2], np.inf)

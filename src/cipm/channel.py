@@ -28,8 +28,8 @@ class FadingConfig:
     k_users: int
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < float("inf"):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.n_antennas < 1 or self.k_users < 1:
             raise ValueError("n_antennas and k_users must be >= 1")
 

@@ -53,6 +53,8 @@ class FrameConfig:
             raise ValueError(f"precoder must be one of {PRECODERS}")
         if self.multicast_restarts < 0:
             raise ValueError("need multicast_restarts >= 0")
+        if not np.isfinite([self.sigma_h2_db, self.sigma_z2_db]).all():
+            raise ValueError("sigma_h2_db and sigma_z2_db must be finite")
 
     @property
     def beta(self):

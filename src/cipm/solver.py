@@ -6,11 +6,13 @@ away from the origin for lattice-edge components. make_problem gathers
 them from the constellations' cached coefficient and free-axis tables into
 one sign-normalized real system on [Re x; Im x]. The transmit vector of
 minimum norm solves a least-distance program. One QP core, min_norm_ldp,
-solves a stack of them. A stack of two or more first tries every row
-active, in one batched SVD: where that point is feasible and its
-multipliers are nonnegative on the inequality rows, it is the optimum. The
-other problems, and a lone one (where the guess would cost about what it
-saves), run one NNLS each, which finds the active set, or a Farkas
+solves a stack of them. It first tries a guessed working set, in one
+batched SVD: the caller's first working set if given (the multicast SCA
+rounds pass each start's previous support), else every row active for a
+stack of two or more. Where that point is feasible and its multipliers are
+nonnegative on the inequality rows, it is the optimum. The other problems,
+and a lone one with no working set (where the guess would cost about what
+it saves), run one NNLS each, which finds the active set, or a Farkas
 certificate of infeasibility, for any rank of the rows (overloaded and
 collinear users included); one more batched SVD then gives every active
 set's point and multipliers. solve_cipm (strict mode included, through
@@ -31,7 +33,7 @@ from scipy.optimize import nnls
 from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
 from .constellation import ConstellationSpec
 
-_FEAS_TOL = 1e-9    # feasibility of a solution, times 1 + max|rhs|
+_FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a guess, 1 + max|rhs| after NNLS
 _LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
 MODES = ("relaxed", "strict")
 
@@ -71,8 +73,9 @@ class SinrTargets:
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-        if np.any(z <= 0) or self.sigma_z <= 0:
-            raise ValueError("targets and sigma_z must be positive")
+        if not (np.all((z > 0) & (z < np.inf)) and 0 < self.sigma_z < np.inf):
+            raise ValueError(f"SINR targets and sigma_z must be finite and positive, got"
+                             f" zeta {z.tolist()} and sigma_z {self.sigma_z}")
         object.__setattr__(self, "zeta", z)
         z.setflags(write=False)
 
@@ -191,24 +194,28 @@ def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
     return (c[:, None] @ vt)[:, 0], (left @ (c * sv_inv)[..., None])[..., 0] * work
 
 
-def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None):
+def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None,
+                 work: np.ndarray | None = None):
     """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
 
-    A stack of two or more is first solved with every row active, in one
-    batched _polish. Where that point passes _violations' test and its
-    multipliers are nonnegative on the inequality rows, it meets the KKT
-    conditions, so it is the optimum: bit for bit what _ldp_nnls returns
-    when NNLS keeps every row. The other problems go to _ldp_nnls, in index
-    order. A stack of one goes straight there: at C=1 the guess costs about
-    what one NNLS costs and certifies only about half of the slots. Errors
-    name problem c by keys[c], if given. Returns u (C, n) and nu (C, m) with
-    u[c] = rows[c].T @ nu[c].
+    The stack is first solved on a guessed working set, in one batched
+    _polish: work (C, m), ORed with is_eq, if given, else every row (a
+    stack of one with no work skips the guess: at C=1 it costs about what
+    one NNLS costs and certifies only about half of the slots). Where that
+    point meets the guessed rows within _FEAS_TOL max|rhs| and every other
+    row exactly, and its multipliers are nonnegative on the inequality rows,
+    it meets the KKT conditions, so it is the optimum: bit for bit what
+    _ldp_nnls returns when NNLS picks the same support. The other problems go
+    to _ldp_nnls, in index order. A guess changes the cost, never the
+    optimum. Errors name problem c by keys[c], if given. Returns u (C, n) and
+    nu (C, m) with u[c] = rows[c].T @ nu[c].
     """
-    if len(rows) < 2:
+    if work is None and len(rows) < 2:
         return _ldp_nnls(rows, rhs, is_eq, keys)
-    u, nu = _polish(rows, rhs, np.ones(rhs.shape, dtype=bool))
-    b_max = np.abs(rhs).max(axis=1, keepdims=True)
-    rest = np.flatnonzero((_violations(rows, rhs, is_eq, u, b_max) | ((nu < 0.0) & ~is_eq))
+    guess = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
+    u, nu = _polish(rows, rhs, guess)
+    tol = np.where(guess, _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True), 0.0)
+    rest = np.flatnonzero((_violations(rows, rhs, is_eq, u, tol) | ((nu < 0.0) & ~is_eq))
                           .any(axis=1))
     if len(rest):
         u[rest], nu[rest] = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest],
@@ -217,12 +224,12 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
 
 
 def _violations(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, u: np.ndarray,
-                b_max: np.ndarray) -> np.ndarray:
-    """Rows (C, m) that u misses by more than _FEAS_TOL (1 + b_max): |gap| on is_eq rows,
-    the shortfall on the rest."""
+                tol: np.ndarray) -> np.ndarray:
+    """Rows (C, m) that u misses by more than tol: |gap| on is_eq rows, the shortfall on the
+    rest."""
     gaps = rhs - (rows @ u[..., None])[..., 0]
     np.abs(gaps, out=gaps, where=is_eq)
-    return gaps > _FEAS_TOL * (1.0 + b_max)
+    return gaps > tol
 
 
 def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
@@ -253,7 +260,7 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
             raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
                                              f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
     u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
-    bad = _violations(rows, rhs, is_eq, u, b_max)
+    bad = _violations(rows, rhs, is_eq, u, _FEAS_TOL * (1.0 + b_max))
     if bad.any():
         c = int(np.argmax(bad.any(axis=1)))
         raise SolverError(f"{where(c)}active-set point violates rows "

@@ -20,7 +20,10 @@ SerCurve.monotonized used before it called scipy's isotonic_regression.
 After it come detect and build_ser_curve as they were before the SER curve
 counted errors per lattice axis (detect_oracle, build_ser_curve_oracle), and
 the equivalent-channel fit as it was before its bin edges were bisected
-together (brentq_edges_oracle, validate_distribution_oracle).
+together (brentq_edges_oracle, validate_distribution_oracle). Last comes
+solve_multicast_stack as it was before each SCA round started its QP from
+the previous round's support (multicast_stack_oracle: every round guesses
+all rows active), which the warm working set must match bit for bit.
 """
 
 from dataclasses import replace
@@ -29,7 +32,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, nnls
 
-from cipm.baselines import BeamformerSet, BeamformingConvergenceError, achieved_sinrs
+from cipm import solver
+from cipm.baselines import (BeamformerSet, BeamformingConvergenceError, _reject_zero_rows,
+                            _tangent_rows, achieved_sinrs)
 from cipm.channel import FadingConfig, eq_power_cdf, eq_power_pdf, sample_rayleigh, symbol_stats
 from cipm.constellation import get_constellation
 from cipm.linkadapt import SerCurve
@@ -606,3 +611,56 @@ def validate_distribution_oracle(constellation="16qam", n_antennas=2, beta=1.0,
     density, _ = np.histogram(z, bins=curve_edges, density=True)
     centers = 0.5 * (curve_edges[:-1] + curve_edges[1:])
     return l1, ks, (centers, eq_power_pdf(centers, cfg, stats), density)
+
+
+# solve_multicast_stack as it was before each SCA round took the previous
+# round's support as its first working set: every round runs the solver's
+# QP core with no working set, so a stack guesses every row active. Kept
+# verbatim (the core is reached through the solver module, since this file's
+# min_norm_ldp is the older NNLS-only core).
+
+def multicast_stack_oracle(h: np.ndarray, targets, restarts: int,
+                           seed: int | None, warm: np.ndarray | None):
+    """Best local minima of ||x||^2 s.t. |h_cj x|^2 >= zeta_j sigma_z^2, h (C, K, Nt).
+
+    Row c starts from warm[c] (if given), then from `restarts` complex
+    Gaussian draws of `seed`, the same for every row, scaled onto the
+    feasible set (a warm start only if infeasible; starts with some
+    h_cj x0 = 0 are skipped). All starts take up to 200 SCA rounds in
+    lock-step, one min_norm_ldp call each. A start stops once its power
+    drops by no more than 1e-12 (1 + p), taking that step only if lower.
+    Each row keeps its first minimum-power start, certified feasible by
+    evaluation: returns x (C, Nt), power (C,) and feasible (C,).
+    """
+    if restarts < 0 or (warm is None and restarts == 0):
+        raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
+                         f" and {'no' if warm is None else 'a'} warm start")
+    _reject_zero_rows(h)
+    nt, rhs_abs2 = h.shape[2], targets.zeta * targets.sigma_z ** 2
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2, nt))
+    starts = np.broadcast_to(draws[:, 0] + 1j * draws[:, 1], (len(h), restarts, nt))
+    if warm is not None:
+        starts = np.concatenate([np.asarray(warm, dtype=complex)[:, None], starts], axis=1)
+    y2 = np.abs(np.einsum("ckn,csn->csk", h, starts)) ** 2
+    c_idx, s_idx = np.nonzero(np.min(y2, axis=2) > 0)      # usable starts, row by row
+    if len(np.unique(c_idx)) < len(h):
+        raise ValueError("no usable start: each is orthogonal to some user's channel")
+    hb, x, y2 = h[c_idx], starts[c_idx, s_idx], y2[c_idx, s_idx]
+    grow = (s_idx >= (warm is not None)) | np.any(y2 < rhs_abs2 * (1 - 1e-12), axis=1)
+    x[grow] *= np.sqrt(np.max(rhs_abs2 / y2[grow], axis=1))[:, None]
+    power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
+    for _ in range(200):
+        rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
+        u, _ = solver.min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a])
+        p_new = np.einsum("bn,bn->b", u, u)
+        stop = p_new > power[a] - 1e-12 * (1.0 + power[a])
+        take = ~stop | (p_new < power[a])
+        x[a[take]], power[a[take]] = u[take, :nt] + 1j * u[take, nt:], p_new[take]
+        a = a[~stop]
+        if not len(a):
+            break
+    table = np.full(starts.shape[:2], np.inf)
+    table[c_idx, s_idx] = power
+    pick = np.flatnonzero(s_idx == np.argmin(table, axis=1)[c_idx])   # one start per row
+    y2 = np.abs(np.einsum("ckn,cn->ck", h, x[pick])) ** 2
+    return x[pick], power[pick], np.all(y2 >= rhs_abs2 - 1e-9, axis=1)

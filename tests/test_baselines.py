@@ -11,7 +11,7 @@ from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
 from cipm.constellation import get_constellation
 from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
 
-from oracles import multicast_oracle, ob_fixed_point_oracle
+from oracles import multicast_oracle, multicast_stack_oracle, ob_fixed_point_oracle
 
 
 def _channel(seed, k, nt):
@@ -195,10 +195,10 @@ def test_multicast_without_a_usable_start_raises():
     assert err.value.conflicts == ("user2",)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(nt=st.integers(1, 4), data=st.data(), log_scale=st.floats(-3.0, 3.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
+def _multicast_stack_instance(nt, data, log_scale, seed):
+    """(h, targets, restarts, warm, rng): 1-8 rows of K <= Nt users at scale
+    10^log_scale, 20% of later users collinear with an earlier one, 0-3
+    restarts and a warm start (always without restarts, else half the time)."""
     k = data.draw(st.integers(1, nt), label="k")
     n_rows = data.draw(st.integers(1, 8), label="rows")
     restarts = data.draw(st.integers(0, 3), label="restarts")
@@ -214,7 +214,18 @@ def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
     if restarts == 0 or rng.random() < 0.5:
         warm = rng.standard_normal((n_rows, nt)) + 1j * rng.standard_normal((n_rows, nt))
     targets = SinrTargets(zeta=10.0 ** (zeta_db / 10.0), sigma_z=1.0)
-    rhs = targets.zeta
+    return h, targets, restarts, warm, rng
+
+
+_MULTICAST_STACKS = dict(nt=st.integers(1, 4), data=st.data(), log_scale=st.floats(-3.0, 3.0),
+                         seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(**_MULTICAST_STACKS)
+def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
+    h, targets, restarts, warm, rng = _multicast_stack_instance(nt, data, log_scale, seed)
+    n_rows, rhs = len(h), targets.zeta
     x, power, feasible = solve_multicast_stack(h, targets, restarts, seed, warm)
 
     # the certificate is direct evaluation, and it holds
@@ -233,6 +244,18 @@ def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
     _, p_perm, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
                                          None if warm is None else warm[perm])
     assert np.allclose(p_perm, power[perm], rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(**_MULTICAST_STACKS)
+def test_multicast_stack_matches_all_active_rounds_bit_for_bit(nt, data, log_scale, seed):
+    # each SCA round starting from the previous round's support certifies the
+    # same optimum on the same working set as the all-active guess did
+    h, targets, restarts, warm, _ = _multicast_stack_instance(nt, data, log_scale, seed)
+    got = solve_multicast_stack(h, targets, restarts, seed, warm)
+    want = multicast_stack_oracle(h, targets, restarts, seed, warm)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_frozen_reference_instance():

@@ -19,6 +19,9 @@ def test_fading_config_validation():
         FadingConfig(beta=0.0, n_antennas=2, k_users=2)
     with pytest.raises(ValueError):
         FadingConfig(beta=1.0, n_antennas=0, k_users=2)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FadingConfig(beta=beta, n_antennas=2, k_users=2)
 
 
 def test_channel_matrix_shape_properties():

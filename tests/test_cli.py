@@ -177,6 +177,18 @@ def test_modmap_pdfcheck_operations_pass_the_benchmark_check(tmp_path):
             assert workload.check(index, inputs, workload.run(inputs)) == [], (seed, index)
 
 
+@pytest.mark.parametrize("name", ["sweep_full_load", "sweep_qpsk_bound"])
+def test_sweep_operations_pass_the_benchmark_check(tmp_path, name):
+    # the benchmark's own prepare, run and check; seed 0, operation 0 also
+    # compares the sweep.csv with the stored reference within 1e-12
+    wl = _bench_workloads()
+    for seed in (0, 1, 2):
+        workload = wl.WORKLOADS[name](seed, str(tmp_path))
+        for index in (0, 1):
+            argv = workload.prepare(index)
+            assert workload.check(index, argv, workload.run(argv)) == [], (seed, index)
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["sweep", "--mode", "loose"], "--mode"),
     (["sweep", "--axis", "foo"], "--axis"),
@@ -189,6 +201,28 @@ def test_bad_flag_values_exit_config_naming_the_option(argv, flag, capsys):
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+_TARGETS = "SINR targets and sigma_z must be finite and positive"
+_NOISE = "sigma_h2_db and sigma_z2_db must be finite"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--grid", "nan"], _TARGETS),
+    (["sweep", "--grid", "inf"], _TARGETS),
+    (["sweep", "--axis", "size", "--grid", "2", "--zeta-db", "nan"], _TARGETS),
+    (["sweep", "--axis", "size", "--grid", "2", "--zeta-db", "inf"], _TARGETS),
+    (["sweep", "--sigma-z2-db", "nan"], _NOISE),
+    (["sweep", "--sigma-h2-db", "nan"], _NOISE),
+    (["sweep", "--sigma-h2-db=-inf"], _NOISE),
+    (["fixed", "--preset", "combos", "--zeta-db", "nan"], _TARGETS),
+    (["pdfcheck", "--beta", "nan"], "beta must be finite and positive"),
+])
+def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--frames", "1", "--symbols", "10", "--threads", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_parse_region_grid_forms():

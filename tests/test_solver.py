@@ -33,6 +33,9 @@ def test_sinr_targets_validation():
         SinrTargets(zeta=[1.0, -2.0], sigma_z=1.0)
     with pytest.raises(ValueError):
         SinrTargets(zeta=[1.0], sigma_z=0.0)
+    for zeta, sigma_z in (([np.nan], 1.0), ([np.inf], 1.0), ([1.0], np.nan), ([1.0], np.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SinrTargets(zeta=zeta, sigma_z=sigma_z)
     t = SinrTargets(zeta=2.5, sigma_z=1.0)
     assert t.zeta.shape == (1,)
 
@@ -545,6 +548,85 @@ def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channe
     assert np.array_equal(u[full], u_ref[full]) and np.array_equal(nu[full], nu_ref[full])
 
 
+def _kkt_failures(rows, rhs, is_eq, u, tol=1e-8):
+    """The benchmark's KKT certificate (bench/workloads.kkt_failures) on u itself.
+
+    u is optimal when it is feasible and 2u = rows_A^T nu on the equality and
+    binding rows A, with nu >= 0 on the binding inequalities.
+    """
+    scale = 1.0 + float(np.max(np.abs(rhs)))
+    slack = rows @ u - rhs
+    viol = max(float(np.max(np.abs(slack[is_eq]), initial=0.0)),
+               float(np.max(-slack[~is_eq], initial=0.0)))
+    if viol > 1e-9 * scale:
+        return [f"KKT: constraint violation {viol:.2e}"]
+    active = is_eq | (slack <= 1e-9 * scale)
+    nu = np.linalg.lstsq(rows[active].T, 2.0 * u, rcond=None)[0]
+    resid = float(np.linalg.norm(rows[active].T @ nu - 2.0 * u))
+    fails = []
+    if resid > tol * (1.0 + float(np.linalg.norm(u))):
+        fails.append(f"KKT: stationarity residual {resid:.2e}")
+    worst = float(np.min(nu[~is_eq[active]], initial=0.0))
+    if worst < -tol * max(1.0, float(np.max(np.abs(nu)))):
+        fails.append(f"KKT: negative inequality multiplier {worst:.2e}")
+    return fails
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(load=st.sampled_from(["loaded", "overloaded", "collinear"]),
+       stack=st.sampled_from(["relaxed", "strict", "sca"]), nt=st.integers(1, 3),
+       data=st.data(), log_channel=st.floats(-6.0, 6.0), log_target=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1), n_combos=st.integers(1, 10),
+       guess=st.sampled_from(["none", "random", "all"]))
+def test_first_working_set_changes_cost_not_answer(load, stack, nt, data, log_channel,
+                                                   log_target, seed, n_combos, guess):
+    # a first working set (stacks of one included) is only a guess: the point,
+    # the multipliers and the errors are those of the core without one
+    rows, rhs, is_eq, keys = _certify_first_stack(load, stack, nt, data, log_channel,
+                                                  log_target, seed, n_combos)
+    rng = np.random.default_rng(seed)
+    work = {"none": np.zeros(rhs.shape, dtype=bool), "all": np.ones(rhs.shape, dtype=bool),
+            "random": rng.random(rhs.shape) < 0.5}[guess]
+    try:
+        u_ref, nu_ref = min_norm_ldp(rows, rhs, is_eq, keys)
+    except SolverError as ref:
+        with pytest.raises(type(ref)) as err:
+            min_norm_ldp(rows, rhs, is_eq, keys, work)
+        named = re.match(r"combination (.*?): ", str(ref)).group(1)
+        assert str(err.value).startswith(f"combination {named}: ")
+        if isinstance(ref, InfeasibleConstraintsError):
+            c = [str(key.tolist()) for key in keys].index(named)
+            _assert_farkas(err.value.farkas, rows[c], rhs[c], is_eq[c])
+        return
+    u, nu = min_norm_ldp(rows, rhs, is_eq, keys, work)
+    assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * np.linalg.norm(u_ref, axis=1))
+    assert np.allclose(np.einsum("cmn,cm->cn", rows, nu), u, rtol=1e-9,
+                       atol=1e-12 * np.max(np.linalg.norm(u, axis=1)))
+    for c in range(len(rows)):
+        assert _kkt_failures(rows[c], rhs[c], is_eq[c], u[c]) == [], c
+        # the multipliers are unique where the rows they weight are linearly
+        # independent; collinear users' twin rows may share them either way
+        held = is_eq[c] | (nu[c] != 0.0) | (nu_ref[c] != 0.0)
+        if np.linalg.matrix_rank(rows[c, held]) == held.sum():
+            assert np.all(np.abs(nu[c] - nu_ref[c]) <= 1e-12 * np.abs(nu_ref[c]).max()), c
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_guessed_point_is_checked_relative_to_the_rhs(scale):
+    # two parallel rows with different rhs (collinear users) and a third one:
+    # the all-active guess is their least-squares compromise and an empty
+    # guess is u = 0. Both miss a row by a fixed share of max|rhs|, which an
+    # absolute tolerance of 1e-9 would forgive once the rhs is that small.
+    rows = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]] * 2)
+    rhs = scale * np.array([[2.0, 2.0, 1.0], [2.0, 6.0, 1.0]])
+    is_eq = np.zeros(rhs.shape, dtype=bool)
+    u_ref, _ = oracles.min_norm_ldp(rows, rhs, is_eq)
+    for work in (None, is_eq, ~is_eq):
+        u, nu = min_norm_ldp(rows, rhs, is_eq, work=work)
+        assert np.allclose(u, u_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(u, scale * np.array([[2.0, 1.0], [3.0, 1.0]]), rtol=1e-12, atol=0.0)
+
+
 def test_certified_stack_rows_skip_nnls(monkeypatch):
     # most rows of a frame's stacks are certified by the all-active point; a
     # lone problem always runs NNLS once. Seed 0, frame 0: 120 of 128
@@ -557,9 +639,9 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
         counts["nnls"] += 1
         return core(a, b)
 
-    def counting_ldp(rows, rhs, is_eq, keys=None):
+    def counting_ldp(rows, rhs, is_eq, keys=None, work=None):
         before = counts["nnls"]
-        out = ldp(rows, rhs, is_eq, keys)
+        out = ldp(rows, rhs, is_eq, keys, work)
         if len(rows) > 1:
             counts["stacked"] += len(rows)
             counts["stacked_nnls"] += counts["nnls"] - before
