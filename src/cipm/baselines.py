@@ -147,42 +147,43 @@ def _tangent_rows(h: np.ndarray, x: np.ndarray, rhs_abs2: np.ndarray):
 
 
 def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
-                          seed: int | None, warm: np.ndarray | None):
-    """Best local minima of ||x||^2 s.t. |h_cj x|^2 >= zeta_j sigma_z^2, h (C, K, Nt).
+                          seed, warm: np.ndarray | None):
+    """Best local minima of ||x||^2 s.t. |h_cj x|^2 >= zeta_cj sigma_z^2, h (C, K, Nt).
 
-    Row c starts from warm[c] (if given), then from `restarts` complex
-    Gaussian draws of `seed`, the same for every row, scaled onto the
-    feasible set (a warm start only if infeasible; starts with some
-    h_cj x0 = 0 are skipped). All starts take up to 200 SCA rounds in
-    lock-step, one min_norm_ldp call each. From round 2 on, each start's
-    QP starts from its previous round's support (nu > 0), which a
-    converging descent keeps, so most rounds need no NNLS; a certified
-    point is the round's unique optimum, so this changes the cost, not the
-    result. A start stops once its power drops by no more than
-    1e-12 (1 + p), taking that step only if lower.
-    Each row keeps its first minimum-power start, certified feasible by
-    evaluation: returns x (C, Nt), power (C,) and feasible (C,).
+    targets.zeta is (K,) or (C, K), seed one (or None) or one per row (C,). Row c
+    starts from warm[c] (if given), then from `restarts` complex Gaussian draws
+    of its seed, scaled onto the feasible set (a warm start only if infeasible;
+    starts with some h_cj x0 = 0 are skipped). All starts take up to 200 SCA
+    rounds in lock-step, one min_norm_ldp call each. From round 2 on, each
+    start's QP starts from its previous round's support (nu > 0), which a
+    converging descent keeps, so most rounds need no NNLS; a certified point is
+    the round's unique optimum, so this changes the cost, not the result. A start
+    stops once its power drops by no more than 1e-12 (1 + p), taking that step
+    only if lower. Each row keeps its first minimum-power start, certified
+    feasible by evaluation: returns x (C, Nt), power (C,) and feasible (C,).
     """
     if restarts < 0 or (warm is None and restarts == 0):
         raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
                          f" and {'no' if warm is None else 'a'} warm start")
     _reject_zero_rows(h)
-    nt, rhs_abs2 = h.shape[2], targets.zeta * targets.sigma_z ** 2
-    draws = np.random.default_rng(seed).standard_normal((restarts, 2, nt))
-    starts = np.broadcast_to(draws[:, 0] + 1j * draws[:, 1], (len(h), restarts, nt))
+    nt, rhs_abs2 = h.shape[2], np.broadcast_to(targets.zeta * targets.sigma_z ** 2, h.shape[:2])
+    seeds, row_seed = (([seed], np.zeros(len(h), dtype=int)) if np.ndim(seed) == 0
+                       else np.unique(seed, return_inverse=True))
+    draws = np.stack([np.random.default_rng(s).standard_normal((restarts, 2, nt)) for s in seeds])
+    starts = (draws[:, :, 0] + 1j * draws[:, :, 1])[row_seed.ravel()]
     if warm is not None:
         starts = np.concatenate([np.asarray(warm, dtype=complex)[:, None], starts], axis=1)
     y2 = np.abs(np.einsum("ckn,csn->csk", h, starts)) ** 2
     c_idx, s_idx = np.nonzero(np.min(y2, axis=2) > 0)      # usable starts, row by row
     if len(np.unique(c_idx)) < len(h):
         raise ValueError("no usable start: each is orthogonal to some user's channel")
-    hb, x, y2 = h[c_idx], starts[c_idx, s_idx], y2[c_idx, s_idx]
-    grow = (s_idx >= (warm is not None)) | np.any(y2 < rhs_abs2 * (1 - 1e-12), axis=1)
-    x[grow] *= np.sqrt(np.max(rhs_abs2 / y2[grow], axis=1))[:, None]
+    hb, x, y2, rb = h[c_idx], starts[c_idx, s_idx], y2[c_idx, s_idx], rhs_abs2[c_idx]
+    grow = (s_idx >= (warm is not None)) | np.any(y2 < rb * (1 - 1e-12), axis=1)
+    x[grow] *= np.sqrt(np.max(rb[grow] / y2[grow], axis=1))[:, None]
     power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
     work = None                       # round 1 guesses every row active
     for _ in range(200):
-        rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
+        rows, rhs = _tangent_rows(hb[a], x[a], rb[a])
         u, nu = min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a], work)
         p_new = np.einsum("bn,bn->b", u, u)
         stop = p_new > power[a] - 1e-12 * (1.0 + power[a])

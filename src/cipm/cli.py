@@ -17,6 +17,7 @@ line flags override file values.  Each option is declared once, in
 """
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -208,11 +209,6 @@ def _outdir(opts):
     return out
 
 
-def _threads(opts):
-    n = opts["threads"]
-    return os.cpu_count() or 1 if n <= 0 else n
-
-
 def cmd_sweep(opts):
     """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
     mods = opts["modulations"]
@@ -224,9 +220,13 @@ def cmd_sweep(opts):
         modulations=mods[0] if len(mods) == 1 else tuple(mods),
         mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
+    try:
+        cfg.targets()           # checked on every axis, though only fixed axes read it
+    except ValueError as exc:
+        raise ValueError(f"--zeta-db: {exc}") from None
     rows = run_sweep(cfg, opts["grid"], axis=opts["axis"],
                      precoders=tuple(opts["precoders"]),
-                     threads=_threads(opts))
+                     threads=opts["threads"] if opts["threads"] > 0 else os.cpu_count() or 1)
     path = os.path.join(_outdir(opts), "sweep.csv")
     write_sweep_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -240,9 +240,13 @@ def cmd_sweep(opts):
 def _parse_region_grid(text):
     if text is None:
         return list(np.linspace(4.0, 14.0, 6))
-    if "," in text or "." in text:
-        return float_list(text)
-    return list(np.linspace(4.0, 14.0, int(text)))
+    with contextlib.suppress(ValueError):
+        grid = (float_list(text) if "," in text or "." in text
+                else list(np.linspace(4.0, 14.0, int(text))))
+        if grid and np.isfinite(grid).all():
+            return grid
+    raise ValueError(f"--grid must be a point count >= 1 or a comma list of finite dB values,"
+                     f" got {text!r}")
 
 
 def cmd_fixed(opts):

@@ -4,12 +4,16 @@ One frame = one channel draw held fixed over N symbol slots. The engine
 precodes every slot (one symbol-level solve per distinct symbol combination
 of the frame, shared by the slots that carry it, or per-frame beams applied
 to the slot's symbols), adds receiver noise, detects, and aggregates
-power/SER/goodput statistics. Sweeps repeat frames over a grid of
-targets or system sizes with per-frame derived seeds so runs are reproducible
-and frames can be distributed across processes.
+power/SER/goodput statistics. Sweeps repeat frames over a grid of targets or
+system sizes with per-frame derived seeds, so runs are reproducible. A
+sweep, run_frames and run_frame share one stacked runner: a (grid value,
+frame) job draws once for every precoder, the jobs of one shape share one
+CIPM stack solve and one multicast SCA loop, and each of n worker processes
+runs every n-th job.
 """
 
 import concurrent.futures
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,10 +109,8 @@ def _frame_rng(seed, frame_index, stream):
 
 
 def draw_channel(cfg: FrameConfig, frame_index: int) -> ChannelMatrix:
-    rng = _frame_rng(cfg.seed, frame_index, 0)
-    fading = FadingConfig(beta=cfg.beta, n_antennas=cfg.n_antennas,
-                          k_users=cfg.k_users)
-    return sample_rayleigh(fading, rng=rng)
+    return sample_rayleigh(FadingConfig(cfg.beta, cfg.n_antennas, cfg.k_users),
+                           _frame_rng(cfg.seed, frame_index, 0))
 
 
 def _symbol_values(specs, symbols):
@@ -117,88 +119,109 @@ def _symbol_values(specs, symbols):
                             for j, spec in enumerate(specs)])
 
 
+# one frame's draws, shared by every precoder, and its results by precoder name
+_Frame = namedtuple("_Frame", "cfg channel targets symbols mc_seed noise results")
+
+
+def _result(d: _Frame, x, det_scale, hits, entries) -> FrameResult:
+    """Slot vectors x (N, Nt) detected at det_scale, or a power bound only if None."""
+    powers = np.sum(np.abs(x) ** 2, axis=1)
+    avg_power, specs = float(np.mean(powers)), d.cfg.constellations()
+    sers = goodputs = (float("nan"),) * d.cfg.k_users
+    if det_scale is not None:
+        received = x @ d.channel.entries.T + d.noise  # received[i, j] = h_j x_i + noise
+        sers = tuple(float(np.mean(detect(s, received[:, j] / det_scale[j]) != d.symbols[:, j]))
+                     for j, s in enumerate(specs))
+        goodputs = tuple(effective_goodput(s.rate, ser) for s, ser in zip(specs, sers))
+    return FrameResult(powers, avg_power, sers, goodputs,
+                       energy_efficiency(goodputs, avg_power), hits, entries)
+
+
+def _solve_shape(frames, precoders):
+    """cipm and multicast results of same-shaped frames: one CIPM stack, one SCA loop."""
+    cfg, specs = frames[0].cfg, frames[0].cfg.constellations()
+    combos, inverse = zip(*(np.unique(d.symbols, axis=0, return_inverse=True) for d in frames))
+    row = np.repeat(np.arange(len(frames)), [len(c) for c in combos])    # frame of each row
+    targets = SinrTargets(np.stack([d.targets.zeta for d in frames])[row], cfg.sigma_z)
+    xs = {"cipm": solve_cipm_stack(np.stack([d.channel.entries for d in frames])[row], specs,
+                                   np.concatenate(combos), targets, cfg.mode)[0]}
+    if "multicast" in precoders:
+        # bounds on the effective channels, warm started at each row's CIPM
+        # point so none exceeds it, from its frame's seed
+        eff = np.concatenate([effective_channel(d.channel, specs, c).entries
+                              for d, c in zip(frames, combos)])
+        xs["multicast"], _, feasible = solve_multicast_stack(
+            eff, targets, cfg.multicast_restarts, np.array([d.mc_seed for d in frames])[row],
+            xs["cipm"])
+        if not feasible.all():
+            c = np.concatenate(combos)[np.argmin(feasible)].tolist()
+            raise SolverError(f"combination {c}: multicast bound infeasible despite warm start")
+    for i, d in enumerate(frames):
+        # the inverse's shape changed across numpy 2.0.x; flatten it
+        take, c = np.flatnonzero(row == i)[inverse[i].ravel()], len(combos[i])
+        # cipm receivers rescale by the constraint scaling before the slicer
+        scale = {"cipm": np.sqrt(d.targets.zeta) * d.targets.sigma_z, "multicast": None}
+        d.results.update({p: _result(d, xs[p][take], scale[p], d.cfg.n_symbols - c, c)
+                          for p in xs if p in precoders})
+
+
+def _run_jobs(jobs, precoders, threads: int = 1):
+    """{precoder: FrameResult} per job (cfg, frame index, channel or None), in job order.
+
+    A job draws its channel (unless given), then its symbols, multicast seed and
+    noise, once for every precoder. OB runs frame by frame; the frames of one
+    shape (K, Nt, modulations, mode, noise, restarts) share one _solve_shape.
+    With threads > 1, worker w of n = min(threads, jobs) runs jobs w, w + n, ...
+    """
+    n = min(threads, len(jobs))
+    if n > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(_run_jobs, [jobs[w::n] for w in range(n)], [precoders] * n))
+        return [parts[i % n][i // n] for i in range(len(jobs))]
+    frames, shapes = [], {}
+    try:
+        for cfg, f, channel in jobs:
+            channel = draw_channel(cfg, f) if channel is None else channel
+            rng = _frame_rng(cfg.seed, f, 1)
+            symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
+                                       for s in cfg.constellations()])
+            mc_seed = int(rng.integers(0, 2 ** 31))
+            noise = 0.0 if cfg.noiseless else cfg.sigma_z * (
+                (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
+                / np.sqrt(2.0))
+            frames.append(d := _Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise, {}))
+            shapes.setdefault((cfg.k_users, cfg.n_antennas, tuple(cfg.modulation_names()),
+                               cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(d)
+        for group in shapes.values() if {"cipm", "multicast"} & set(precoders) else ():
+            _solve_shape(group, precoders)
+        for d in frames if "ob" in precoders else ():
+            w = solve_ob(d.channel.entries, d.targets).w
+            # user j detects against its own beam gain h_j w_j
+            d.results["ob"] = _result(d, _symbol_values(d.cfg.constellations(), d.symbols) @ w,
+                                      np.diag(d.channel.entries @ w.T), 0, 1)
+    except SolverError as exc:
+        if len(jobs) == 1:
+            raise SolverError(f"frame {jobs[0][1]}: {exc}") from exc
+        for job in jobs:        # alone, the first job that fails raises, naming its frame
+            _run_jobs([job], precoders)
+        raise
+    return [d.results for d in frames]
+
+
 def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
               ) -> FrameResult:
-    """Simulate one frame on the given channel.
+    """Simulate one frame on the given channel: the stacked runner's one-job case.
 
-    Symbol-level precoders solve each distinct symbol combination of the
-    frame once; OB applies its per-frame beams to every slot. Randomness
-    (symbols, noise) comes from a stream derived from (cfg.seed, frame_index),
-    independent of the channel draw.
+    Randomness (symbols, noise) comes from a stream derived from (cfg.seed,
+    frame_index), independent of the channel draw.
     """
-    specs = cfg.constellations()
-    targets = cfg.targets()
-    k = cfg.k_users
-    h = channel.entries
-    rng = _frame_rng(cfg.seed, frame_index, 1)
-    symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
-                               for s in specs])
-    mc_seed = int(rng.integers(0, 2 ** 31))
-    try:
-        if cfg.precoder == "ob":
-            beams = solve_ob(h, targets)
-            x = _symbol_values(specs, symbols) @ beams.w
-            # user j detects against its own beam gain h_j w_j
-            det_scale = np.diag(h @ beams.w.T)
-            hits, entries = 0, 1
-        else:
-            combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
-            xs, _ = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
-            # receiver rescales by the constraint scaling before the slicer
-            det_scale = np.sqrt(targets.zeta) * targets.sigma_z
-            if cfg.precoder == "multicast":
-                # bounds on the effective channels, warm started at each row's
-                # CIPM point so none exceeds it; one seed for every row keeps
-                # each row's bound independent of the others
-                eff = effective_channel(channel, specs, combos).entries
-                xs, _, feasible = solve_multicast_stack(
-                    eff, targets, cfg.multicast_restarts, mc_seed, xs)
-                if not feasible.all():
-                    raise SolverError(f"combination {combos[~feasible][0].tolist()}: "
-                                      "multicast bound infeasible despite warm start")
-                det_scale = None
-            # the inverse's shape changed across numpy 2.0.x; flatten it
-            x = xs[inverse.ravel()]
-            hits, entries = cfg.n_symbols - len(combos), len(combos)
-    except SolverError as exc:
-        raise SolverError(f"frame {frame_index}: {exc}") from exc
-
-    powers = np.sum(np.abs(x) ** 2, axis=1)
-    avg_power = float(np.mean(powers))
-
-    if det_scale is None:
-        # power bound only: no per-user symbol mapping to detect
-        nan = float("nan")
-        return FrameResult(powers, avg_power, (nan,) * k, (nan,) * k, nan,
-                           hits, entries)
-
-    received = x @ h.T  # received[i, j] = h_j x_i, noiseless
-    if not cfg.noiseless:
-        noise = (rng.standard_normal(received.shape)
-                 + 1j * rng.standard_normal(received.shape)) / np.sqrt(2.0)
-        received = received + cfg.sigma_z * noise
-    sers, goodputs = [], []
-    for j in range(k):
-        decided = detect(specs[j], received[:, j] / det_scale[j])
-        ser = float(np.mean(decided != symbols[:, j]))
-        sers.append(ser)
-        goodputs.append(effective_goodput(specs[j].rate, ser))
-    eta = energy_efficiency(goodputs, avg_power)
-    return FrameResult(powers, avg_power, tuple(sers), tuple(goodputs), eta,
-                       hits, entries)
-
-
-def _run_one_frame(cfg: FrameConfig, frame_index: int) -> FrameResult:
-    return run_frame(cfg, draw_channel(cfg, frame_index), frame_index)
+    return _run_jobs([(cfg, frame_index, channel)], (cfg.precoder,))[0][cfg.precoder]
 
 
 def run_frames(cfg: FrameConfig, threads: int = 1):
     """All frames of a config, channels drawn per frame, in frame order."""
-    if threads <= 1:
-        return [_run_one_frame(cfg, f) for f in range(cfg.frames)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(_run_one_frame, cfg, f) for f in range(cfg.frames)]
-        return [f.result() for f in futs]
+    jobs = [(cfg, f, None) for f in range(cfg.frames)]
+    return [r[cfg.precoder] for r in _run_jobs(jobs, (cfg.precoder,), threads)]
 
 
 @dataclass(frozen=True)
@@ -246,16 +269,14 @@ def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
     Channels and symbol draws depend only on (seed, frame index, grid value),
     never on the precoder, so precoders are compared on identical frames.
     """
-    rows = []
-    for gi, value in enumerate(grid):
-        shaped = _config_at(base_cfg, axis, value)
-        shaped = replace(shaped, seed=int(np.random.SeedSequence(
-            [int(base_cfg.seed), 977, gi]).generate_state(1)[0]))
-        for p in precoders:
-            cfg = replace(shaped, precoder=p)
-            rows.append(aggregate(run_frames(cfg, threads=threads),
-                                  axis, value, p))
-    return rows
+    # FrameConfig rejects an unknown precoder name
+    precoders = tuple(replace(base_cfg, precoder=p).precoder for p in precoders)
+    cfgs = [replace(_config_at(base_cfg, axis, value), seed=int(np.random.SeedSequence(
+        [int(base_cfg.seed), 977, gi]).generate_state(1)[0])) for gi, value in enumerate(grid)]
+    n = base_cfg.frames
+    res = _run_jobs([(cfg, f, None) for cfg in cfgs for f in range(n)], precoders, threads)
+    return [aggregate([r[p] for r in res[gi * n:(gi + 1) * n]], axis, value, p)
+            for gi, value in enumerate(grid) for p in precoders]
 
 
 def sweep_axis_column(axis):
@@ -302,8 +323,7 @@ MAX_ENUMERATION = 4096
 
 def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
     """Exhaustive per-combination powers on one fixed channel."""
-    ch = channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(
-        np.asarray(channel, dtype=complex))
+    ch = ChannelMatrix(getattr(channel, "entries", channel))
     cfg = replace(cfg, k_users=ch.k_users, n_antennas=ch.n_antennas)
     specs = cfg.constellations()
     orders = [s.order for s in specs]
@@ -350,8 +370,7 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
     Efficiency discounts each user's rate by the closed-form SER at its
     target.
     """
-    ch = channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(
-        np.asarray(channel, dtype=complex))
+    ch = ChannelMatrix(getattr(channel, "entries", channel))
     if ch.k_users != 2:
         raise ValueError("region maps are defined for the 2-user case")
     sigma_z = float(np.sqrt(10.0 ** (sigma_z2_db / 10.0)))

@@ -163,7 +163,7 @@ def _embed_rows(h: np.ndarray) -> np.ndarray:
 def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: SinrTargets):
     """PrecodeProblem's (rows, rhs, is_eq, flips) from (..., K, 2) points and free axes."""
     is_eq = ~free.reshape(*free.shape[:-2], -1)
-    rhs = ((np.sqrt(targets.zeta) * targets.sigma_z)[:, None] * coeffs).reshape(is_eq.shape)
+    rhs = ((np.sqrt(targets.zeta) * targets.sigma_z)[..., None] * coeffs).reshape(is_eq.shape)
     flips = np.where(is_eq | (rhs >= 0), 1.0, -1.0)
     return _embed_rows(h) * flips[..., None], flips * rhs, is_eq, flips
 
@@ -270,13 +270,14 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
 
 def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
                      targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Transmit vectors (C, Nt) and powers (C,) of symbol rows (C, K); errors name the row."""
+    """Transmit vectors (C, Nt) and powers (C,) of symbol rows (C, K); errors name the row.
+    h is one channel (K, Nt) or one per row (C, K, Nt), targets.zeta (K,) or (C, K)."""
     _check_mode(mode)
     coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
     free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (mode == "relaxed")
     rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
     u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
-    return u[:, :h.shape[1]] + 1j * u[:, h.shape[1]:], np.einsum("cn,cn->c", u, u)
+    return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u)
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,

@@ -1,4 +1,10 @@
-import pytest
+import os
+
+# OpenBLAS reads this once, when numpy loads: one thread, as the benchmark runs,
+# since the solver's matrices are too small for a second thread to pay
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -23,9 +23,13 @@ the equivalent-channel fit as it was before its bin edges were bisected
 together (brentq_edges_oracle, validate_distribution_oracle). Last comes
 solve_multicast_stack as it was before each SCA round started its QP from
 the previous round's support (multicast_stack_oracle: every round guesses
-all rows active), which the warm working set must match bit for bit.
+all rows active), which the warm working set must match bit for bit, and
+the frame and sweep path as it was before a sweep ran as one stack
+(run_frame, run_frames and run_sweep: one frame at a time, per grid value
+and precoder), which the stacked runner must match bit for bit.
 """
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -34,12 +38,15 @@ from scipy.optimize import brentq, nnls
 
 from cipm import solver
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError, _reject_zero_rows,
-                            _tangent_rows, achieved_sinrs)
-from cipm.channel import FadingConfig, eq_power_cdf, eq_power_pdf, sample_rayleigh, symbol_stats
-from cipm.constellation import get_constellation
-from cipm.linkadapt import SerCurve
+                            _tangent_rows, achieved_sinrs, solve_multicast_stack, solve_ob)
+from cipm.channel import (ChannelMatrix, FadingConfig, effective_channel, eq_power_cdf,
+                          eq_power_pdf, sample_rayleigh, symbol_stats)
+from cipm.constellation import detect, get_constellation
+from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
+from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng, _symbol_values,
+                            aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
-                         SolverError, _polish, _row_labels)
+                         SolverError, _polish, _row_labels, solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -664,3 +671,112 @@ def multicast_stack_oracle(h: np.ndarray, targets, restarts: int,
     pick = np.flatnonzero(s_idx == np.argmin(table, axis=1)[c_idx])   # one start per row
     y2 = np.abs(np.einsum("ckn,cn->ck", h, x[pick])) ** 2
     return x[pick], power[pick], np.all(y2 >= rhs_abs2 - 1e-9, axis=1)
+
+
+# The frame and sweep path as it was before a sweep ran as one stack: run_sweep
+# calls run_frames once per (grid value, precoder), and each frame redraws its
+# symbols and noise and solves its own CIPM stack and multicast loop. Kept
+# verbatim as the reference the stacked runner must match bit for bit.
+
+def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
+              ) -> FrameResult:
+    """Simulate one frame on the given channel.
+
+    Symbol-level precoders solve each distinct symbol combination of the
+    frame once; OB applies its per-frame beams to every slot. Randomness
+    (symbols, noise) comes from a stream derived from (cfg.seed, frame_index),
+    independent of the channel draw.
+    """
+    specs = cfg.constellations()
+    targets = cfg.targets()
+    k = cfg.k_users
+    h = channel.entries
+    rng = _frame_rng(cfg.seed, frame_index, 1)
+    symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
+                               for s in specs])
+    mc_seed = int(rng.integers(0, 2 ** 31))
+    try:
+        if cfg.precoder == "ob":
+            beams = solve_ob(h, targets)
+            x = _symbol_values(specs, symbols) @ beams.w
+            # user j detects against its own beam gain h_j w_j
+            det_scale = np.diag(h @ beams.w.T)
+            hits, entries = 0, 1
+        else:
+            combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
+            xs, _ = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
+            # receiver rescales by the constraint scaling before the slicer
+            det_scale = np.sqrt(targets.zeta) * targets.sigma_z
+            if cfg.precoder == "multicast":
+                # bounds on the effective channels, warm started at each row's
+                # CIPM point so none exceeds it; one seed for every row keeps
+                # each row's bound independent of the others
+                eff = effective_channel(channel, specs, combos).entries
+                xs, _, feasible = solve_multicast_stack(
+                    eff, targets, cfg.multicast_restarts, mc_seed, xs)
+                if not feasible.all():
+                    raise SolverError(f"combination {combos[~feasible][0].tolist()}: "
+                                      "multicast bound infeasible despite warm start")
+                det_scale = None
+            # the inverse's shape changed across numpy 2.0.x; flatten it
+            x = xs[inverse.ravel()]
+            hits, entries = cfg.n_symbols - len(combos), len(combos)
+    except SolverError as exc:
+        raise SolverError(f"frame {frame_index}: {exc}") from exc
+
+    powers = np.sum(np.abs(x) ** 2, axis=1)
+    avg_power = float(np.mean(powers))
+
+    if det_scale is None:
+        # power bound only: no per-user symbol mapping to detect
+        nan = float("nan")
+        return FrameResult(powers, avg_power, (nan,) * k, (nan,) * k, nan,
+                           hits, entries)
+
+    received = x @ h.T  # received[i, j] = h_j x_i, noiseless
+    if not cfg.noiseless:
+        noise = (rng.standard_normal(received.shape)
+                 + 1j * rng.standard_normal(received.shape)) / np.sqrt(2.0)
+        received = received + cfg.sigma_z * noise
+    sers, goodputs = [], []
+    for j in range(k):
+        decided = detect(specs[j], received[:, j] / det_scale[j])
+        ser = float(np.mean(decided != symbols[:, j]))
+        sers.append(ser)
+        goodputs.append(effective_goodput(specs[j].rate, ser))
+    eta = energy_efficiency(goodputs, avg_power)
+    return FrameResult(powers, avg_power, tuple(sers), tuple(goodputs), eta,
+                       hits, entries)
+
+
+def _run_one_frame(cfg: FrameConfig, frame_index: int) -> FrameResult:
+    return run_frame(cfg, draw_channel(cfg, frame_index), frame_index)
+
+
+def run_frames(cfg: FrameConfig, threads: int = 1):
+    """All frames of a config, channels drawn per frame, in frame order."""
+    if threads <= 1:
+        return [_run_one_frame(cfg, f) for f in range(cfg.frames)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        futs = [pool.submit(_run_one_frame, cfg, f) for f in range(cfg.frames)]
+        return [f.result() for f in futs]
+
+
+
+def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
+              precoders=("cipm", "ob"), threads: int = 1):
+    """Average frame results per (grid value, precoder).
+
+    Channels and symbol draws depend only on (seed, frame index, grid value),
+    never on the precoder, so precoders are compared on identical frames.
+    """
+    rows = []
+    for gi, value in enumerate(grid):
+        shaped = _config_at(base_cfg, axis, value)
+        shaped = replace(shaped, seed=int(np.random.SeedSequence(
+            [int(base_cfg.seed), 977, gi]).generate_state(1)[0]))
+        for p in precoders:
+            cfg = replace(shaped, precoder=p)
+            rows.append(aggregate(run_frames(cfg, threads=threads),
+                                  axis, value, p))
+    return rows

@@ -258,6 +258,22 @@ def test_multicast_stack_matches_all_active_rounds_bit_for_bit(nt, data, log_sca
         assert np.array_equal(g, w)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(**_MULTICAST_STACKS)
+def test_multicast_stack_rows_take_their_own_targets_and_seeds(nt, data, log_scale, seed):
+    # one target row and one seed per row (some rows sharing a seed): each
+    # row gets what a stack of that row alone gives it, bit for bit
+    h, targets, restarts, warm, rng = _multicast_stack_instance(nt, data, log_scale, seed)
+    zeta = targets.zeta * 10.0 ** rng.uniform(-1.0, 1.0, (len(h), 1))
+    seeds = rng.integers(0, 3, size=len(h))
+    got = solve_multicast_stack(h, SinrTargets(zeta, 1.0), restarts, seeds, warm)
+    for c in range(len(h)):
+        want = solve_multicast_stack(h[c:c + 1], SinrTargets(zeta[c], 1.0), restarts,
+                                     int(seeds[c]), None if warm is None else warm[c:c + 1])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[c], w[0]), c
+
+
 def test_frozen_reference_instance():
     # deterministic 2x2 instance pinned as a regression anchor
     h = np.array([[0.1787 + 1.9179j, 0.9201 + 1.0048j],

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -189,6 +190,16 @@ def test_sweep_operations_pass_the_benchmark_check(tmp_path, name):
             assert workload.check(index, argv, workload.run(argv)) == [], (seed, index)
 
 
+def test_slot_stream_operations_pass_the_benchmark_check(tmp_path):
+    # operation 0 of each seed is also checked against the QP oracle
+    wl = _bench_workloads()
+    for seed in (0, 1, 2):
+        workload = wl.SlotStream(seed, str(tmp_path))
+        for index in (0, 1, 2):
+            inputs = workload.prepare(index)
+            assert workload.check(index, inputs, workload.run(inputs)) == [], (seed, index)
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["sweep", "--mode", "loose"], "--mode"),
     (["sweep", "--axis", "foo"], "--axis"),
@@ -217,12 +228,21 @@ _NOISE = "sigma_h2_db and sigma_z2_db must be finite"
     (["sweep", "--sigma-h2-db=-inf"], _NOISE),
     (["fixed", "--preset", "combos", "--zeta-db", "nan"], _TARGETS),
     (["pdfcheck", "--beta", "nan"], "beta must be finite and positive"),
+    (["sweep", "--zeta-db", "nan"], "--zeta-db"),      # read on fixed axes only
 ])
 def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
     if argv[0] == "sweep":
         argv = argv + ["--frames", "1", "--symbols", "10", "--threads", "1"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan", "0", "-2", "4,nan", "x"])
+def test_bad_region_grid_exits_config_naming_grid(tmp_path, grid, capsys):
+    assert main(["fixed", "--preset", "regions", "--grid", grid,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "regions.csv").exists()
 
 
 def test_parse_region_grid_forms():
@@ -352,6 +372,16 @@ def test_fixed_conflicting_users_exit_solver(tmp_path, capsys):
     code = main(["fixed", "--channel", str(ch), "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+
+
+def test_sweep_infeasible_slot_exits_solver_naming_frame_and_combination(tmp_path, capsys):
+    # K=3 users on Nt=2 antennas: some QPSK slot has no feasible point
+    code = main(["sweep", "--axis", "users", "--grid", "2,3", "--antennas", "2",
+                 "--precoders", "cipm,ob", "--frames", "2", "--symbols", "20",
+                 "--threads", "1", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert re.search(r"solver error: frame \d+: combination \[\d+, \d+, \d+\]: infeasible",
+                     capsys.readouterr().err)
 
 
 # ------------------------------------------------------------------ pdfcheck

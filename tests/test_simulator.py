@@ -2,18 +2,23 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from cipm.simulator import (
     MAX_ENUMERATION,
+    PRECODERS,
     CombinationTable,
     FrameConfig,
     FrameResult,
     RegionPoint,
     _equal_probability_edges,
     _frame_rng,
+    _run_jobs,
     aggregate,
     draw_channel,
     enumerate_combinations,
@@ -249,6 +254,81 @@ def test_run_frames_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.powers, b.powers)
         assert a.ser == b.ser
+
+
+# ------------------------------------------------------------ stacked runner
+
+def _assert_same_result(got, want):
+    """Bit-equal FrameResults (NaN equal to NaN, as for multicast rows)."""
+    assert np.array_equal(got.powers, want.powers)
+    for a, b in ((got.avg_power, want.avg_power), (got.eta, want.eta),
+                 *zip(got.ser + got.goodputs, want.ser + want.goodputs)):
+        assert a == b or (np.isnan(a) and np.isnan(b)), (a, b)
+    assert (got.cache_hits, got.cache_entries) == (want.cache_hits, want.cache_entries)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 31), mode=st.sampled_from(["relaxed", "strict"]),
+       precoders=st.lists(st.sampled_from(PRECODERS), min_size=1, max_size=3, unique=True),
+       restarts=st.integers(0, 2), frames=st.integers(1, 4), noiseless=st.booleans(),
+       grid=st.lists(st.floats(0.0, 14.0), min_size=1, max_size=3))
+def test_stacked_runner_matches_the_per_frame_oracle(data, seed, mode, precoders, restarts,
+                                                     frames, noiseless, grid):
+    # jobs of one or two shapes, interleaved, over 1-3 targets each: every
+    # frame of every precoder is what the per-frame path gives it, bit for bit
+    cfgs = []
+    for _ in range(data.draw(st.integers(1, 2), label="shapes")):
+        nt = data.draw(st.integers(1, 3), label="nt")
+        k = data.draw(st.integers(1, nt), label="k")
+        mods = data.draw(st.lists(st.sampled_from(["qpsk", "8qam", "16qam"]), min_size=k,
+                                  max_size=k), label="modulations")
+        cfgs += [FrameConfig(n_symbols=data.draw(st.integers(1, 12), label="symbols"),
+                             frames=frames, n_antennas=nt, k_users=k, zeta_db=z,
+                             modulations=tuple(mods), mode=mode, seed=seed + g,
+                             noiseless=noiseless, multicast_restarts=restarts)
+                 for g, z in enumerate(grid)]
+    jobs = [(cfg, f, None) for f in range(frames) for cfg in cfgs]
+    try:
+        want = [{p: oracles.run_frame(replace(cfg, precoder=p), draw_channel(cfg, f), f)
+                 for p in precoders} for cfg, f, _ in jobs]
+    except SolverError:
+        with pytest.raises(SolverError):
+            _run_jobs(jobs, tuple(precoders))
+        return
+    got = _run_jobs(jobs, tuple(precoders))
+    for g, w in zip(got, want):
+        assert sorted(g) == sorted(precoders)
+        for p in precoders:
+            _assert_same_result(g[p], w[p])
+
+
+def test_sweep_rows_match_the_per_frame_oracle():
+    # the multicast rows start at restarts drawn per frame, from each frame's seed
+    cfg = FrameConfig(n_symbols=30, frames=3, k_users=3, n_antennas=3, modulations="8qam",
+                      multicast_restarts=2, seed=7)
+    got = run_sweep(cfg, [10.0, 14.0], precoders=PRECODERS)
+    want = oracles.run_sweep(cfg, [10.0, 14.0], precoders=PRECODERS)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_sweep_csv_is_the_same_on_two_workers(tmp_path):
+    cfg = FrameConfig(n_symbols=20, frames=3, seed=2, multicast_restarts=1)
+    for threads in (1, 2):
+        rows = run_sweep(cfg, [4.0, 10.0], axis="sinr", precoders=PRECODERS, threads=threads)
+        write_sweep_csv(rows, tmp_path / f"{threads}.csv")
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_infeasible_slot_names_its_frame_and_combination():
+    # K=3 on Nt=2: the stacked solve fails, and the error is the first
+    # failing frame's own, as the per-frame path raises it
+    cfg = FrameConfig(n_symbols=20, frames=4, n_antennas=2, k_users=3, seed=0)
+    with pytest.raises(SolverError) as want:
+        oracles.run_frames(cfg)
+    with pytest.raises(SolverError) as got:
+        run_frames(cfg)
+    assert str(got.value) == str(want.value)
+    assert re.match(r"frame \d+: combination \[\d+, \d+, \d+\]: infeasible", str(got.value))
 
 
 # -------------------------------------------------------------------- sweeps
