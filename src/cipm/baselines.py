@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zposv
 
-from .channel import ChannelMatrix
+from .channel import as_entries
 from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_ldp
+
+_OB_TOL, _OB_MAX_ITER = 1e-10, 10000    # uplink fixed point: relative step, iterations
 
 
 class BeamformingConvergenceError(SolverError):
@@ -35,11 +37,6 @@ class BeamformerSet:
     iterations: int
 
 
-def _as_entries(channel) -> np.ndarray:
-    return (channel.entries if isinstance(channel, ChannelMatrix)
-            else np.asarray(channel, dtype=complex))
-
-
 def _reject_zero_rows(h: np.ndarray) -> None:
     """Raise InfeasibleConstraintsError naming each user with an all-zero row in h (..., K, Nt)."""
     live = np.any(h, axis=-1).reshape(-1, h.shape[-2]).all(axis=0)
@@ -49,14 +46,13 @@ def _reject_zero_rows(h: np.ndarray) -> None:
 
 
 def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
-    h = _as_entries(channel)
+    h = as_entries(channel)
     g = np.abs(h @ beams.w.T) ** 2            # g[j, k] = |h_j w_k|^2
     sig = np.diag(g)
     return sig / (g.sum(axis=1) - sig + sigma_z ** 2)
 
 
-def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
-             max_iter: int = 10000) -> BeamformerSet:
+def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
     """Minimum-power beams meeting per-user SINR targets.
 
     Solved through the virtual-uplink fixed point: iterate uplink powers
@@ -69,7 +65,7 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
     BeamformingConvergenceError, like any other sign of infeasible targets;
     an all-zero channel row raises InfeasibleConstraintsError up front.
     """
-    h, zeta, s2 = _as_entries(channel), targets.zeta, targets.sigma_z ** 2
+    h, zeta, s2 = as_entries(channel), targets.zeta, targets.sigma_z ** 2
     _reject_zero_rows(h)
     k, nt = h.shape
     gain, hc = zeta / (1.0 + zeta), h.conj()
@@ -86,18 +82,18 @@ def solve_ob(channel, targets: SinrTargets, tol: float = 1e-10,
         return x
 
     q, it = np.zeros(k), 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _OB_MAX_ITER + 1):
         q_new = gain / (h * receive(q, it).T).sum(1).real
         # stop test on Python floats: at this size one numpy reduction costs
         # about as much as the Cholesky solve
         delta = max(map(abs, (q_new - q).tolist()))
         q = q_new
-        if delta < tol * max(1.0, *q.tolist()):
+        if delta < _OB_TOL * max(1.0, *q.tolist()):
             break
     else:
         raise BeamformingConvergenceError(
-            f"uplink power iteration did not converge in {max_iter} iterations "
-            "(targets may be infeasible)", iterations=max_iter)
+            f"uplink power iteration did not converge in {_OB_MAX_ITER} iterations "
+            "(targets may be infeasible)", iterations=_OB_MAX_ITER)
     dirs = receive(q, it).T                          # row j: unnormalized direction
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
@@ -204,6 +200,6 @@ def solve_multicast_bound(channel, targets: SinrTargets, restarts: int = 64,
                           ) -> MulticastSolution:
     """solve_multicast_stack on one channel (K, Nt) and an optional warm start (Nt,)."""
     warm = None if warm_start is None else np.asarray(warm_start, dtype=complex)[None]
-    x, power, feas = solve_multicast_stack(_as_entries(channel)[None], targets, restarts,
+    x, power, feas = solve_multicast_stack(as_entries(channel)[None], targets, restarts,
                                            seed, warm)
     return MulticastSolution(x=x[0], power=float(power[0]), feasible=bool(feas[0]))

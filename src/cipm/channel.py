@@ -1,10 +1,11 @@
 """Rayleigh MISO channels and equivalent-channel statistics.
 
 The per-symbol precoding problem can be rephrased on an "effective" channel
-whose row j is rotated by the phase difference between a common reference
-symbol and user j's symbol, and scaled by the inverse symbol amplitude. The
-resulting per-row power is the channel power divided by the symbol power,
-a Gamma mixture over the constellation's amplitude levels.
+whose row j is rotated by the phase difference between the common reference
+symbol and user j's symbol, and scaled by the inverse symbol amplitude; its
+per-row power, the channel power over the symbol power, is a Gamma mixture
+over the constellation's amplitude levels. as_entries is the one reader of
+a channel argument: a ChannelMatrix, an array (K, Nt) or a stack (C, K, Nt).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .constellation import ConstellationSpec
+from .constellation import ConstellationSpec, gather
 
 REFERENCE_SYMBOL = (1.0 + 1.0j) / np.sqrt(2.0)
+_STATS_DECIMALS = 9     # levels closer than this are one amplitude or phase level
 
 
 @dataclass(frozen=True)
@@ -115,26 +117,26 @@ class EquivalentChannel:
     a_diag: np.ndarray
 
 
-def effective_channel(channel: ChannelMatrix,
-                      specs: list[ConstellationSpec],
-                      symbols,
-                      reference: complex = REFERENCE_SYMBOL) -> EquivalentChannel:
+def as_entries(channel) -> np.ndarray:
+    """Complex entries of a ChannelMatrix, or of an array (K, Nt) or stack (..., K, Nt)."""
+    return (channel.entries if isinstance(channel, ChannelMatrix)
+            else np.asarray(channel, dtype=complex))
+
+
+def effective_channel(channel, specs: list[ConstellationSpec], symbols) -> EquivalentChannel:
     """Rotate/scale each user row so all users share one reference target.
 
-    Row j is multiplied by exp(i(angle(reference) - angle(d_j))) / |d_j|,
-    which maps the exact-constraint target for symbol d_j onto the common
-    unit-modulus reference point. symbols is one index row (K,) or a stack
-    (C, K); a stack gives entries (C, K, Nt) and a_diag (C, K).
+    Row j is multiplied by exp(i(angle(REFERENCE_SYMBOL) - angle(d_j))) / |d_j|, which
+    maps the exact-constraint target for symbol d_j onto the common unit-modulus
+    reference point. symbols is one index row (K,) or a stack (C, K), channel one
+    (K, Nt) or one per row (C, K, Nt); a stack gives entries (C, K, Nt) and a_diag (C, K).
     """
-    if abs(abs(reference) - 1.0) > 1e-12:
-        raise ValueError("reference symbol must be unit-modulus")
-    idx = np.asarray(symbols)
-    d = np.stack([spec.points[idx[..., j]] for j, spec in enumerate(specs)], axis=-1)
+    d = gather(specs, symbols)
     kappa = np.abs(d)
     if np.any(kappa == 0):
         raise ValueError("symbol amplitude is zero; cannot form the effective channel")
-    a = np.exp(1j * (np.angle(reference) - np.angle(d))) / kappa
-    return EquivalentChannel(entries=a[..., None] * channel.entries, a_diag=a)
+    a = np.exp(1j * (np.angle(REFERENCE_SYMBOL) - np.angle(d))) / kappa
+    return EquivalentChannel(entries=a[..., None] * as_entries(channel), a_diag=a)
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,9 @@ class SymbolStats:
     phase_probs: np.ndarray
 
 
-def symbol_stats(spec: ConstellationSpec, decimals: int = 9) -> SymbolStats:
-    g = np.round(np.abs(spec.points) ** 2, decimals)
-    ph = np.round(np.angle(spec.points), decimals)
+def symbol_stats(spec: ConstellationSpec) -> SymbolStats:
+    g = np.round(np.abs(spec.points) ** 2, _STATS_DECIMALS)
+    ph = np.round(np.angle(spec.points), _STATS_DECIMALS)
     gu, gc = np.unique(g, return_counts=True)
     pu, pc = np.unique(ph, return_counts=True)
     m = float(spec.order)

@@ -211,14 +211,18 @@ def _outdir(opts):
 
 def cmd_sweep(opts):
     """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
-    mods = opts["modulations"]
+    if opts["threads"] < 0:
+        raise ValueError(f"--threads must be >= 0 (0 = all cores), got {opts['threads']}")
+    if len(set(opts["precoders"])) < len(opts["precoders"]):
+        raise ValueError(f"--precoders names a precoder twice: {','.join(opts['precoders'])}")
+    if opts["axis"] != "sinr" and not all(v >= 1 and v.is_integer() for v in opts["grid"]):
+        raise ValueError(f"--grid: {opts['axis']} takes whole numbers >= 1, got {opts['grid']}")
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
         n_antennas=opts["antennas"], k_users=opts["users"],
         sigma_h2_db=opts["sigma_h2_db"], sigma_z2_db=opts["sigma_z2_db"],
         zeta_db=opts["zeta_db"],
-        modulations=mods[0] if len(mods) == 1 else tuple(mods),
-        mode=opts["mode"], seed=opts["seed"],
+        modulations=tuple(opts["modulations"]), mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
     try:
         cfg.targets()           # checked on every axis, though only fixed axes read it
@@ -249,6 +253,12 @@ def _parse_region_grid(text):
                      f" got {text!r}")
 
 
+def _ladder(opts, **analytic):
+    """The modulation ladder of the --table file, else the analytic one."""
+    return (load_table(opts["table"]) if opts["table"] is not None
+            else ModulationTable.analytic(**analytic))
+
+
 def cmd_fixed(opts):
     """deterministic single-channel studies"""
     if (opts["preset"] is None) == (opts["channel"] is None):
@@ -264,12 +274,8 @@ def cmd_fixed(opts):
     out = _outdir(opts)
 
     if opts["preset"] == "regions":
-        if opts["table"] is not None:
-            table = load_table(opts["table"])
-        else:
-            table = ModulationTable.analytic()
         grid = _parse_region_grid(opts["grid"])
-        points = region_maps(channel.entries, grid, table,
+        points = region_maps(channel.entries, grid, _ladder(opts),
                              sigma_z2_db=opts["sigma_z2_db"],
                              mode=opts["mode"])
         path = os.path.join(out, "regions.csv")
@@ -280,13 +286,10 @@ def cmd_fixed(opts):
             print(f"  power range {min(powers):.3f} .. {max(powers):.3f} dBW")
         return EXIT_OK
 
-    mods = opts["modulations"]
-    if len(mods) == 1:
-        mods = mods * channel.k_users
     cfg = FrameConfig(
         n_antennas=channel.n_antennas, k_users=channel.k_users,
         sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-        modulations=tuple(mods), mode=opts["mode"])
+        modulations=tuple(opts["modulations"]), mode=opts["mode"])
     table = fixed_channel_experiment(channel.entries, cfg)
     path = os.path.join(out, "combinations.csv")
     write_combination_csv(table, path)
@@ -308,6 +311,8 @@ def cmd_pdfcheck(opts):
     threshold = opts["threshold"]
     if threshold is None:
         threshold = 0.01 if qpsk else 0.02
+    if not 0.0 < threshold < float("inf"):
+        raise ValueError(f"--threshold must be finite and positive, got {threshold}")
     report = validate_distribution(
         constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
         samples=opts["samples"], bins=bins, seed=opts["seed"])
@@ -335,10 +340,7 @@ def cmd_modmap(opts):
     """rate -> modulation/SER/SINR mapping"""
     if opts["rates"] is None:
         raise ValueError("--rates is required")
-    if opts["table"] is not None:
-        table = load_table(opts["table"])
-    else:
-        table = ModulationTable.analytic(reference_ser=opts["reference_ser"])
+    table = _ladder(opts, reference_ser=opts["reference_ser"])
     backends = []
     if opts["backend"] in ("analytic", "both"):
         backends.append(("analytic", AnalyticBackend()))

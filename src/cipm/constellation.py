@@ -5,8 +5,8 @@ region is described per axis (I and Q) by either an equality constraint at
 the point's component, or a one-sided inequality pointing away from the
 origin when the point sits on the boundary of the lattice in that axis.
 The point components (``coeffs``) and the lattice-edge mask (``free``) are
-the only record of that rule: solver.make_problem reads them to assemble a
-slot's constraints. ``get_constellation`` hands out one cached, read-only
+the only record of that rule; ``gather`` looks any table up per user for
+rows of symbol indices. ``get_constellation`` hands out one cached, read-only
 spec per order.
 """
 
@@ -17,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-QAM_ORDERS = (4, 8, 16, 32, 64)
+# (I levels, Q levels) of each order's rectangular lattice; 32QAM drops its corners
+_LEVELS = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (6, 6), 64: (8, 8)}
+QAM_ORDERS = tuple(_LEVELS)
 
 _ALIASES = {
     "qpsk": 4, "4qam": 4, "8qam": 8, "16qam": 16, "32qam": 32, "64qam": 64,
@@ -55,23 +57,15 @@ class ConstellationSpec:
 
 def _lattice_coords(order: int) -> np.ndarray:
     """Odd-integer I/Q coordinates, rows by increasing Q then increasing I."""
-    if order == 4:
-        i_lv, q_lv = (-1, 1), (-1, 1)
-    elif order == 8:
-        i_lv, q_lv = (-3, -1, 1, 3), (-1, 1)
-    elif order == 16:
-        i_lv, q_lv = (-3, -1, 1, 3), (-3, -1, 1, 3)
-    elif order == 32:
-        i_lv, q_lv = (-5, -3, -1, 1, 3, 5), (-5, -3, -1, 1, 3, 5)
-    elif order == 64:
-        i_lv = q_lv = (-7, -5, -3, -1, 1, 3, 5, 7)
-    else:
+    if order not in _LEVELS:
         raise ValueError(f"unsupported QAM order {order}")
-    coords = [(a, b) for b in q_lv for a in i_lv]
+    n_i, n_q = _LEVELS[order]
+    q, i = np.mgrid[1 - n_q:n_q:2, 1 - n_i:n_i:2]
+    coords = np.column_stack([i.ravel(), q.ravel()])
     if order == 32:
         # cross shape: drop the four corner points of the 6x6 grid
-        coords = [(a, b) for a, b in coords if not (abs(a) == 5 and abs(b) == 5)]
-    return np.array(coords, dtype=int)
+        coords = coords[(np.abs(coords) != 5).any(axis=1)]
+    return coords
 
 
 def build_qam(order: int) -> ConstellationSpec:
@@ -104,6 +98,12 @@ def get_constellation(name: str) -> ConstellationSpec:
     if key not in _ALIASES:
         raise ValueError(f"unknown constellation {name!r}; expected one of {sorted(_ALIASES)}")
     return _SPECS[_ALIASES[key]]
+
+
+def gather(specs, symbols, table: str = "points") -> np.ndarray:
+    """specs[j]'s table ('points', 'coeffs' or 'free') at symbols[..., j], stacked on axis K."""
+    idx = np.asarray(symbols)
+    return np.stack([getattr(s, table)[idx[..., j]] for j, s in enumerate(specs)], idx.ndim - 1)
 
 
 def _decide(spec: ConstellationSpec, x: np.ndarray) -> np.ndarray:

@@ -207,13 +207,8 @@ class SerCurve:
         if lt < logs[-1]:
             raise ValueError(
                 f"target SER {target} below the measured curve floor {ser[-1]:.3g}")
-        # first grid index at or below the target
-        idx = int(np.argmax(logs <= lt))
-        if logs[idx] == lt or idx == 0:
-            return float(self.snr_db[idx])
-        x0, x1 = self.snr_db[idx - 1], self.snr_db[idx]
-        y0, y1 = logs[idx - 1], logs[idx]
-        return float(x0 + (lt - y0) * (x1 - x0) / (y1 - y0))
+        # on a plateau at the target, np.interp picks its lowest SNR
+        return float(np.interp(lt, logs[::-1], self.snr_db[::-1]))
 
     def save_csv(self, path):
         write_csv(path, ["snr_db", "ser"], zip(self.snr_db, self.ser))

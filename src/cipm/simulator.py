@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import ob_frame_power, solve_multicast_stack, solve_ob
-from .channel import (ChannelMatrix, FadingConfig, effective_channel,
+from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats, write_csv)
-from .constellation import detect, get_constellation
+from .constellation import detect, gather, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
 from .solver import SinrTargets, SolverError, _check_mode, solve_cipm_stack
 
@@ -40,7 +40,7 @@ class FrameConfig:
     sigma_h2_db: float = 0.0
     sigma_z2_db: float = 0.0
     zeta_db: object = DEFAULT_ZETA_DB     # scalar or per-user sequence
-    modulations: object = "qpsk"          # name or per-user sequence of names
+    modulations: object = "qpsk"          # name, or per-user names (one name = every user)
     mode: str = "relaxed"
     precoder: str = "cipm"
     seed: int = 0
@@ -68,22 +68,22 @@ class FrameConfig:
     def sigma_z(self):
         return float(np.sqrt(10.0 ** (self.sigma_z2_db / 10.0)))
 
+    def _per_user(self, values, what):
+        """values, one per user; a single value serves every user."""
+        values = list(values) * (self.k_users if len(values) == 1 else 1)
+        if len(values) != self.k_users:
+            raise ValueError(f"one {what} per user required")
+        return values
+
     def modulation_names(self):
         m = self.modulations
-        names = [m] * self.k_users if isinstance(m, str) else list(m)
-        if len(names) != self.k_users:
-            raise ValueError("one modulation per user required")
-        return names
+        return self._per_user([m] if isinstance(m, str) else m, "modulation")
 
     def constellations(self):
         return [get_constellation(n) for n in self.modulation_names()]
 
     def targets(self):
-        z = np.atleast_1d(np.asarray(self.zeta_db, dtype=float))
-        if z.size == 1:
-            z = np.full(self.k_users, z[0])
-        if z.size != self.k_users:
-            raise ValueError("one target per user required")
+        z = np.array(self._per_user(np.atleast_1d(self.zeta_db), "target"), dtype=float)
         return SinrTargets(zeta=10.0 ** (z / 10.0), sigma_z=self.sigma_z)
 
 
@@ -113,12 +113,6 @@ def draw_channel(cfg: FrameConfig, frame_index: int) -> ChannelMatrix:
                            _frame_rng(cfg.seed, frame_index, 0))
 
 
-def _symbol_values(specs, symbols):
-    """Complex symbol per row and user for index rows symbols (N, K)."""
-    return np.column_stack([spec.points[symbols[:, j]]
-                            for j, spec in enumerate(specs)])
-
-
 # one frame's draws, shared by every precoder, and its results by precoder name
 _Frame = namedtuple("_Frame", "cfg channel targets symbols mc_seed noise results")
 
@@ -143,18 +137,16 @@ def _solve_shape(frames, precoders):
     combos, inverse = zip(*(np.unique(d.symbols, axis=0, return_inverse=True) for d in frames))
     row = np.repeat(np.arange(len(frames)), [len(c) for c in combos])    # frame of each row
     targets = SinrTargets(np.stack([d.targets.zeta for d in frames])[row], cfg.sigma_z)
-    xs = {"cipm": solve_cipm_stack(np.stack([d.channel.entries for d in frames])[row], specs,
-                                   np.concatenate(combos), targets, cfg.mode)[0]}
+    h, stacked = np.stack([d.channel.entries for d in frames])[row], np.concatenate(combos)
+    xs = {"cipm": solve_cipm_stack(h, specs, stacked, targets, cfg.mode)[0]}
     if "multicast" in precoders:
         # bounds on the effective channels, warm started at each row's CIPM
         # point so none exceeds it, from its frame's seed
-        eff = np.concatenate([effective_channel(d.channel, specs, c).entries
-                              for d, c in zip(frames, combos)])
         xs["multicast"], _, feasible = solve_multicast_stack(
-            eff, targets, cfg.multicast_restarts, np.array([d.mc_seed for d in frames])[row],
-            xs["cipm"])
+            effective_channel(h, specs, stacked).entries, targets, cfg.multicast_restarts,
+            np.array([d.mc_seed for d in frames])[row], xs["cipm"])
         if not feasible.all():
-            c = np.concatenate(combos)[np.argmin(feasible)].tolist()
+            c = stacked[np.argmin(feasible)].tolist()
             raise SolverError(f"combination {c}: multicast bound infeasible despite warm start")
     for i, d in enumerate(frames):
         # the inverse's shape changed across numpy 2.0.x; flatten it
@@ -197,7 +189,7 @@ def _run_jobs(jobs, precoders, threads: int = 1):
         for d in frames if "ob" in precoders else ():
             w = solve_ob(d.channel.entries, d.targets).w
             # user j detects against its own beam gain h_j w_j
-            d.results["ob"] = _result(d, _symbol_values(d.cfg.constellations(), d.symbols) @ w,
+            d.results["ob"] = _result(d, gather(d.cfg.constellations(), d.symbols) @ w,
                                       np.diag(d.channel.entries @ w.T), 0, 1)
     except SolverError as exc:
         if len(jobs) == 1:
@@ -243,9 +235,8 @@ def aggregate(results, axis, value, precoder):
     dbw = float(np.mean([r.avg_power_dbw for r in results]))
     ser = tuple(float(np.mean([r.ser[j] for r in results])) for j in range(k))
     gp = tuple(float(np.mean([r.goodputs[j] for r in results])) for j in range(k))
-    eta = float(np.sum(gp) / lin) if np.all(np.isfinite(gp)) else float("nan")
-    return SweepRow(axis, float(value), precoder, dbw, lin, ser, gp, eta,
-                    len(results))
+    return SweepRow(axis, float(value), precoder, dbw, lin, ser, gp,
+                    energy_efficiency(gp, lin), len(results))
 
 
 SWEEP_AXES = ("sinr", "size", "users")
@@ -306,7 +297,6 @@ class CombinationTable:
     cipm_power: np.ndarray        # Watts per combination
     ob_power: np.ndarray          # Watts per combination
     ob_long_term: float           # total beamformer power
-    zeta_db: np.ndarray
 
     @property
     def gap_db(self):
@@ -323,7 +313,7 @@ MAX_ENUMERATION = 4096
 
 def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
     """Exhaustive per-combination powers on one fixed channel."""
-    ch = ChannelMatrix(getattr(channel, "entries", channel))
+    ch = ChannelMatrix(as_entries(channel))
     cfg = replace(cfg, k_users=ch.k_users, n_antennas=ch.n_antennas)
     specs = cfg.constellations()
     orders = [s.order for s in specs]
@@ -336,9 +326,8 @@ def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
     combos = enumerate_combinations(orders)
     _, cipm = solve_cipm_stack(ch.entries, specs, combos, targets, cfg.mode)
     beams = solve_ob(ch.entries, targets)
-    ob, _, long_term = ob_frame_power(beams, _symbol_values(specs, combos))
-    zdb = 10.0 * np.log10(targets.zeta)
-    return CombinationTable(combos, cipm, ob, long_term, zdb)
+    ob, _, long_term = ob_frame_power(beams, gather(specs, combos))
+    return CombinationTable(combos, cipm, ob, long_term)
 
 
 def write_combination_csv(table: CombinationTable, path):
@@ -370,7 +359,7 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
     Efficiency discounts each user's rate by the closed-form SER at its
     target.
     """
-    ch = ChannelMatrix(getattr(channel, "entries", channel))
+    ch = ChannelMatrix(as_entries(channel))
     if ch.k_users != 2:
         raise ValueError("region maps are defined for the 2-user case")
     sigma_z = float(np.sqrt(10.0 ** (sigma_z2_db / 10.0)))

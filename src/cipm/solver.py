@@ -2,24 +2,25 @@
 
 Each user contributes one I and one Q constraint on the received value
 h_j x: an equality at the scaled symbol component, or a one-sided bound
-away from the origin for lattice-edge components. make_problem gathers
-them from the constellations' cached coefficient and free-axis tables into
-one sign-normalized real system on [Re x; Im x]. The transmit vector of
-minimum norm solves a least-distance program. One QP core, min_norm_ldp,
-solves a stack of them. It first tries a guessed working set, in one
-batched SVD: the caller's first working set if given (the multicast SCA
-rounds pass each start's previous support), else every row active for a
-stack of two or more. Where that point is feasible and its multipliers are
-nonnegative on the inequality rows, it is the optimum. The other problems,
-and a lone one with no working set (where the guess would cost about what
-it saves), run one NNLS each, which finds the active set, or a Farkas
-certificate of infeasibility, for any rank of the rows (overloaded and
-collinear users included); one more batched SVD then gives every active
-set's point and multipliers. solve_cipm (strict mode included, through
-make_problem(..., "strict")) and the equivalent-channel form run the core on
-one problem, frames and the multicast SCA rounds on stacks.
-The KKT report keeps the multipliers and builds its residual, violation,
-active set and correlation matrix only on request.
+away from the origin for lattice-edge components. make_problem (per user)
+and solve_cipm_stack (through constellation.gather) read them from the cached
+coefficient and free-axis tables into one sign-normalized real system on
+[Re x; Im x], whose minimum-norm point is the transmit vector: a
+least-distance program. One QP core, min_norm_ldp, solves a stack of them.
+It first tries a guessed working set, in one batched SVD: the caller's
+first working set if given (the multicast SCA rounds pass each start's
+previous support), else every row active for a stack of two or more. Where
+that point is feasible and its multipliers are nonnegative on the
+inequality rows, it is the optimum. The other problems, and a lone one with
+no working set (where the guess would cost about what it saves), run one
+NNLS each, which finds the active set, or a Farkas certificate of
+infeasibility, for any rank of the rows (overloaded and collinear users
+included); one more batched SVD then gives every active set's point and
+multipliers. solve_cipm (strict mode included, through make_problem(...,
+"strict")) and the equivalent-channel form run the core on one problem,
+frames and the multicast SCA rounds on stacks. The KKT report keeps the
+multipliers and builds its residual, violation, active set and correlation
+matrix only on request.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.optimize import nnls
 
-from .channel import ChannelMatrix, effective_channel, REFERENCE_SYMBOL
-from .constellation import ConstellationSpec
+from .channel import REFERENCE_SYMBOL, ChannelMatrix, as_entries, effective_channel
+from .constellation import ConstellationSpec, gather
 
 _FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a guess, 1 + max|rhs| after NNLS
 _LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
@@ -171,7 +172,7 @@ def _assemble(h: np.ndarray, coeffs: np.ndarray, free: np.ndarray, targets: Sinr
 def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: SinrTargets,
                  mode: str = "relaxed") -> PrecodeProblem:
     """Assemble the per-slot problem for the given symbol indices."""
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=complex)
+    h = as_entries(channel)
     k = h.shape[0]
     if len(specs) != k or len(symbols) != k or len(targets.zeta) != k:
         raise ValueError("specs, symbols and targets must all have one entry per user")
@@ -273,27 +274,16 @@ def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.n
     """Transmit vectors (C, Nt) and powers (C,) of symbol rows (C, K); errors name the row.
     h is one channel (K, Nt) or one per row (C, K, Nt), targets.zeta (K,) or (C, K)."""
     _check_mode(mode)
-    coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
-    free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (mode == "relaxed")
-    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
+    free = gather(specs, combos, "free") & (mode == "relaxed")
+    rows, rhs, is_eq, _ = _assemble(h, gather(specs, combos, "coeffs"), free, targets)
     u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
     return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u)
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
                  mu: np.ndarray) -> float:
-    """Stationarity gap ||x + (1/2) sum_j (lam_j + i mu_j) h_j^H||.
-
-    The sum is assembled from the norm-scaled unit channel directions, the
-    same decomposition that underlies the correlation-matrix form of the
-    stationarity system.
-    """
-    h = problem.channel
-    norms = np.linalg.norm(h, axis=1)
-    units = h / norms[:, None]
-    c = (lam + 1j * mu) * norms
-    s = -0.5 * (units.conj().T @ c)
-    return float(np.linalg.norm(x - s))
+    """Stationarity gap ||x + (1/2) sum_j (lam_j + i mu_j) h_j^H||."""
+    return float(np.linalg.norm(x + 0.5 * (problem.channel.conj().T @ (lam + 1j * mu))))
 
 
 @cache
@@ -311,8 +301,7 @@ def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
     return sig, KktReport(lam=-2.0 * nu_eff[0::2], mu=-2.0 * nu_eff[1::2], problem=problem, u=u)
 
 
-def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
-                            reference: complex = REFERENCE_SYMBOL
+def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets
                             ) -> tuple[PrecodedSignal, KktReport]:
     """Strict solve phrased on the effective channel with one common target.
 
@@ -320,9 +309,7 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets,
     amplitude and phase are absorbed into the channel rows. The optimal
     power matches the direct strict solve exactly.
     """
-    ch = channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(np.asarray(channel, dtype=complex))
-    eq = effective_channel(ch, specs, symbols, reference)
-    k = ch.k_users
-    coeffs, free = np.tile([reference.real, reference.imag], (k, 1)), np.zeros((k, 2), dtype=bool)
-    prob = PrecodeProblem(eq.entries, *_assemble(eq.entries, coeffs, free, targets), "strict")
-    return solve_cipm(prob)
+    h = effective_channel(ChannelMatrix(as_entries(channel)), specs, symbols).entries
+    coeffs = np.tile([REFERENCE_SYMBOL.real, REFERENCE_SYMBOL.imag], (len(h), 1))
+    free = np.zeros(coeffs.shape, dtype=bool)
+    return solve_cipm(PrecodeProblem(h, *_assemble(h, coeffs, free, targets), "strict"))

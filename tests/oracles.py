@@ -20,13 +20,18 @@ SerCurve.monotonized used before it called scipy's isotonic_regression.
 After it come detect and build_ser_curve as they were before the SER curve
 counted errors per lattice axis (detect_oracle, build_ser_curve_oracle), and
 the equivalent-channel fit as it was before its bin edges were bisected
-together (brentq_edges_oracle, validate_distribution_oracle). Last comes
+together (brentq_edges_oracle, validate_distribution_oracle). Then comes
 solve_multicast_stack as it was before each SCA round started its QP from
 the previous round's support (multicast_stack_oracle: every round guesses
 all rows active), which the warm working set must match bit for bit, and
 the frame and sweep path as it was before a sweep ran as one stack
 (run_frame, run_frames and run_sweep: one frame at a time, per grid value
-and precoder), which the stacked runner must match bit for bit.
+and precoder, with the simulator's old per-user symbol lookup, _symbol_values),
+which the stacked runner must match bit for bit. After them come three pieces
+of hand code that a table or a library call replaced: the per-order lattice
+coordinates (lattice_coords_oracle), the SER curve's inverse interpolation
+(sinr_db_for_ser_oracle) and the unit-direction form of the KKT residual
+(kkt_residual_oracle).
 """
 
 import concurrent.futures
@@ -43,7 +48,7 @@ from cipm.channel import (ChannelMatrix, FadingConfig, effective_channel, eq_pow
                           eq_power_pdf, sample_rayleigh, symbol_stats)
 from cipm.constellation import detect, get_constellation
 from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
-from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng, _symbol_values,
+from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
                          SolverError, _polish, _row_labels, solve_cipm_stack)
@@ -678,6 +683,12 @@ def multicast_stack_oracle(h: np.ndarray, targets, restarts: int,
 # symbols and noise and solves its own CIPM stack and multicast loop. Kept
 # verbatim as the reference the stacked runner must match bit for bit.
 
+def _symbol_values(specs, symbols):
+    """Complex symbol per row and user for index rows symbols (N, K)."""
+    return np.column_stack([spec.points[symbols[:, j]]
+                            for j, spec in enumerate(specs)])
+
+
 def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
               ) -> FrameResult:
     """Simulate one frame on the given channel.
@@ -780,3 +791,73 @@ def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
             rows.append(aggregate(run_frames(cfg, threads=threads),
                                   axis, value, p))
     return rows
+
+
+# Hand code that a table or a library call replaced, kept verbatim as references:
+# the per-order lattice coordinates (before one table of level counts built
+# them), SerCurve.sinr_db_for_ser's interpolation (before np.interp, here with
+# the curve as an argument) and kkt_residual (before it summed h_j^H directly,
+# here through unit directions scaled back by the row norms).
+
+def lattice_coords_oracle(order: int) -> np.ndarray:
+    """Odd-integer I/Q coordinates, rows by increasing Q then increasing I."""
+    if order == 4:
+        i_lv, q_lv = (-1, 1), (-1, 1)
+    elif order == 8:
+        i_lv, q_lv = (-3, -1, 1, 3), (-1, 1)
+    elif order == 16:
+        i_lv, q_lv = (-3, -1, 1, 3), (-3, -1, 1, 3)
+    elif order == 32:
+        i_lv, q_lv = (-5, -3, -1, 1, 3, 5), (-5, -3, -1, 1, 3, 5)
+    elif order == 64:
+        i_lv = q_lv = (-7, -5, -3, -1, 1, 3, 5, 7)
+    else:
+        raise ValueError(f"unsupported QAM order {order}")
+    coords = [(a, b) for b in q_lv for a in i_lv]
+    if order == 32:
+        # cross shape: drop the four corner points of the 6x6 grid
+        coords = [(a, b) for a, b in coords if not (abs(a) == 5 and abs(b) == 5)]
+    return np.array(coords, dtype=int)
+
+
+def sinr_db_for_ser_oracle(self, target):
+    """SNR in dB where the (monotonized) curve crosses the target SER.
+
+    Interpolates linearly in (snr_db, log10 ser); zero estimates are
+    floored to keep the logs finite.
+    """
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target SER must lie in (0, 1), got {target}")
+    ser = self.monotonized().ser
+    floor = 1e-12
+    logs = np.log10(np.maximum(ser, floor))
+    lt = np.log10(target)
+    if lt > logs[0]:
+        raise ValueError(
+            f"target SER {target} above the measured curve start {ser[0]:.3g}")
+    if lt < logs[-1]:
+        raise ValueError(
+            f"target SER {target} below the measured curve floor {ser[-1]:.3g}")
+    # first grid index at or below the target
+    idx = int(np.argmax(logs <= lt))
+    if logs[idx] == lt or idx == 0:
+        return float(self.snr_db[idx])
+    x0, x1 = self.snr_db[idx - 1], self.snr_db[idx]
+    y0, y1 = logs[idx - 1], logs[idx]
+    return float(x0 + (lt - y0) * (x1 - x0) / (y1 - y0))
+
+
+def kkt_residual_oracle(problem, x: np.ndarray, lam: np.ndarray,
+                        mu: np.ndarray) -> float:
+    """Stationarity gap ||x + (1/2) sum_j (lam_j + i mu_j) h_j^H||.
+
+    The sum is assembled from the norm-scaled unit channel directions, the
+    same decomposition that underlies the correlation-matrix form of the
+    stationarity system.
+    """
+    h = problem.channel
+    norms = np.linalg.norm(h, axis=1)
+    units = h / norms[:, None]
+    c = (lam + 1j * mu) * norms
+    s = -0.5 * (units.conj().T @ c)
+    return float(np.linalg.norm(x - s))

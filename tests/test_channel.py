@@ -107,17 +107,14 @@ def test_effective_channel_stack_is_bitwise_per_row():
     combos = np.column_stack([rng.integers(0, s.order, size=12) for s in specs])
     stack = effective_channel(chan, specs, combos)
     assert stack.entries.shape == (12, 3, 2)
+    # and a stack of one channel per row (C, K, Nt) gives each row's as well
+    hs = rng.standard_normal((12, 3, 2)) + 1j * rng.standard_normal((12, 3, 2))
+    per_row = effective_channel(hs, specs, combos)
     for c, row in enumerate(combos):
         one = effective_channel(chan, specs, row)
         assert np.array_equal(stack.entries[c], one.entries)
         assert np.array_equal(stack.a_diag[c], one.a_diag)
-
-
-def test_effective_channel_rejects_non_unit_reference():
-    chan = ChannelMatrix(np.ones((1, 1), dtype=complex))
-    spec = get_constellation("qpsk")
-    with pytest.raises(ValueError):
-        effective_channel(chan, [spec], [0], reference=2.0)
+        assert np.array_equal(per_row.entries[c], effective_channel(hs[c], specs, row).entries)
 
 
 def test_symbol_stats_16qam_levels():

@@ -229,12 +229,42 @@ _NOISE = "sigma_h2_db and sigma_z2_db must be finite"
     (["fixed", "--preset", "combos", "--zeta-db", "nan"], _TARGETS),
     (["pdfcheck", "--beta", "nan"], "beta must be finite and positive"),
     (["sweep", "--zeta-db", "nan"], "--zeta-db"),      # read on fixed axes only
+    (["pdfcheck", "--threshold", "nan"], "--threshold"),
 ])
 def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
     if argv[0] == "sweep":
         argv = argv + ["--frames", "1", "--symbols", "10", "--threads", "1"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--axis", "size", "--grid", "2.5"], "--grid"),
+    (["sweep", "--axis", "users", "--grid", "2,2.7"], "--grid"),
+    (["sweep", "--axis", "size", "--grid", "0"], "--grid"),
+    (["sweep", "--threads", "-3"], "--threads"),
+    (["sweep", "--precoders", "cipm,ob,cipm"], "--precoders"),
+    (["pdfcheck", "--threshold", "0"], "--threshold"),
+    (["pdfcheck", "--threshold=-0.5"], "--threshold"),
+])
+def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag, capsys):
+    # rejected before any frame or sample is drawn: no CSV is written
+    if argv[0] == "sweep":
+        argv = argv + ["--frames", "1", "--symbols", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_scipy_stats():
+    # importing scipy.stats costs about half a second, which every CLI run would pay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, cipm; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("grid", ["nan", "0", "-2", "4,nan", "x"])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cipm.constellation import detect, get_constellation
+from cipm.constellation import QAM_ORDERS, _lattice_coords, detect, gather, get_constellation
 from cipm.solver import SinrTargets, make_problem
-from oracles import detect_oracle, free_axes, nearest_point_oracle
+from oracles import detect_oracle, free_axes, lattice_coords_oracle, nearest_point_oracle
 
 ALL_NAMES = ("qpsk", "8qam", "16qam", "32qam", "64qam")
 
@@ -50,6 +50,23 @@ def test_32qam_is_cross_shaped():
     # 6x6 grid minus the four corners
     assert not any(abs(a) == 5 and abs(b) == 5 for a, b in spec.lattice)
     assert sum(1 for a, b in spec.lattice if abs(a) == 5) == 8
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_lattice_table_matches_hand_coded_levels(order):
+    got, want = _lattice_coords(order), lattice_coords_oracle(order)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("table", ["points", "coeffs", "free"])
+def test_gather_reads_each_user_from_its_own_spec(table):
+    specs = [get_constellation(n) for n in ("qpsk", "16qam", "32qam")]
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([rng.integers(0, s.order, size=7) for s in specs])
+    stack = gather(specs, rows, table)
+    for c, row in enumerate(rows):
+        want = np.array([getattr(s, table)[i] for s, i in zip(specs, row)])
+        assert np.array_equal(stack[c], want) and np.array_equal(gather(specs, row, table), want)
 
 
 @pytest.mark.parametrize("name,inner,single,outermost", [

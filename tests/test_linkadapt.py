@@ -27,7 +27,7 @@ from cipm.linkadapt import (
 )
 
 from oracles import (_isotonic_nonincreasing, build_ser_curve_oracle, q_inv_oracle, q_oracle,
-                     sinr_from_ser_oracle)
+                     sinr_db_for_ser_oracle, sinr_from_ser_oracle)
 
 
 # ---------------------------------------------------------------- scalar maps
@@ -238,6 +238,31 @@ def test_monotonized_pools_adjacent_violators():
     fit2 = SerCurve("16qam", np.arange(40.0), noisy).monotonized()
     assert np.all(np.diff(fit2.ser) <= 1e-12)
     assert np.sum(fit2.ser) == pytest.approx(np.sum(noisy), rel=1e-12)
+
+
+def _inverse_or_error(invert, curve, target):
+    try:
+        return invert(curve, target)
+    except ValueError:
+        return "out of range"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ser_curves(), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_curve_inversion_matches_hand_interpolation_oracle(ser, fractions):
+    # np.interp on the reversed curve against the hand-written bracket search:
+    # every grid value (plateaus and the 1e-12 floor included) hits exactly,
+    # and points between grid values agree within 1e-9 dB
+    curve = SerCurve("16qam", 0.5 * np.arange(len(ser)), ser)
+    levels = np.maximum(curve.monotonized().ser, 1e-12)
+    for target in levels[levels < 1.0]:
+        assert curve.sinr_db_for_ser(target) == sinr_db_for_ser_oracle(curve, target)
+    lo, hi = np.log10(levels[-1]), np.log10(levels[0])
+    for f in fractions:
+        target = 10.0 ** (lo + f * (hi - lo))
+        got = _inverse_or_error(SerCurve.sinr_db_for_ser, curve, target)
+        want = _inverse_or_error(sinr_db_for_ser_oracle, curve, target)
+        assert got == want if isinstance(want, str) else abs(got - want) <= 1e-9
 
 
 def test_curve_inversion_log_linear():

@@ -162,8 +162,8 @@ def test_frame_config_conversions():
     cfg = FrameConfig(sigma_h2_db=3.0, sigma_z2_db=6.0)
     assert cfg.beta == pytest.approx(10.0 ** -0.3, rel=1e-12)
     assert cfg.sigma_z == pytest.approx(10.0 ** 0.3, rel=1e-12)
-    cfg = FrameConfig(k_users=2, modulations="16qam")
-    assert cfg.modulation_names() == ["16qam", "16qam"]
+    for one_name in ("16qam", ("16qam",), ["16qam"]):     # one name serves every user
+        assert FrameConfig(k_users=3, modulations=one_name).modulation_names() == ["16qam"] * 3
     cfg = FrameConfig(k_users=2, modulations=("qpsk", "8qam"), zeta_db=(4.0, 8.0))
     t = cfg.targets()
     assert t.zeta == pytest.approx([10.0 ** 0.4, 10.0 ** 0.8], rel=1e-12)

@@ -276,6 +276,24 @@ def test_kkt_report_fields_match_direct_formulas():
         assert np.array_equal(rep.rho, (h @ h.conj().T) / np.outer(norms, norms))
 
 
+def test_kkt_residual_matches_unit_direction_form():
+    # the direct sum against the old form that normalized each row and scaled it
+    # back; off the optimum the gap is O(1), so the two agree to rounding
+    rng = np.random.default_rng(9)
+    for seed in range(8):
+        h, spec, symbols, targets = _random_instance(400 + seed, k=3, nt=3)
+        prob = make_problem(h, [spec] * 3, symbols, targets)
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        lam, mu = rng.standard_normal(3), rng.standard_normal(3)
+        assert kkt_residual(prob, x, lam, mu) == pytest.approx(
+            oracles.kkt_residual_oracle(prob, x, lam, mu), rel=1e-12)
+    # an all-zero row, which the old form divided by, contributes nothing
+    prob = make_problem(np.array([[1.0, 0.0], [0.0, 0.0]]), [spec] * 2, [0, 0],
+                        SinrTargets(np.ones(2), 1.0))
+    assert kkt_residual(prob, np.array([0.5, 0.0]), np.array([-1.0, 0.0]),
+                        np.array([0.0, 3.0])) == 0.0
+
+
 @pytest.mark.parametrize("shape,rank", [((4, 6), 4), ((6, 6), 6), ((5, 8), 3), ((3, 2), 2)])
 def test_least_norm_matches_lstsq_pair(shape, rank):
     # the polish's one-SVD factorization gives what the pair of lstsq solves
