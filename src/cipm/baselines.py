@@ -1,10 +1,10 @@
 """User-level beamforming and multicast power references.
 
 Two baselines bracket the symbol-level precoder: classical SINR-constrained
-downlink beamforming (interference treated as noise, beams fixed per frame),
-and the phase-unconstrained multicast problem on the effective channel,
-whose optimum lower-bounds the symbol-level power. The multicast bound runs
-the SCA descents of a whole stack of channels (a frame's combinations) in
+downlink beamforming (interference treated as noise, beams fixed per frame,
+the uplink fixed points of a stack of frames run in lock-step), and the
+multicast problem on the effective channel, whose optimum lower-bounds the
+symbol-level power. Its SCA descents of a whole stack of channels also run in
 lock-step, each round one call of the solver's QP core, min_norm_ldp, which
 takes collinear users' tangent rows as they are.
 """
@@ -19,7 +19,9 @@ from scipy.linalg.lapack import zposv
 from .channel import as_entries
 from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_ldp
 
-_OB_TOL, _OB_MAX_ITER = 1e-10, 10000    # uplink fixed point: relative step, iterations
+# uplink fixed point: relative step, iterations, and iterations per stop test
+_OB_TOL, _OB_MAX_ITER, _OB_BLOCK = 1e-10, 10000, 16
+_NOT_PD = "uplink covariance is not positive definite at iteration {} (targets may be infeasible)"
 
 
 class BeamformingConvergenceError(SolverError):
@@ -53,61 +55,101 @@ def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
 
 
 def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
-    """Minimum-power beams meeting per-user SINR targets.
+    """Minimum-power beams meeting per-user SINR targets: solve_ob_stack of one frame."""
+    return solve_ob_stack([channel], [targets])[0]
 
-    Solved through the virtual-uplink fixed point: iterate uplink powers
-    against MMSE receive directions, then rescale to downlink powers with
-    a K x K linear system so every SINR constraint holds with equality.
-    Each iteration assembles the uplink covariance M = sigma_z^2 I +
-    sum_j q_j h_j^H h_j from a table of outer products and solves it against
-    H^H with one Cholesky factorization. A covariance that is not numerically
-    positive definite (q diverging, as on collinear users) raises
-    BeamformingConvergenceError, like any other sign of infeasible targets;
-    an all-zero channel row raises InfeasibleConstraintsError up front.
+
+def solve_ob_stack(channels, targets) -> list:
+    """Minimum-power beams, one BeamformerSet per channel (K, Nt) and its SinrTargets.
+
+    Solved through the virtual-uplink fixed point (_uplink_powers: every frame
+    in lock-step, each bit for bit its lone run), then a K x K linear system
+    rescales to downlink powers so every SINR constraint holds with equality.
+    A covariance that is not numerically positive definite (q diverging, as on
+    collinear users) raises BeamformingConvergenceError, like any other sign of
+    infeasible targets; an all-zero channel row raises InfeasibleConstraintsError.
     """
-    h, zeta, s2 = as_entries(channel), targets.zeta, targets.sigma_z ** 2
-    _reject_zero_rows(h)
-    k, nt = h.shape
-    gain, hc = zeta / (1.0 + zeta), h.conj()
-    outer = (hc[:, :, None] * h[:, None, :]).reshape(k, nt * nt)   # row j: h_j^H h_j
-    noise, hh = s2 * np.eye(nt, dtype=complex).ravel(), np.asfortranarray(hc.T)
+    frames, groups, stops = [], {}, {}
+    for c, t in zip(channels, targets, strict=True):
+        h = as_entries(c)
+        _reject_zero_rows(h)
+        hc, nt = h.conj(), h.shape[1]
+        outer = (hc[:, :, None] * h[:, None, :]).reshape(len(h), nt * nt)   # row j: h_j^H h_j
+        frames.append((h, t, outer, t.sigma_z ** 2 * np.eye(nt, dtype=complex).ravel(),
+                       np.asfortranarray(hc.T)))
+        # numpy sums 8 or more complex entries pairwise, where zero padding would reorder the sum
+        groups.setdefault(nt if nt >= 8 else 0, []).append(len(frames) - 1)
+    for idx in groups.values():
+        stops.update(zip(idx, _uplink_powers([frames[i] for i in idx])))
+    return [_downlink(*frames[i], *stops[i]) for i in range(len(frames))]
 
-    def receive(q, it):
-        """M(q)^-1 H^H: column j is user j's unnormalized MMSE direction."""
-        _, x, info = zposv((q @ outer + noise).reshape(nt, nt), hh)
-        if info:
+
+def _passes(q):
+    """The stop test of iterates q (rows, ..., K): row r + 1 against row r, for each r."""
+    return np.abs(q[1:] - q[:-1]).max(-1) < _OB_TOL * np.maximum(1.0, q[1:].max(-1))
+
+
+def _uplink_powers(frames):
+    """(q, stop iteration) per frame (h, targets, outer products, noise, H^H), in lock-step.
+
+    Each iteration solves every frame's uplink covariance M = sigma_z^2 I + sum_j
+    q_j h_j^H h_j against H^H by one Cholesky factorization into a zero-padded
+    (F, Kmax, Ntmax) stack x, where one multiply, sum and divide give all the new
+    powers. The stop test runs every _OB_BLOCK iterations on the stored iterates
+    (complex, as q @ outer casts q anyway); a frame stops at its first passing row,
+    with that row's q, and no iteration past it raises for the frame.
+    """
+    n, kmax = len(frames), max(len(f[0]) for f in frames)
+    h, x = np.zeros((2, n, kmax, max(len(f[4]) for f in frames)), dtype=complex)
+    gain, qs = np.zeros((n, kmax)), np.zeros((_OB_BLOCK + 1, n, kmax), dtype=complex)
+    for i, (hf, t, *_) in enumerate(frames):
+        h[i, :len(hf), :hf.shape[1]], gain[i, :len(hf)] = hf, t.zeta / (1.0 + t.zeta)
+        h[i, len(hf):, 0] = x[i, len(hf):, 0] = 1.0      # padded users: gain 0, so q stays 0
+    live, out, done, loop = np.arange(n), [None] * n, 0, None
+    while len(live):
+        # per live frame: its tables, its rows of qs, and its slot of x shaped as M^-1 H^H
+        loop = loop or [(i, outer, noise, hh, len(hh), qs[:, i, :len(hf)],
+                         x[i, :len(hf), :len(hh)].T)
+                        for i, (hf, _, outer, noise, hh) in enumerate(frames[f] for f in live)]
+        rows, qr = min(_OB_BLOCK, _OB_MAX_ITER - done), qs.real
+        for r in range(1, rows + 1):
+            for i, outer, noise, hh, nt, q, slot in loop:
+                _, slot[...], info = zposv((q[r - 1] @ outer + noise).reshape(nt, nt), hh)
+                if info and not _passes(qr[:r, i]).any():
+                    raise BeamformingConvergenceError(_NOT_PD.format(done + r), done + r)
+            np.divide(gain, np.add.reduce(h * x, -1).real, out=qr[r])
+        stop = _passes(qr[:rows + 1])
+        if (hit := stop.any(0)).any():
+            for i, r in zip(np.flatnonzero(hit), stop.argmax(0)[hit] + 1):
+                out[live[i]] = qr[r, i, :len(frames[live[i]][0])].copy(), done + int(r)
+            live, h, x, gain, qs = live[~hit], h[~hit], x[~hit], gain[~hit], qs[:, ~hit]
+            loop = None
+        done += rows
+        if done == _OB_MAX_ITER and len(live):
             raise BeamformingConvergenceError(
-                f"uplink covariance is not positive definite at iteration {it} "
-                "(targets may be infeasible)", iterations=it)
-        return x
+                f"uplink power iteration did not converge in {_OB_MAX_ITER} iterations "
+                "(targets may be infeasible)", iterations=_OB_MAX_ITER)
+        qs[0] = qs[rows]
+    return out
 
-    q, it = np.zeros(k), 0
-    for it in range(1, _OB_MAX_ITER + 1):
-        q_new = gain / (h * receive(q, it).T).sum(1).real
-        # stop test on Python floats: at this size one numpy reduction costs
-        # about as much as the Cholesky solve
-        delta = max(map(abs, (q_new - q).tolist()))
-        q = q_new
-        if delta < _OB_TOL * max(1.0, *q.tolist()):
-            break
-    else:
-        raise BeamformingConvergenceError(
-            f"uplink power iteration did not converge in {_OB_MAX_ITER} iterations "
-            "(targets may be infeasible)", iterations=_OB_MAX_ITER)
-    dirs = receive(q, it).T                          # row j: unnormalized direction
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+
+def _downlink(h, targets, outer, noise, hh, q, it) -> BeamformerSet:
+    """Beams along the MMSE directions at uplink powers q, scaled to meet every target."""
+    zeta, (k, nt) = targets.zeta, h.shape
+    _, x, info = zposv((q @ outer + noise).reshape(nt, nt), hh)
+    if info:
+        raise BeamformingConvergenceError(_NOT_PD.format(it), it)
+    dirs = x.T / np.linalg.norm(x.T, axis=1)[:, None]   # row j: user j's unit direction
     g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
     d_mat = -g.copy()
     d_mat[np.diag_indices(k)] = np.diag(g) / zeta
-    p = np.linalg.solve(d_mat, s2 * np.ones(k))
+    p = np.linalg.solve(d_mat, targets.sigma_z ** 2 * np.ones(k))
     if np.any(p <= 0):
         raise BeamformingConvergenceError(
             "downlink power rescaling produced nonpositive powers "
             "(targets may be infeasible)", iterations=it)
-    w = np.sqrt(p)[:, None] * dirs
-    beams = BeamformerSet(w=w, total_power=float(p.sum()), iterations=it)
-    sinrs = achieved_sinrs(h, beams, targets.sigma_z)
-    err = np.max(np.abs(sinrs - zeta) / zeta)
+    beams = BeamformerSet(w=np.sqrt(p)[:, None] * dirs, total_power=float(p.sum()), iterations=it)
+    err = np.max(np.abs(achieved_sinrs(h, beams, targets.sigma_z) - zeta) / zeta)
     if err > 1e-6:
         raise BeamformingConvergenceError(
             f"achieved SINRs deviate from targets by {err:.2e} relative", iterations=it)

@@ -43,7 +43,7 @@ class ChannelMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = np.array(self.entries, dtype=complex)      # a copy: the caller's array stays writeable
         if e.ndim != 2:
             raise ValueError("channel entries must be a 2-D array")
         object.__setattr__(self, "entries", e)

@@ -7,9 +7,9 @@ to the slot's symbols), adds receiver noise, detects, and aggregates
 power/SER/goodput statistics. Sweeps repeat frames over a grid of targets or
 system sizes with per-frame derived seeds, so runs are reproducible. A
 sweep, run_frames and run_frame share one stacked runner: a (grid value,
-frame) job draws once for every precoder, the jobs of one shape share one
-CIPM stack solve and one multicast SCA loop, and each of n worker processes
-runs every n-th job.
+frame) job draws once for every precoder, all jobs share one lock-step OB
+loop, the jobs of one shape one CIPM stack solve and one multicast SCA loop,
+and each of n worker processes runs every n-th job (its own stacks).
 """
 
 import concurrent.futures
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import ob_frame_power, solve_multicast_stack, solve_ob
+from .baselines import ob_frame_power, solve_multicast_stack, solve_ob, solve_ob_stack
 from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats, write_csv)
@@ -161,8 +161,8 @@ def _run_jobs(jobs, precoders, threads: int = 1):
     """{precoder: FrameResult} per job (cfg, frame index, channel or None), in job order.
 
     A job draws its channel (unless given), then its symbols, multicast seed and
-    noise, once for every precoder. OB runs frame by frame; the frames of one
-    shape (K, Nt, modulations, mode, noise, restarts) share one _solve_shape.
+    noise, once for every precoder. All frames share one solve_ob_stack; the frames
+    of one shape (K, Nt, modulations, mode, noise, restarts) share one _solve_shape.
     With threads > 1, worker w of n = min(threads, jobs) runs jobs w, w + n, ...
     """
     n = min(threads, len(jobs))
@@ -186,11 +186,11 @@ def _run_jobs(jobs, precoders, threads: int = 1):
                                cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(d)
         for group in shapes.values() if {"cipm", "multicast"} & set(precoders) else ():
             _solve_shape(group, precoders)
-        for d in frames if "ob" in precoders else ():
-            w = solve_ob(d.channel.entries, d.targets).w
+        ob = frames if "ob" in precoders else []
+        for d, b in zip(ob, solve_ob_stack([d.channel for d in ob], [d.targets for d in ob])):
             # user j detects against its own beam gain h_j w_j
-            d.results["ob"] = _result(d, gather(d.cfg.constellations(), d.symbols) @ w,
-                                      np.diag(d.channel.entries @ w.T), 0, 1)
+            d.results["ob"] = _result(d, gather(d.cfg.constellations(), d.symbols) @ b.w,
+                                      np.diag(d.channel.entries @ b.w.T), 0, 1)
     except SolverError as exc:
         if len(jobs) == 1:
             raise SolverError(f"frame {jobs[0][1]}: {exc}") from exc

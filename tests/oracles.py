@@ -9,7 +9,10 @@ its lattice row and column, not read from the constellation's tables. The
 multicast oracle is the scalar SCA loop (one descent per start on the scalar
 QP core), against which the lock-step stack is checked. The OB oracle is the
 uplink fixed point with an explicit inverse of the covariance per iteration,
-against which the Cholesky iteration of solve_ob is checked. The QP cores
+against which the Cholesky iteration of solve_ob is checked; after it comes
+solve_ob as it was before a stack of frames iterated in lock-step (one
+frame, its stop test on Python floats after every iteration), which every
+frame of solve_ob_stack must match bit for bit. The QP cores
 that the solver's least-distance core replaced, a scalar active-set loop
 (min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
 verbatim at the end as references for it, followed by that core as it was
@@ -26,7 +29,8 @@ the previous round's support (multicast_stack_oracle: every round guesses
 all rows active), which the warm working set must match bit for bit, and
 the frame and sweep path as it was before a sweep ran as one stack
 (run_frame, run_frames and run_sweep: one frame at a time, per grid value
-and precoder, with the simulator's old per-user symbol lookup, _symbol_values),
+and precoder, with the simulator's old per-user symbol lookup, _symbol_values,
+and the one-frame solve_ob above),
 which the stacked runner must match bit for bit. After them come three pieces
 of hand code that a table or a library call replaced: the per-order lattice
 coordinates (lattice_coords_oracle), the SER curve's inverse interpolation
@@ -39,19 +43,20 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import zposv
 from scipy.optimize import brentq, nnls
 
 from cipm import solver
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError, _reject_zero_rows,
-                            _tangent_rows, achieved_sinrs, solve_multicast_stack, solve_ob)
-from cipm.channel import (ChannelMatrix, FadingConfig, effective_channel, eq_power_cdf,
-                          eq_power_pdf, sample_rayleigh, symbol_stats)
+                            _tangent_rows, achieved_sinrs, solve_multicast_stack)
+from cipm.channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
+                          eq_power_cdf, eq_power_pdf, sample_rayleigh, symbol_stats)
 from cipm.constellation import detect, get_constellation
 from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
 from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
-                         SolverError, _polish, _row_labels, solve_cipm_stack)
+                         SinrTargets, SolverError, _polish, _row_labels, solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -301,6 +306,75 @@ def ob_fixed_point_oracle(h, targets, tol=1e-10, max_iter=10000):
         raise BeamformingConvergenceError(
             f"achieved SINRs deviate from targets by {err:.2e} relative", iterations=it)
     return beams
+
+
+# solve_ob as it was before the frames of a run iterated in lock-step
+# (solve_ob_stack): one frame, its stop test on Python floats after every
+# iteration. Kept verbatim as the reference the stack must match bit for bit.
+_OB_TOL, _OB_MAX_ITER = 1e-10, 10000    # uplink fixed point: relative step, iterations
+
+
+def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
+    """Minimum-power beams meeting per-user SINR targets.
+
+    Solved through the virtual-uplink fixed point: iterate uplink powers
+    against MMSE receive directions, then rescale to downlink powers with
+    a K x K linear system so every SINR constraint holds with equality.
+    Each iteration assembles the uplink covariance M = sigma_z^2 I +
+    sum_j q_j h_j^H h_j from a table of outer products and solves it against
+    H^H with one Cholesky factorization. A covariance that is not numerically
+    positive definite (q diverging, as on collinear users) raises
+    BeamformingConvergenceError, like any other sign of infeasible targets;
+    an all-zero channel row raises InfeasibleConstraintsError up front.
+    """
+    h, zeta, s2 = as_entries(channel), targets.zeta, targets.sigma_z ** 2
+    _reject_zero_rows(h)
+    k, nt = h.shape
+    gain, hc = zeta / (1.0 + zeta), h.conj()
+    outer = (hc[:, :, None] * h[:, None, :]).reshape(k, nt * nt)   # row j: h_j^H h_j
+    noise, hh = s2 * np.eye(nt, dtype=complex).ravel(), np.asfortranarray(hc.T)
+
+    def receive(q, it):
+        """M(q)^-1 H^H: column j is user j's unnormalized MMSE direction."""
+        _, x, info = zposv((q @ outer + noise).reshape(nt, nt), hh)
+        if info:
+            raise BeamformingConvergenceError(
+                f"uplink covariance is not positive definite at iteration {it} "
+                "(targets may be infeasible)", iterations=it)
+        return x
+
+    q, it = np.zeros(k), 0
+    for it in range(1, _OB_MAX_ITER + 1):
+        q_new = gain / (h * receive(q, it).T).sum(1).real
+        # stop test on Python floats: at this size one numpy reduction costs
+        # about as much as the Cholesky solve
+        delta = max(map(abs, (q_new - q).tolist()))
+        q = q_new
+        if delta < _OB_TOL * max(1.0, *q.tolist()):
+            break
+    else:
+        raise BeamformingConvergenceError(
+            f"uplink power iteration did not converge in {_OB_MAX_ITER} iterations "
+            "(targets may be infeasible)", iterations=_OB_MAX_ITER)
+    dirs = receive(q, it).T                          # row j: unnormalized direction
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    g = np.abs(h @ dirs.T) ** 2                      # g[j, k] = |h_j u_k|^2
+    d_mat = -g.copy()
+    d_mat[np.diag_indices(k)] = np.diag(g) / zeta
+    p = np.linalg.solve(d_mat, s2 * np.ones(k))
+    if np.any(p <= 0):
+        raise BeamformingConvergenceError(
+            "downlink power rescaling produced nonpositive powers "
+            "(targets may be infeasible)", iterations=it)
+    w = np.sqrt(p)[:, None] * dirs
+    beams = BeamformerSet(w=w, total_power=float(p.sum()), iterations=it)
+    sinrs = achieved_sinrs(h, beams, targets.sigma_z)
+    err = np.max(np.abs(sinrs - zeta) / zeta)
+    if err > 1e-6:
+        raise BeamformingConvergenceError(
+            f"achieved SINRs deviate from targets by {err:.2e} relative", iterations=it)
+    return beams
+
 
 
 # The two active-set cores the least-distance core replaced, kept verbatim as

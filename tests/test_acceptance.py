@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cipm.baselines import solve_ob
+from cipm.baselines import solve_ob_stack
 from cipm.channel import ChannelMatrix
 from cipm.cli import PRESET_CHANNELS
 from cipm.constellation import detect, get_constellation
@@ -36,12 +36,9 @@ def _dbw_mean(results):
 
 def _ob_dbw_mean(cfg):
     """Design-average OB power per frame (sum of beam powers), dB-averaged."""
-    targets = cfg.targets()
-    vals = []
-    for f in range(cfg.frames):
-        beams = solve_ob(draw_channel(cfg, f).entries, targets)
-        vals.append(10.0 * np.log10(np.sum(np.abs(beams.w) ** 2)))
-    return float(np.mean(vals))
+    beams = solve_ob_stack([draw_channel(cfg, f) for f in range(cfg.frames)],
+                           [cfg.targets()] * cfg.frames)
+    return float(np.mean([10.0 * np.log10(np.sum(np.abs(b.w) ** 2)) for b in beams]))
 
 
 def test_criterion_01_fixed_channel_gaps():

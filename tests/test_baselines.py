@@ -2,16 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from cipm import baselines
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
-                            achieved_sinrs, ob_frame_power,
-                            solve_multicast_bound, solve_multicast_stack, solve_ob)
+                            achieved_sinrs, ob_frame_power, solve_multicast_bound,
+                            solve_multicast_stack, solve_ob, solve_ob_stack)
 from cipm.constellation import get_constellation
 from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
 
 from oracles import multicast_oracle, multicast_stack_oracle, ob_fixed_point_oracle
+from oracles import solve_ob as solve_ob_oracle
 
 
 def _channel(seed, k, nt):
@@ -308,3 +310,108 @@ def test_ob_matches_inverse_fixed_point_oracle(k, nt, zeta_db, scale):
     assert beams.iterations == ref.iterations
     assert beams.total_power == pytest.approx(ref.total_power, rel=1e-12, abs=0.0)
     assert np.linalg.norm(beams.w - ref.w) <= 1e-12 * np.linalg.norm(ref.w)
+
+
+def _ob_outcome(solve, h, targets):
+    """solve(h, targets) as (w, total_power, iterations), or its error message."""
+    try:
+        beams = solve(h, targets)
+    except BeamformingConvergenceError as exc:
+        return str(exc)
+    return beams.w, beams.total_power, beams.iterations
+
+
+def _assert_stack_is_each_lone_oracle(hs, targets):
+    want = [_ob_outcome(solve_ob_oracle, h, t) for h, t in zip(hs, targets)]
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        with pytest.raises(BeamformingConvergenceError) as exc:
+            solve_ob_stack(hs, targets)
+        assert str(exc.value) in errors
+        return want
+    for f, (beams, (w, power, iterations)) in enumerate(zip(solve_ob_stack(hs, targets), want)):
+        assert np.array_equal(beams.w, w), f
+        assert beams.total_power == power, f
+        assert beams.iterations == iterations, f
+    return want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, 9), st.integers(0, 2 ** 32 - 1),
+                          st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6))
+@example([(9, 8, 1, 0.0, 0.0), (3, 2, 2, 0.0, 0.0), (10, 9, 3, 1.0, -1.0), (5, 4, 4, 0.0, 0.0)])
+@example([(8, 2, 5, -3.0, 3.0), (2, 1, 6, 3.0, -3.0), (8, 7, 7, 0.0, 0.0), (1, 0, 8, 0.0, 0.0)])
+def test_ob_stack_is_bit_for_bit_the_lone_oracle(frames):
+    # frames of mixed (K, Nt), K <= Nt <= 10 (Nt >= 8 next to smaller ones
+    # included), per-user targets 0-20 dB, sigma_z and channel scale over
+    # 1e-3..1e3: every frame's beams, power and iteration count are those of
+    # the verbatim one-frame oracle run alone, bit for bit
+    hs, targets = [], []
+    for nt, k, seed, log_scale, log_sigma in frames:
+        rng = np.random.default_rng(seed)
+        k = k % nt + 1
+        hs.append(10.0 ** log_scale * (rng.standard_normal((k, nt))
+                                       + 1j * rng.standard_normal((k, nt))))
+        targets.append(SinrTargets(zeta=10.0 ** (rng.uniform(0.0, 20.0, k) / 10.0),
+                                   sigma_z=10.0 ** log_sigma))
+    _assert_stack_is_each_lone_oracle(hs, targets)
+
+
+def test_ob_stack_stops_on_block_edges_bit_for_bit():
+    # frames that stop at iterations 0 and 1 mod _OB_BLOCK, at Nt = 2, 4 and 9:
+    # the first and the last row of a block both give a frame's stop
+    shapes = [((2, 2), 20), ((2, 2), 28), ((3, 4), 16), ((3, 4), 0), ((2, 9), 8), ((2, 9), 16)]
+    hs = [_channel(seed, k, nt) for (k, nt), seed in shapes]
+    targets = [SinrTargets(zeta=np.full(len(h), 10.0 ** 1.2), sigma_z=1.0) for h in hs]
+    for stack in (hs[:4], hs, hs[::-1]):
+        want = _assert_stack_is_each_lone_oracle(stack, targets[:len(stack)])
+    assert baselines._OB_BLOCK == 16
+    assert sorted(w[2] % 16 for w in want) == [0, 0, 0, 1, 1, 1]
+
+
+def test_ob_stack_raises_the_failing_frames_own_error():
+    # a collinear frame between feasible ones raises its lone error, at the
+    # iteration the oracle names; so does a frame at the iteration cap
+    targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)
+    good, collinear = _channel(3, 2, 2), np.array([[1.0 + 0.0j, 0.5], [1.0 + 0.0j, 0.5]])
+    want = _ob_outcome(solve_ob_oracle, collinear, targets)
+    assert "not positive definite" in want
+    with pytest.raises(BeamformingConvergenceError) as exc:
+        solve_ob_stack([good, collinear, _channel(4, 2, 3)], [targets] * 3)
+    assert str(exc.value) == want
+    # K=3 on Nt=2 at 4 dB: no powers meet the targets, and the iteration runs out
+    over = SinrTargets(zeta=np.full(3, 10.0 ** 0.4), sigma_z=1.0)
+    want = _ob_outcome(solve_ob_oracle, _channel(5, 3, 2), over)
+    assert "did not converge in 10000 iterations" in want
+    with pytest.raises(BeamformingConvergenceError) as exc:
+        solve_ob_stack([_channel(5, 3, 2), good], [over, targets])
+    assert str(exc.value) == want
+    with pytest.raises(ValueError, match="shorter"):
+        solve_ob_stack([good, good], [targets])      # one SinrTargets per channel
+
+
+def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
+    # the stop test runs once per block, so a frame iterates past its own
+    # stop; a Cholesky failure there (NaN solutions) must not raise for it,
+    # nor reach the other frame
+    targets = [SinrTargets(zeta=np.full(2, 10.0 ** z), sigma_z=1.0) for z in (1.2, 1.7)]
+    hs = [_channel(7, 2, 2), _channel(8, 2, 3)]
+    want = [solve_ob_oracle(h, t) for h, t in zip(hs, targets)]
+    stop = want[0].iterations
+    assert stop % 16 not in (0, 15) and stop < want[1].iterations
+    hh, calls, real = np.asfortranarray(hs[0].conj().T), [0], baselines.zposv
+
+    def failing_zposv(a, b):
+        out = real(a, b)
+        if b.shape == hh.shape and np.array_equal(b, hh):
+            calls[0] += 1
+            if stop < calls[0] <= edge:     # the rows past the stop, in its block
+                return out[0], np.full_like(out[1], np.nan), 1
+        return out
+
+    edge = -(-stop // 16) * 16
+    monkeypatch.setattr(baselines, "zposv", failing_zposv)
+    got = solve_ob_stack(hs, targets)
+    assert calls[0] == edge + 1             # the block's rows, then the beams
+    for beams, ref in zip(got, want):
+        assert np.array_equal(beams.w, ref.w) and beams.iterations == ref.iterations

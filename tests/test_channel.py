@@ -7,6 +7,8 @@ from cipm.channel import (REFERENCE_SYMBOL, ChannelMatrix, FadingConfig,
                           effective_channel, eq_power_cdf, eq_power_mean,
                           eq_power_pdf, sample_rayleigh, symbol_stats)
 from cipm.constellation import get_constellation
+from cipm.simulator import FrameConfig, fixed_channel_experiment
+from cipm.solver import SinrTargets, solve_strict_equivalent
 
 
 def test_reference_symbol_is_unit_modulus_diagonal():
@@ -33,6 +35,21 @@ def test_channel_matrix_shape_properties():
 
 def test_channel_matrix_is_read_only():
     m = ChannelMatrix(np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 0.0
+
+
+def test_channel_matrix_leaves_the_callers_array_writeable():
+    # wrapping a complex array copies it: the wrapper is read-only, the
+    # caller's array is not frozen and later writes to it do not reach the wrapper
+    h = np.array([[1 + 1j, 0.5], [0.2j, 1.0]])
+    m = ChannelMatrix(h)
+    targets = SinrTargets(zeta=np.full(2, 2.0), sigma_z=1.0)
+    solve_strict_equivalent(h, [get_constellation("qpsk")] * 2, np.array([1, 2]), targets)
+    fixed_channel_experiment(h, FrameConfig())
+    assert h.flags.writeable and not m.entries.flags.writeable
+    h[0, 0] = 7.0
+    assert m.entries[0, 0] == 1 + 1j
     with pytest.raises(ValueError):
         m.entries[0, 0] = 0.0
 

@@ -319,6 +319,37 @@ def test_sweep_csv_is_the_same_on_two_workers(tmp_path):
     assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
+def test_size_sweep_csv_is_the_same_on_two_workers(tmp_path):
+    # OB frames of sizes 2, 3 and 4 share one lock-step stack per worker: the
+    # rows are the per-frame oracle's on one worker and on two
+    cfg = FrameConfig(n_symbols=20, frames=3, seed=5, modulations="16qam", zeta_db=12.0)
+    want = oracles.run_sweep(cfg, [2, 3, 4], axis="size", precoders=("cipm", "ob"))
+    for threads in (1, 2):
+        rows = run_sweep(cfg, [2, 3, 4], axis="size", precoders=("cipm", "ob"), threads=threads)
+        assert [repr(r) for r in rows] == [repr(r) for r in want]
+        write_sweep_csv(rows, tmp_path / f"{threads}.csv")
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_infeasible_ob_frame_names_its_frame():
+    # K=3 on Nt=2: 0 dB targets can be met, 4 dB ones cannot; the stacked OB
+    # fails, and the error is the first failing frame's own, in the words of
+    # the one-frame OB oracle
+    cfg = FrameConfig(n_symbols=10, frames=2, n_antennas=2, k_users=3, seed=1)
+    with pytest.raises(SolverError) as want:
+        oracles.run_sweep(cfg, [0.0, 4.0, 0.0], precoders=("ob",))
+    with pytest.raises(SolverError) as got:
+        run_sweep(cfg, [0.0, 4.0, 0.0], precoders=("ob",))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("frame 0: uplink power iteration did not converge")
+    cfg = replace(cfg, zeta_db=4.0, precoder="ob")
+    with pytest.raises(SolverError) as want:
+        oracles.run_frames(cfg)
+    with pytest.raises(SolverError) as got:
+        run_frames(cfg)
+    assert str(got.value) == str(want.value)
+
+
 def test_infeasible_slot_names_its_frame_and_combination():
     # K=3 on Nt=2: the stacked solve fails, and the error is the first
     # failing frame's own, as the per-frame path raises it
