@@ -13,7 +13,7 @@ from .solver import (
 )
 from .baselines import (
     BeamformerSet, BeamformingConvergenceError, MulticastSolution,
-    achieved_sinrs, ob_frame_power, solve_multicast_bound, solve_ob,
+    achieved_sinrs, solve_multicast_bound, solve_ob,
 )
 from .linkadapt import (
     AnalyticBackend, EmpiricalBackend, LinkAllocation, ModulationEntry,

@@ -156,18 +156,6 @@ def _downlink(h, targets, outer, noise, hh, q, it) -> BeamformerSet:
     return beams
 
 
-def ob_frame_power(beams: BeamformerSet, symbol_values: np.ndarray):
-    """Instantaneous powers ||sum_j w_j d_j[n]||^2 plus the long-term power.
-
-    symbol_values has shape (N, K), one complex symbol per user and slot.
-    Returns (per_slot, frame_average, long_term).
-    """
-    d = np.asarray(symbol_values, dtype=complex)
-    x = d @ beams.w                                   # (N, Nt)
-    per_slot = np.sum(np.abs(x) ** 2, axis=1)
-    return per_slot, float(per_slot.mean()), beams.total_power
-
-
 @dataclass(frozen=True)
 class MulticastSolution:
     x: np.ndarray

@@ -21,6 +21,7 @@ import contextlib
 import functools
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -224,10 +225,12 @@ def cmd_sweep(opts):
         zeta_db=opts["zeta_db"],
         modulations=tuple(opts["modulations"]), mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
-    try:
-        cfg.targets()           # checked on every axis, though only fixed axes read it
-    except ValueError as exc:
-        raise ValueError(f"--zeta-db: {exc}") from None
+    sinr_grid = opts["grid"] if opts["axis"] == "sinr" else []
+    for flag, value in [("--zeta-db", opts["zeta_db"])] + [("--grid", v) for v in sinr_grid]:
+        try:                    # --zeta-db on every axis, though only fixed axes read it
+            replace(cfg, zeta_db=value).targets()
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
     rows = run_sweep(cfg, opts["grid"], axis=opts["axis"],
                      precoders=tuple(opts["precoders"]),
                      threads=opts["threads"] if opts["threads"] > 0 else os.cpu_count() or 1)
@@ -264,8 +267,7 @@ def cmd_fixed(opts):
     if (opts["preset"] is None) == (opts["channel"] is None):
         raise ValueError("exactly one of --preset or --channel is required")
     if opts["preset"] is not None:
-        entries = PRESET_CHANNELS[opts["preset"]]
-        channel = ChannelMatrix(entries)
+        channel = ChannelMatrix(PRESET_CHANNELS[opts["preset"]])
     else:
         channel = ChannelMatrix.load_text(opts["channel"])
     stray = [f"--{key}" for key in ("grid", "table") if opts[key] is not None]
@@ -286,10 +288,8 @@ def cmd_fixed(opts):
             print(f"  power range {min(powers):.3f} .. {max(powers):.3f} dBW")
         return EXIT_OK
 
-    cfg = FrameConfig(
-        n_antennas=channel.n_antennas, k_users=channel.k_users,
-        sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-        modulations=tuple(opts["modulations"]), mode=opts["mode"])
+    cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
+                      modulations=tuple(opts["modulations"]), mode=opts["mode"])
     table = fixed_channel_experiment(channel.entries, cfg)
     path = os.path.join(out, "combinations.csv")
     write_combination_csv(table, path)

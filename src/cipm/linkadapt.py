@@ -7,6 +7,7 @@ through the closed-form MQAM approximation or by inverting a simulated
 SER-vs-SNR curve.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class ModulationEntry:
 # nominal (name, bits) ladder; rates default to R(m) = m
 _LADDER = (("qpsk", 2), ("8qam", 3), ("16qam", 4), ("32qam", 5), ("64qam", 6))
 
-# supported-range defaults: floor at the loosest useful QPSK operating point,
-# ceiling at a tight 64-QAM one
+# the SINR range allocate supports: floor at the loosest useful QPSK operating
+# point, ceiling at a tight 64-QAM one
 ZETA0_DEFAULT = sinr_from_ser(0.1, 2.0)
 ZETA_MAX_DEFAULT = sinr_from_ser(1e-4, 6.0)
 
@@ -88,7 +89,7 @@ ZETA_MAX_DEFAULT = sinr_from_ser(1e-4, 6.0)
 class ModulationTable:
     """Ordered modulation ladder with per-entry SINR thresholds."""
 
-    def __init__(self, entries, zeta0=ZETA0_DEFAULT, zeta_max=ZETA_MAX_DEFAULT):
+    def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
             raise ValueError("modulation table is empty")
@@ -98,19 +99,15 @@ class ModulationTable:
         thr = [e.sinr_min_db for e in entries]
         if any(b < a for a, b in zip(thr, thr[1:])):
             raise ValueError("SINR thresholds must be nondecreasing")
-        if not 0.0 < zeta0 <= zeta_max:
-            raise ValueError("need 0 < zeta0 <= zeta_max")
         self.entries = entries
-        self.zeta0 = float(zeta0)
-        self.zeta_max = float(zeta_max)
 
     @classmethod
-    def analytic(cls, reference_ser=1e-2, **kw):
+    def analytic(cls, reference_ser=1e-2):
         """Thresholds from the closed-form SER formula at one reference SER."""
         rows = [ModulationEntry(n, m, float(m),
                                 10.0 * np.log10(sinr_from_ser(reference_ser, float(m))))
                 for n, m in _LADDER]
-        return cls(rows, **kw)
+        return cls(rows)
 
     @property
     def max_rate(self):
@@ -278,22 +275,17 @@ class EmpiricalBackend:
         self.seed = seed
 
     def curve_for(self, name):
-        if name in self.curves:
-            return self.curves[name]
-        if self.cache_dir is not None:
-            import os
-
-            path = os.path.join(self.cache_dir, f"{name}_ser.csv")
-            if os.path.exists(path):
-                curve = SerCurve.load_csv(name, path)
-                self.curves[name] = curve
-                return curve
-        curve = build_ser_curve(name, symbols_per_point=self.symbols_per_point,
-                                seed=self.seed)
-        if self.cache_dir is not None:
-            curve.save_csv(path)
-        self.curves[name] = curve
-        return curve
+        if name not in self.curves:
+            path = None if self.cache_dir is None else os.path.join(self.cache_dir,
+                                                                     f"{name}_ser.csv")
+            if path is not None and os.path.exists(path):
+                self.curves[name] = SerCurve.load_csv(name, path)
+            else:
+                self.curves[name] = build_ser_curve(name, symbols_per_point=self.symbols_per_point,
+                                                    seed=self.seed)
+                if path is not None:
+                    self.curves[name].save_csv(path)
+        return self.curves[name]
 
     def sinr_db_for(self, entry, ser):
         return self.curve_for(entry.name).sinr_db_for_ser(ser)
@@ -321,10 +313,10 @@ def allocate(table, target_rates, backend=None):
         if ser == 0.0:
             # lossless target: no finite SINR makes SER exactly zero, report
             # the supported ceiling instead
-            zeta = table.zeta_max
+            zeta = ZETA_MAX_DEFAULT
         else:
             zeta = 10.0 ** (backend.sinr_db_for(entry, ser) / 10.0)
-        if not table.zeta0 <= zeta <= table.zeta_max:
+        if not ZETA0_DEFAULT <= zeta <= ZETA_MAX_DEFAULT:
             raise ValueError(
                 f"required SINR {10*np.log10(zeta):.2f} dB for rate {r} is outside "
                 f"the supported range")

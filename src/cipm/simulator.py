@@ -9,7 +9,8 @@ system sizes with per-frame derived seeds, so runs are reproducible. A
 sweep, run_frames and run_frame share one stacked runner: a (grid value,
 frame) job draws once for every precoder, all jobs share one lock-step OB
 loop, the jobs of one shape one CIPM stack solve and one multicast SCA loop,
-and each of n worker processes runs every n-th job (its own stacks).
+and each of n worker processes runs every n-th job (its own stacks). Both
+fixed-channel studies take targets, noise and constellations from FrameConfig.
 """
 
 import concurrent.futures
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import ob_frame_power, solve_multicast_stack, solve_ob, solve_ob_stack
+from .baselines import solve_multicast_stack, solve_ob, solve_ob_stack
 from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats, write_csv)
@@ -84,7 +85,8 @@ class FrameConfig:
 
     def targets(self):
         z = np.array(self._per_user(np.atleast_1d(self.zeta_db), "target"), dtype=float)
-        return SinrTargets(zeta=10.0 ** (z / 10.0), sigma_z=self.sigma_z)
+        with np.errstate(over="ignore"):        # SinrTargets rejects the inf
+            return SinrTargets(zeta=10.0 ** (z / 10.0), sigma_z=self.sigma_z)
 
 
 @dataclass(frozen=True)
@@ -311,23 +313,27 @@ class CombinationTable:
 MAX_ENUMERATION = 4096
 
 
-def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
-    """Exhaustive per-combination powers on one fixed channel."""
-    ch = ChannelMatrix(as_entries(channel))
-    cfg = replace(cfg, k_users=ch.k_users, n_antennas=ch.n_antennas)
+def _combination_powers(h, cfg: FrameConfig):
+    """Every symbol combination of cfg's constellations and its CIPM power on h (K, Nt)."""
     specs = cfg.constellations()
     orders = [s.order for s in specs]
-    total = int(np.prod(orders))
-    if total > MAX_ENUMERATION:
+    if (total := int(np.prod(orders))) > MAX_ENUMERATION:     # before anything is allocated
         raise ValueError(
             f"enumeration of {total} combinations exceeds the "
             f"{MAX_ENUMERATION} limit")
-    targets = cfg.targets()
     combos = enumerate_combinations(orders)
-    _, cipm = solve_cipm_stack(ch.entries, specs, combos, targets, cfg.mode)
-    beams = solve_ob(ch.entries, targets)
-    ob, _, long_term = ob_frame_power(beams, gather(specs, combos))
-    return CombinationTable(combos, cipm, ob, long_term)
+    return combos, solve_cipm_stack(h, specs, combos, cfg.targets(), cfg.mode)[1]
+
+
+def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:
+    """Exhaustive per-combination powers on one fixed channel; its shape overrides cfg's."""
+    ch = ChannelMatrix(as_entries(channel))
+    cfg = replace(cfg, k_users=ch.k_users, n_antennas=ch.n_antennas)
+    combos, cipm = _combination_powers(ch.entries, cfg)
+    beams = solve_ob(ch.entries, cfg.targets())
+    # each slot's OB power, as a frame pays it
+    ob = np.sum(np.abs(gather(cfg.constellations(), combos) @ beams.w) ** 2, axis=1)
+    return CombinationTable(combos, cipm, ob, beams.total_power)
 
 
 def write_combination_csv(table: CombinationTable, path):
@@ -362,23 +368,15 @@ def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
     ch = ChannelMatrix(as_entries(channel))
     if ch.k_users != 2:
         raise ValueError("region maps are defined for the 2-user case")
-    sigma_z = float(np.sqrt(10.0 ** (sigma_z2_db / 10.0)))
+    base = FrameConfig(n_antennas=ch.n_antennas, sigma_z2_db=sigma_z2_db, mode=mode)
     out = []
     for z1 in grid_db:
         for z2 in grid_db:
-            entries = []
-            for z in (z1, z2):
-                e = table.modulation_for_sinr(float(z))
-                entries.append(e if e is not None else table.entries[0])
-            specs = [get_constellation(e.name) for e in entries]
-            targets = SinrTargets(
-                zeta=np.array([10.0 ** (z1 / 10.0), 10.0 ** (z2 / 10.0)]),
-                sigma_z=sigma_z)
-            combos = enumerate_combinations([s.order for s in specs])
-            _, powers = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
-            power = float(np.mean(powers))
+            entries = [table.modulation_for_sinr(float(z)) or table.entries[0] for z in (z1, z2)]
+            cfg = replace(base, zeta_db=(z1, z2), modulations=tuple(e.name for e in entries))
+            power = float(np.mean(_combination_powers(ch.entries, cfg)[1]))
             gps = [effective_goodput(e.rate, ser_from_sinr(t, e.rate))
-                   for e, t in zip(entries, targets.zeta)]
+                   for e, t in zip(entries, cfg.targets().zeta)]
             out.append(RegionPoint(float(z1), float(z2), entries[0].name,
                                    entries[1].name,
                                    float(10.0 * np.log10(power)),

@@ -7,9 +7,10 @@ from scipy.optimize import minimize
 
 from cipm import baselines
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
-                            achieved_sinrs, ob_frame_power, solve_multicast_bound,
+                            achieved_sinrs, solve_multicast_bound,
                             solve_multicast_stack, solve_ob, solve_ob_stack)
 from cipm.constellation import get_constellation
+from cipm.simulator import FrameConfig, fixed_channel_experiment
 from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
 
 from oracles import multicast_oracle, multicast_stack_oracle, ob_fixed_point_oracle
@@ -98,19 +99,15 @@ def test_ob_matches_general_purpose_solver():
     assert beams.total_power == pytest.approx(best, rel=1e-6)
 
 
-def test_ob_frame_power_enumeration_matches_long_term():
+def test_ob_combination_powers_average_to_long_term():
     # over the full symbol enumeration the cross terms cancel exactly
+    h = _channel(7, 2, 2)
     for name in ("qpsk", "16qam"):
-        spec = get_constellation(name)
-        h = _channel(7, 2, 2)
-        targets = SinrTargets(zeta=np.array([2.0, 3.0]), sigma_z=1.0)
-        beams = solve_ob(h, targets)
-        pts = np.asarray(spec.points)
-        combos = np.array(list(itertools.product(pts, pts)))
-        per_slot, frame_avg, long_term = ob_frame_power(beams, combos)
-        assert len(per_slot) == spec.order ** 2
-        assert frame_avg == pytest.approx(long_term, abs=1e-12)
-        assert long_term == pytest.approx(beams.total_power, rel=1e-12)
+        cfg = FrameConfig(zeta_db=tuple(10.0 * np.log10([2.0, 3.0])), modulations=name)
+        table = fixed_channel_experiment(h, cfg)
+        assert len(table.ob_power) == get_constellation(name).order ** 2
+        assert np.mean(table.ob_power) == pytest.approx(table.ob_long_term, abs=1e-12)
+        assert table.ob_long_term == solve_ob(h, cfg.targets()).total_power
 
 
 def test_ob_infeasible_targets_raise():

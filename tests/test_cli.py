@@ -230,6 +230,7 @@ _NOISE = "sigma_h2_db and sigma_z2_db must be finite"
     (["pdfcheck", "--beta", "nan"], "beta must be finite and positive"),
     (["sweep", "--zeta-db", "nan"], "--zeta-db"),      # read on fixed axes only
     (["pdfcheck", "--threshold", "nan"], "--threshold"),
+    (["fixed", "--preset", "regions", "--grid", "4,1e308"], _TARGETS),   # overflows
 ])
 def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
     if argv[0] == "sweep":
@@ -246,9 +247,13 @@ def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, mess
     (["sweep", "--precoders", "cipm,ob,cipm"], "--precoders"),
     (["pdfcheck", "--threshold", "0"], "--threshold"),
     (["pdfcheck", "--threshold=-0.5"], "--threshold"),
+    (["sweep", "--axis", "sinr", "--grid", "4,nan"], "--grid"),
+    (["sweep", "--grid", "1e308"], "--grid"),      # overflows to an infinite target
+    (["sweep", "--grid", "8,-1e308"], "--grid"),    # underflows to a zero target
 ])
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag, capsys):
-    # rejected before any frame or sample is drawn: no CSV is written
+    # rejected before any frame or sample is drawn, with no warning: no CSV is written
     if argv[0] == "sweep":
         argv = argv + ["--frames", "1", "--symbols", "5"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

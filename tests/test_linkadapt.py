@@ -129,10 +129,6 @@ def test_table_validation():
     bad_thr = [good[0], ModulationEntry("8qam", 3, 3.0, good[0].sinr_min_db - 1.0)]
     with pytest.raises(ValueError):
         ModulationTable(bad_thr)
-    with pytest.raises(ValueError):
-        ModulationTable(good, zeta0=0.0)
-    with pytest.raises(ValueError):
-        ModulationTable(good, zeta0=10.0, zeta_max=5.0)
     with pytest.raises(KeyError):
         ModulationTable.analytic().by_name("256qam")
 
@@ -374,16 +370,17 @@ def test_allocate_lossless_target_uses_ceiling():
     table = ModulationTable.analytic()
     alloc = allocate(table, [2.0])
     assert alloc.ser == (0.0,)
-    assert alloc.sinr[0] == table.zeta_max
+    assert alloc.sinr[0] == ZETA_MAX_DEFAULT
 
 
 def test_allocate_rejects_unsupported_rates():
     table = ModulationTable.analytic()
     with pytest.raises(ValueError):
         allocate(table, [6.5])
-    # a tight ceiling turns a steep SER budget into a range error
-    tight = ModulationTable.analytic(zeta_max=10.0)
-    with pytest.raises(ValueError):
-        allocate(tight, [3.99])
-    alloc = allocate(tight, [3.96])  # SER 0.01 stays inside the ceiling
-    assert alloc.sinr[0] < 10.0
+    # a steep SER budget needs 18.42 dB, above the 17.60 dB ceiling; rate 1.5 on
+    # qpsk tolerates SER 0.25 at 0.71 dB, below the 2.83 dB floor
+    for rate in (5.9999, 1.5):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            allocate(table, [rate])
+    alloc = allocate(table, [5.97])  # SER 0.005 stays inside the ceiling
+    assert ZETA0_DEFAULT <= alloc.sinr[0] <= ZETA_MAX_DEFAULT

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from cipm import simulator
 from cipm.simulator import (
     MAX_ENUMERATION,
     PRECODERS,
@@ -443,6 +444,16 @@ def test_enumeration_overflow_guard():
         fixed_channel_experiment(h, cfg)
 
 
+def test_enumeration_limit_checked_before_enumerating(monkeypatch):
+    # 64^6 combinations would take terabytes: the limit must fire before any allocation
+    def enumerate_nothing(orders):
+        raise AssertionError(f"enumerated {orders}")
+
+    monkeypatch.setattr(simulator, "enumerate_combinations", enumerate_nothing)
+    with pytest.raises(ValueError, match=f"{64 ** 6} combinations exceeds the {MAX_ENUMERATION}"):
+        fixed_channel_experiment(np.eye(6, dtype=complex), FrameConfig(modulations="64qam"))
+
+
 # --------------------------------------------------------------- region maps
 
 def test_region_maps_selects_modulations(tmp_path):
@@ -462,6 +473,20 @@ def test_region_maps_selects_modulations(tmp_path):
     assert lines[0] == "zeta1_db,zeta2_db,modulation1,modulation2,avg_power_dbw,eta"
     assert len(lines) == 5
     assert lines[1].split(",")[2] == "qpsk"
+
+
+@pytest.mark.parametrize("sigma_z2_db,mode", [(0.0, "relaxed"), (1.3, "relaxed"),
+                                               (-2.0, "strict")])
+def test_region_point_power_is_its_combination_table_mean(sigma_z2_db, mode):
+    # 4 dB lies below the analytic ladder (qpsk by default), 9 and 15 dB pick 8qam and 64qam
+    h = np.array([[0.3 + 1.2j, -0.5 + 0.4j], [1.1 - 0.2j, 0.6 + 0.9j]])
+    pts = region_maps(h, [4.0, 9.0, 15.0], ModulationTable.analytic(), sigma_z2_db, mode)
+    assert {p.modulation1 for p in pts} == {"qpsk", "8qam", "64qam"}
+    for p in pts:
+        cfg = FrameConfig(zeta_db=(p.zeta1_db, p.zeta2_db), sigma_z2_db=sigma_z2_db,
+                          modulations=(p.modulation1, p.modulation2), mode=mode)
+        table = fixed_channel_experiment(h, cfg)
+        assert p.avg_power_dbw == 10.0 * np.log10(np.mean(table.cipm_power))
 
 
 def test_region_maps_need_two_users():
