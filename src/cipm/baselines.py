@@ -182,8 +182,8 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     starts with some h_cj x0 = 0 are skipped). All starts take up to 200 SCA
     rounds in lock-step, one min_norm_ldp call each. From round 2 on, each
     start's QP starts from its previous round's support (nu > 0), which a
-    converging descent keeps, so most rounds need no NNLS; a certified point is
-    the round's unique optimum, so this changes the cost, not the result. A start
+    converging descent keeps, so most rounds certify in one step; a point depends
+    on its support alone, so this changes the cost, not the result. A start
     stops once its power drops by no more than 1e-12 (1 + p), taking that step
     only if lower. Each row keeps its first minimum-power start, certified
     feasible by evaluation: returns x (C, Nt), power (C,) and feasible (C,).

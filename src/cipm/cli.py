@@ -345,11 +345,9 @@ def cmd_modmap(opts):
     if opts["backend"] in ("analytic", "both"):
         backends.append(("analytic", AnalyticBackend()))
     if opts["backend"] in ("empirical", "both"):
-        cache = os.path.join(_outdir(opts), "ser_cache")
-        os.makedirs(cache, exist_ok=True)
         backends.append(("empirical", EmpiricalBackend(
-            cache_dir=cache, symbols_per_point=opts["symbols"],
-            seed=opts["seed"])))
+            cache_dir=os.path.join(opts["out"], "ser_cache"),
+            symbols_per_point=opts["symbols"], seed=opts["seed"])))
     for label, backend in backends:
         alloc = allocate(table, opts["rates"], backend=backend)
         print(f"[{label}]")

@@ -284,6 +284,7 @@ class EmpiricalBackend:
                 self.curves[name] = build_ser_curve(name, symbols_per_point=self.symbols_per_point,
                                                     seed=self.seed)
                 if path is not None:
+                    os.makedirs(self.cache_dir, exist_ok=True)
                     self.curves[name].save_csv(path)
         return self.curves[name]
 
@@ -306,9 +307,9 @@ class LinkAllocation:
 def allocate(table, target_rates, backend=None):
     """Run the full adaptation pipeline for a vector of per-user rates."""
     backend = backend or AnalyticBackend()
+    entries = [select_modulation(table, float(r)) for r in target_rates]   # before any curve
     mods, sers, zetas = [], [], []
-    for r in target_rates:
-        entry = select_modulation(table, float(r))
+    for r, entry in zip(target_rates, entries):
         ser = ser_from_goodput(float(r), entry.rate)
         if ser == 0.0:
             # lossless target: no finite SINR makes SER exactly zero, report

@@ -58,8 +58,8 @@ class FrameConfig:
             raise ValueError(f"precoder must be one of {PRECODERS}")
         if self.multicast_restarts < 0:
             raise ValueError("need multicast_restarts >= 0")
-        if not np.isfinite([self.sigma_h2_db, self.sigma_z2_db]).all():
-            raise ValueError("sigma_h2_db and sigma_z2_db must be finite")
+        if not np.abs([self.sigma_h2_db, self.sigma_z2_db]).max() <= 3000.0:   # 1e-300..1e300
+            raise ValueError("sigma_h2_db and sigma_z2_db must be finite and within +-3000 dB")
 
     @property
     def beta(self):
@@ -142,10 +142,11 @@ def _solve_shape(frames, precoders):
     h, stacked = np.stack([d.channel.entries for d in frames])[row], np.concatenate(combos)
     xs = {"cipm": solve_cipm_stack(h, specs, stacked, targets, cfg.mode)[0]}
     if "multicast" in precoders:
-        # bounds on the effective channels, warm started at each row's CIPM
-        # point so none exceeds it, from its frame's seed
+        # bounds on the effective channels (built per frame, as a lone frame's bits),
+        # warm started at each row's CIPM point so none exceeds it, from its frame's seed
+        eff = [effective_channel(d.channel, specs, c).entries for d, c in zip(frames, combos)]
         xs["multicast"], _, feasible = solve_multicast_stack(
-            effective_channel(h, specs, stacked).entries, targets, cfg.multicast_restarts,
+            np.concatenate(eff), targets, cfg.multicast_restarts,
             np.array([d.mc_seed for d in frames])[row], xs["cipm"])
         if not feasible.all():
             c = stacked[np.argmin(feasible)].tolist()

@@ -6,18 +6,11 @@ away from the origin for lattice-edge components. make_problem (per user)
 and solve_cipm_stack (through constellation.gather) read them from the cached
 coefficient and free-axis tables into one sign-normalized real system on
 [Re x; Im x], whose minimum-norm point is the transmit vector: a
-least-distance program. One QP core, min_norm_ldp, solves a stack of them.
-It first tries a guessed working set, in one batched SVD: the caller's
-first working set if given (the multicast SCA rounds pass each start's
-previous support), else every row active for a stack of two or more. Where
-that point is feasible and its multipliers are nonnegative on the
-inequality rows, it is the optimum. The other problems, and a lone one with
-no working set (where the guess would cost about what it saves), run one
-NNLS each, which finds the active set, or a Farkas certificate of
-infeasibility, for any rank of the rows (overloaded and collinear users
-included); one more batched SVD then gives every active set's point and
-multipliers. solve_cipm (strict mode included, through make_problem(...,
-"strict")) and the equivalent-channel form run the core on one problem,
+least-distance program. One QP core, min_norm_ldp, solves a stack of them by
+lock-step primal-dual active-set steps on their Gram systems; what those do
+not certify runs one NNLS each, which finds the active set, or a Farkas
+certificate of infeasibility, for any rank of the rows. solve_cipm (strict
+mode included) and the equivalent-channel form run the core on one problem,
 frames and the multicast SCA rounds on stacks. The KKT report keeps the
 multipliers and builds its residual, violation, active set and correlation
 matrix only on request.
@@ -34,8 +27,10 @@ from scipy.optimize import nnls
 from .channel import REFERENCE_SYMBOL, ChannelMatrix, as_entries, effective_channel
 from .constellation import ConstellationSpec, gather
 
-_FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a guess, 1 + max|rhs| after NNLS
+_FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a step, 1 + max|rhs| after NNLS
 _LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
+_REFINE_TOL = 1e-13  # a certified point's largest refinement step, times ||u||
+_STEPS = 5          # active-set steps before a problem falls back to NNLS
 MODES = ("relaxed", "strict")
 
 
@@ -195,42 +190,61 @@ def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
     return (c[:, None] @ vt)[:, 0], (left @ (c * sv_inv)[..., None])[..., 0] * work
 
 
+def _gram_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x (C, m) of g x = b; a singular slice gives nan in its own row, not an error."""
+    try:
+        return np.linalg.solve(g, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:       # one singular slice fails the call: bisect the stack
+        half = len(g) // 2
+        return (np.concatenate([_gram_solve(g[:half], b[:half]), _gram_solve(g[half:], b[half:])])
+                if half else np.full(b.shape, np.nan))
+
+
+def _pdas_step(gram, rows, rhs, is_eq, w):
+    """One primal-dual active-set step: solve (A_w A_w^T) nu = b_w (identity rows off w), u =
+    A^T nu. Returns u, nu, the next w = is_eq | (nu + (b - A u) / max_i ||a_i||^2 > 0) and
+    done: u keeps w, meets its rows within _FEAS_TOL max|b| and the rest exactly, has nu >= 0
+    on inequality rows, and a refinement step moves it by at most _REFINE_TOL ||u||."""
+    g = np.where(w[:, :, None] & w[:, None, :], gram, np.eye(w.shape[1]))
+    nu = _gram_solve(g, np.where(w, rhs, 0.0))
+    u = (nu[:, None] @ rows)[:, 0]
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    w_next = is_eq | (nu * np.einsum("cii->ci", gram).max(axis=1, keepdims=True) + gaps > 0.0)
+    tol = _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True)
+    done = ~((w_next != w) | (np.abs(gaps) > tol) & w | (nu < 0.0) & ~is_eq).any(axis=1)
+    if done.any():
+        du = (_gram_solve(g, np.where(w, gaps, 0.0))[:, None] @ rows)[:, 0]
+        done &= np.abs(du).max(axis=1) <= _REFINE_TOL * np.abs(u).max(axis=1)
+    return u, nu, w_next, done
+
+
 def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None,
                  work: np.ndarray | None = None):
     """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
 
-    The stack is first solved on a guessed working set, in one batched
-    _polish: work (C, m), ORed with is_eq, if given, else every row (a
-    stack of one with no work skips the guess: at C=1 it costs about what
-    one NNLS costs and certifies only about half of the slots). Where that
-    point meets the guessed rows within _FEAS_TOL max|rhs| and every other
-    row exactly, and its multipliers are nonnegative on the inequality rows,
-    it meets the KKT conditions, so it is the optimum: bit for bit what
-    _ldp_nnls returns when NNLS picks the same support. The other problems go
-    to _ldp_nnls, in index order. A guess changes the cost, never the
-    optimum. Errors name problem c by keys[c], if given. Returns u (C, n) and
-    nu (C, m) with u[c] = rows[c].T @ nu[c].
+    Up to _STEPS lock-step primal-dual active-set steps (Hintermueller, Ito and Kunisch,
+    SIAM J. Optim. 2002) from working sets work | is_eq, else every row. Problems left open
+    go to _ldp_nnls in index order (the only source of Farkas certificates and of
+    ActiveSetLimitError), then one step from each NNLS support retakes the points it
+    certifies: a point depends on its support alone, so a first working set changes the
+    cost, never the optimum. Errors name problem c by keys[c], if given. Returns u (C, n)
+    and nu (C, m) with u[c] = rows[c].T @ nu[c].
     """
-    if work is None and len(rows) < 2:
-        return _ldp_nnls(rows, rhs, is_eq, keys)
-    guess = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
-    u, nu = _polish(rows, rhs, guess)
-    tol = np.where(guess, _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True), 0.0)
-    rest = np.flatnonzero((_violations(rows, rhs, is_eq, u, tol) | ((nu < 0.0) & ~is_eq))
-                          .any(axis=1))
-    if len(rest):
-        u[rest], nu[rest] = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest],
-                                      None if keys is None else keys[rest])
+    w = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
+    gram = rows @ rows.transpose(0, 2, 1)
+    u, nu, w, done = _pdas_step(gram, rows, rhs, is_eq, w)
+    for _ in range(_STEPS - 1):         # later steps take only the open problems
+        if done.all():
+            break
+        o = ~done if done.any() else slice(None)
+        u[o], nu[o], w[o], done[o] = _pdas_step(gram[o], rows[o], rhs[o], is_eq[o], w[o])
+    if not done.all():
+        rest = np.flatnonzero(~done)
+        g, a, b, eq = gram[rest], rows[rest], rhs[rest], is_eq[rest]
+        u[rest], nu[rest] = _ldp_nnls(a, b, eq, None if keys is None else keys[rest])
+        x, v, _, done = _pdas_step(g, a, b, eq, eq | (nu[rest] > 0.0))
+        u[rest[done]], nu[rest[done]] = x[done], v[done]
     return u, nu
-
-
-def _violations(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, u: np.ndarray,
-                tol: np.ndarray) -> np.ndarray:
-    """Rows (C, m) that u misses by more than tol: |gap| on is_eq rows, the shortfall on the
-    rest."""
-    gaps = rhs - (rows @ u[..., None])[..., 0]
-    np.abs(gaps, out=gaps, where=is_eq)
-    return gaps > tol
 
 
 def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
@@ -261,7 +275,8 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
             raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
                                              f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
     u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
-    bad = _violations(rows, rhs, is_eq, u, _FEAS_TOL * (1.0 + b_max))
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    bad = np.where(is_eq, np.abs(gaps), gaps) > _FEAS_TOL * (1.0 + b_max)
     if bad.any():
         c = int(np.argmax(bad.any(axis=1)))
         raise SolverError(f"{where(c)}active-set point violates rows "

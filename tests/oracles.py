@@ -17,7 +17,10 @@ that the solver's least-distance core replaced, a scalar active-set loop
 (min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
 verbatim at the end as references for it, followed by that core as it was
 before it certified a stack's all-active points (min_norm_ldp: one NNLS per
-problem), the reference for the certify-first step. Last comes the
+problem), the reference for the certify-first step, and that certify-first
+core as it was before primal-dual active-set steps on the Gram system
+replaced its guess (certify_first_ldp: one SVD polish of a guessed working
+set, then NNLS), the reference for the Gram core. Last comes the
 hand-written pool-adjacent-violators fit (_isotonic_nonincreasing) that
 SerCurve.monotonized used before it called scipy's isotonic_regression.
 After it come detect and build_ser_curve as they were before the SER curve
@@ -56,7 +59,8 @@ from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
 from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, SolverError, _polish, _row_labels, solve_cipm_stack)
+                         SinrTargets, SolverError, _ldp_nnls, _polish, _row_labels,
+                         solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -565,6 +569,51 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
         raise SolverError(f"{where(c)}active-set point violates rows "
                           f"{[_row_labels(m)[i] for i in np.flatnonzero(bad[c])]}")
     return u, nu
+
+
+# The least-distance core as it was before lock-step primal-dual active-set
+# steps on the Gram system replaced its first guess: one batched SVD polish
+# of a guessed working set (the caller's, or every row for a stack of two or
+# more), then NNLS and a second polish for each problem the guess does not
+# certify, and NNLS alone for a lone problem with no working set. Kept
+# verbatim, with its violation test, as the reference the Gram core must match
+# within 1e-12.
+def certify_first_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None,
+                      work: np.ndarray | None = None):
+    """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
+
+    The stack is first solved on a guessed working set, in one batched
+    _polish: work (C, m), ORed with is_eq, if given, else every row (a
+    stack of one with no work skips the guess: at C=1 it costs about what
+    one NNLS costs and certifies only about half of the slots). Where that
+    point meets the guessed rows within _FEAS_TOL max|rhs| and every other
+    row exactly, and its multipliers are nonnegative on the inequality rows,
+    it meets the KKT conditions, so it is the optimum: bit for bit what
+    _ldp_nnls returns when NNLS picks the same support. The other problems go
+    to _ldp_nnls, in index order. A guess changes the cost, never the
+    optimum. Errors name problem c by keys[c], if given. Returns u (C, n) and
+    nu (C, m) with u[c] = rows[c].T @ nu[c].
+    """
+    if work is None and len(rows) < 2:
+        return _ldp_nnls(rows, rhs, is_eq, keys)
+    guess = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
+    u, nu = _polish(rows, rhs, guess)
+    tol = np.where(guess, _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True), 0.0)
+    rest = np.flatnonzero((_violations(rows, rhs, is_eq, u, tol) | ((nu < 0.0) & ~is_eq))
+                          .any(axis=1))
+    if len(rest):
+        u[rest], nu[rest] = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest],
+                                      None if keys is None else keys[rest])
+    return u, nu
+
+
+def _violations(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, u: np.ndarray,
+                tol: np.ndarray) -> np.ndarray:
+    """Rows (C, m) that u misses by more than tol: |gap| on is_eq rows, the shortfall on the
+    rest."""
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    np.abs(gaps, out=gaps, where=is_eq)
+    return gaps > tol
 
 
 def _isotonic_nonincreasing(y):

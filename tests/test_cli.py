@@ -231,6 +231,8 @@ _NOISE = "sigma_h2_db and sigma_z2_db must be finite"
     (["sweep", "--zeta-db", "nan"], "--zeta-db"),      # read on fixed axes only
     (["pdfcheck", "--threshold", "nan"], "--threshold"),
     (["fixed", "--preset", "regions", "--grid", "4,1e308"], _TARGETS),   # overflows
+    (["sweep", "--sigma-z2-db", "1e308"], _NOISE),    # its linear power overflows
+    (["sweep", "--sigma-h2-db", "1e308"], _NOISE),
 ])
 def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
     if argv[0] == "sweep":
@@ -502,6 +504,21 @@ def test_bad_sample_counts_exit_config_naming_the_option(tmp_path, argv, name, c
     assert captured.out == ""
     cache = tmp_path / "ser_cache"
     assert not cache.exists() or list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--backend", "empirical", "--rates", "nan"],
+    ["--backend", "empirical", "--rates", "1.9,nan"],
+    ["--backend", "both", "--rates", "1.9", "--symbols", "0"],
+])
+def test_modmap_checks_its_input_before_it_writes(tmp_path, argv, capsys):
+    # a bad rate or symbol count exits 2 with the output directory left empty:
+    # no ser_cache, and no curve built for the rates before a bad one
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["modmap", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_modmap_requires_rates(capsys):

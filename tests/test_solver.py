@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,17 +184,19 @@ def test_iteration_budget_error_is_raised_when_capped(monkeypatch):
         raise RuntimeError("Maximum number of iterations reached.")
 
     h, spec, _, targets = _random_instance(14, k=2, nt=2)
-    combos = np.array([[3, 7], [0, 1]])
-    # [3, 7]'s all-active point has negative multipliers, so the stack sends
-    # it to NNLS rather than certifying it
-    prob = make_problem(h, [spec, spec], combos[0], targets)
-    _, nu = _polish(prob.rows[None], prob.rhs[None], np.ones((1, 4), dtype=bool))
-    assert np.any(nu[0, ~prob.is_eq] < 0.0)
+    h = np.stack([h, h[[0, 0]]])     # row 1's users are twins: [3, 7] asks one point for two
+    combos = np.array([[0, 1], [3, 7]])
+    # no active-set step certifies an infeasible problem, so [3, 7] reaches
+    # NNLS, alone or in a stack
+    with pytest.raises(InfeasibleConstraintsError):
+        solve_cipm(make_problem(h[1], [spec, spec], combos[1], targets))
     monkeypatch.setattr(solver, "nnls", capped)
     with pytest.raises(ActiveSetLimitError, match=re.escape("combination [3, 7]: NNLS")):
         solve_cipm_stack(h, [spec, spec], combos, targets, "relaxed")
     with pytest.raises(ActiveSetLimitError, match="Maximum number of iterations"):
-        solve_cipm(make_problem(h, [spec, spec], combos[1], targets))
+        solve_cipm(make_problem(h[1], [spec, spec], combos[1], targets))
+    # the feasible row is certified without NNLS
+    solve_cipm(make_problem(h[0], [spec, spec], combos[0], targets))
 
 
 def test_solver_is_deterministic():
@@ -542,8 +545,8 @@ def _certify_first_stack(load, stack, nt, data, log_channel, log_target, seed, n
        seed=st.integers(0, 2 ** 32 - 1), n_combos=st.integers(2, 10))
 def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channel, log_target,
                                                seed, n_combos):
-    # stacks of two or more take the all-active certificate where it holds and
-    # NNLS elsewhere; outputs and errors must be those of the NNLS-only core
+    # the active-set steps certify what they can and NNLS takes the rest;
+    # outputs and errors must be those of the NNLS-only core
     rows, rhs, is_eq, keys = _certify_first_stack(load, stack, nt, data, log_channel,
                                                   log_target, seed, n_combos)
     try:
@@ -557,13 +560,108 @@ def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channe
             c = [str(key.tolist()) for key in keys].index(named)
             _assert_farkas(err.value.farkas, rows[c], rhs[c], is_eq[c])
         return
-    u, nu = min_norm_ldp(rows, rhs, is_eq, keys)
+    with mock.patch.object(solver, "_ldp_nnls", wraps=solver._ldp_nnls) as fallback:
+        u, nu = min_norm_ldp(rows, rhs, is_eq, keys)
     norms = np.linalg.norm(u_ref, axis=1)
     assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * norms)
     assert np.einsum("cn,cn->c", u, u) == pytest.approx(norms ** 2, rel=1e-12)
-    # where NNLS kept every row, the certificate's point is the same polish
-    full = np.all(nu_ref != 0.0, axis=1)
-    assert np.array_equal(u[full], u_ref[full]) and np.array_equal(nu[full], nu_ref[full])
+    # a row sent to NNLS is bit for bit the oracle's, unless the active-set step
+    # from the oracle's support certifies it: then it is that step's point, as on
+    # any path to that support
+    sent = [r for call in fallback.call_args_list for r in call.args[0]]
+    for c in [c for c in range(len(rows)) if any(np.array_equal(rows[c], r) for r in sent)]:
+        a, support = rows[c:c + 1], is_eq[c:c + 1] | (nu_ref[c:c + 1] > 0.0)
+        x, v, _, _ = solver._pdas_step(a @ a.transpose(0, 2, 1), a, rhs[c:c + 1],
+                                       is_eq[c:c + 1], support)
+        assert ((np.array_equal(u[c], u_ref[c]) and np.array_equal(nu[c], nu_ref[c]))
+                or (np.array_equal(u[c], x[0]) and np.array_equal(nu[c], v[0]))), c
+
+
+def test_gram_solve_keeps_a_singular_slice_to_its_own_row():
+    # np.linalg.solve raises for a whole stack when one slice is singular; the
+    # core's solve gives that row nan and every other row its lone solve's bits
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((9, 4, 6))
+    g, b = a @ a.transpose(0, 2, 1), rng.standard_normal((9, 4))
+    g[3], g[7] = np.ones((4, 4)), 0.0
+    x = solver._gram_solve(g, b)
+    assert np.isnan(x[[3, 7]]).all()
+    for c in set(range(9)) - {3, 7}:
+        assert np.array_equal(x[c], np.linalg.solve(g[c], b[c]))
+
+
+def _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos):
+    """(rows, rhs, is_eq, keys) of C problems of K users (loaded or overloaded), each
+    on its own channel: independent users, users on one direction with their own gain
+    and phase (twins of user 1 among them, some with its constellation and symbol,
+    others making the problem infeasible where their rows are equalities), or users a
+    relative 1e-6..1e-2 off one direction (near-collinear); stack as in
+    _certify_first_stack. Closer to collinear, the replaced core can take a
+    least-squares compromise of two near-twin rows that misses one by up to its
+    feasibility tolerance, 1e-9 max|rhs|, so it is no 1e-12 reference there."""
+    k = data.draw(st.integers(1, nt + 2), label="k")
+    specs = [get_constellation(n) for n in
+             data.draw(st.lists(st.sampled_from(["qpsk", "16qam"]), min_size=k, max_size=k),
+                       label="constellations")]
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 3, (n_combos, 1, 1))     # independent, collinear, near-collinear
+    h = (rng.standard_normal((n_combos, k, nt)) + 1j * rng.standard_normal((n_combos, k, nt)))
+    twins = (rng.random((n_combos, k)) < 0.5) & (kind[:, 0] > 0)
+    twins[:, 0] = True
+    gains = np.where(twins, 1.0, rng.uniform(0.5, 2.0, twins.shape)
+                     * np.exp(2j * np.pi * rng.random(twins.shape)))
+    off = 10.0 ** rng.uniform(-6.0, -2.0, kind.shape) * (kind == 2) * h
+    h = 10.0 ** log_channel * np.where(kind == 0, h, gains[..., None] * h[:, :1] + off)
+    zeta = 10.0 ** rng.uniform(0.0, 2.0, twins.shape)
+    targets = SinrTargets(zeta=np.where(twins, zeta[:, :1], zeta), sigma_z=10.0 ** log_target)
+    if stack == "sca":
+        x = rng.standard_normal((n_combos, nt)) + 1j * rng.standard_normal((n_combos, nt))
+        rhs_abs2 = targets.zeta * targets.sigma_z ** 2
+        x *= np.sqrt(np.max(rhs_abs2 / np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2,
+                            axis=1))[:, None]
+        rows, rhs = baselines._tangent_rows(h, x, rhs_abs2)
+        return rows, rhs, np.zeros(rhs.shape, dtype=bool), np.arange(n_combos)
+    combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
+    same = (twins & (kind[:, 0] > 0) & (rng.random(twins.shape) < 0.5)
+            & np.array([spec is specs[0] for spec in specs]))
+    combos[same] = np.broadcast_to(combos[:, :1], combos.shape)[same]
+    coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
+    free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (stack == "relaxed")
+    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
+    return rows, rhs, is_eq, np.column_stack([np.arange(n_combos), combos])   # unique keys
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stack=st.sampled_from(["relaxed", "strict", "sca"]), nt=st.integers(1, 3),
+       data=st.data(), log_channel=st.floats(-6.0, 6.0), log_target=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1), n_combos=st.integers(1, 10),
+       guess=st.sampled_from(["none", "random"]))
+def test_gram_core_matches_certify_first_core(stack, nt, data, log_channel, log_target, seed,
+                                              n_combos, guess):
+    # the active-set steps on the Gram system against the core they replaced
+    # (a guessed working set, then NNLS): the same optimum within 1e-12, or the
+    # same error naming the same combination, with a Farkas certificate
+    rows, rhs, is_eq, keys = _mixed_stack(stack, nt, data, log_channel, log_target, seed,
+                                          n_combos)
+    work = (np.random.default_rng(seed).random(rhs.shape) < 0.5) if guess == "random" else None
+    try:
+        u_ref, _ = oracles.certify_first_ldp(rows, rhs, is_eq, keys, work)
+    except SolverError as ref:
+        with pytest.raises(type(ref)) as err:
+            min_norm_ldp(rows, rhs, is_eq, keys, work)
+        named = re.match(r"combination (.*?): ", str(ref)).group(1)
+        assert str(err.value).startswith(f"combination {named}: ")
+        if isinstance(ref, InfeasibleConstraintsError):
+            # the replaced core's certificate; rhs @ z == 1 up to the rounding of its terms
+            c, z = [str(key.tolist()) for key in keys].index(named), err.value.farkas
+            assert np.array_equal(z, ref.farkas)
+            assert abs(rhs[c] @ z - 1.0) <= 1e-12 * (np.abs(rhs[c]) @ np.abs(z))
+            assert np.all(z[~is_eq[c]] >= 0.0)
+            assert (np.linalg.norm(rows[c].T @ z)
+                    <= 1e-9 * np.abs(rows[c]).max() / np.abs(rhs[c]).max())
+        return
+    u, _ = min_norm_ldp(rows, rhs, is_eq, keys, work)
+    assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * np.linalg.norm(u_ref, axis=1))
 
 
 def _kkt_failures(rows, rhs, is_eq, u, tol=1e-8):
@@ -646,10 +744,10 @@ def test_guessed_point_is_checked_relative_to_the_rhs(scale):
 
 
 def test_certified_stack_rows_skip_nnls(monkeypatch):
-    # most rows of a frame's stacks are certified by the all-active point; a
-    # lone problem always runs NNLS once. Seed 0, frame 0: 120 of 128
-    # multicast-frame rows (CIPM warm start and SCA rounds) and 37 of 99
-    # 4x4 16QAM rows are certified
+    # the active-set steps certify every row of these frames' stacks, and a
+    # lone problem, with no NNLS. Seed 0, frame 0: the 128 multicast-frame rows
+    # (CIPM warm start and SCA rounds) and the 99 4x4 16QAM rows (the
+    # certify-first core sent 8 and 70 of them to NNLS, and every lone problem)
     counts = {"nnls": 0, "stacked": 0, "stacked_nnls": 0}
     core, ldp = solver.nnls, solver.min_norm_ldp
 
@@ -673,10 +771,9 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
                 FrameConfig(n_symbols=100, frames=1, n_antennas=4, k_users=4, zeta_db=17.0,
                             modulations="16qam", seed=0)):
         run_frame(cfg, draw_channel(cfg, 0), 0)
-    assert counts["stacked"] > 0
-    assert counts["stacked_nnls"] <= counts["stacked"] / 2
+    assert counts["stacked"] == 128 + 99
+    assert counts["stacked_nnls"] == 0
     h, spec, symbols, targets = _random_instance(11, k=2, nt=2)
-    counts["nnls"] = 0
     solve_cipm(make_problem(h, [spec, spec], symbols, targets))
-    assert counts["nnls"] == 1
+    assert counts["nnls"] == 0
 
