@@ -204,6 +204,15 @@ def resolve_options(args):
     return opts
 
 
+def _check_targets(cfg, flags):
+    """Each (flag, value) as cfg's zeta_db must give valid targets; an error names the flag."""
+    for flag, value in flags:
+        try:
+            replace(cfg, zeta_db=value).targets()
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+
+
 def _outdir(opts):
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
@@ -226,11 +235,8 @@ def cmd_sweep(opts):
         modulations=tuple(opts["modulations"]), mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
     sinr_grid = opts["grid"] if opts["axis"] == "sinr" else []
-    for flag, value in [("--zeta-db", opts["zeta_db"])] + [("--grid", v) for v in sinr_grid]:
-        try:                    # --zeta-db on every axis, though only fixed axes read it
-            replace(cfg, zeta_db=value).targets()
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+    # --zeta-db on every axis, though only fixed axes read it
+    _check_targets(cfg, [("--zeta-db", opts["zeta_db"])] + [("--grid", v) for v in sinr_grid])
     rows = run_sweep(cfg, opts["grid"], axis=opts["axis"],
                      precoders=tuple(opts["precoders"]),
                      threads=opts["threads"] if opts["threads"] > 0 else os.cpu_count() or 1)
@@ -273,10 +279,14 @@ def cmd_fixed(opts):
     stray = [f"--{key}" for key in ("grid", "table") if opts[key] is not None]
     if stray and opts["preset"] != "regions":
         raise ValueError(f"{' and '.join(stray)} only apply with --preset regions")
+    cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
+                      modulations=tuple(opts["modulations"]), mode=opts["mode"])
+    grid = _parse_region_grid(opts["grid"]) if opts["preset"] == "regions" else None
+    _check_targets(cfg, [("--zeta-db", opts["zeta_db"])] if grid is None
+                   else [("--grid", v) for v in grid])
     out = _outdir(opts)
 
-    if opts["preset"] == "regions":
-        grid = _parse_region_grid(opts["grid"])
+    if grid is not None:
         points = region_maps(channel.entries, grid, _ladder(opts),
                              sigma_z2_db=opts["sigma_z2_db"],
                              mode=opts["mode"])
@@ -288,8 +298,6 @@ def cmd_fixed(opts):
             print(f"  power range {min(powers):.3f} .. {max(powers):.3f} dBW")
         return EXIT_OK
 
-    cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-                      modulations=tuple(opts["modulations"]), mode=opts["mode"])
     table = fixed_channel_experiment(channel.entries, cfg)
     path = os.path.join(out, "combinations.csv")
     write_combination_csv(table, path)

@@ -7,9 +7,10 @@ to the slot's symbols), adds receiver noise, detects, and aggregates
 power/SER/goodput statistics. Sweeps repeat frames over a grid of targets or
 system sizes with per-frame derived seeds, so runs are reproducible. A
 sweep, run_frames and run_frame share one stacked runner: a (grid value,
-frame) job draws once for every precoder, all jobs share one lock-step OB
-loop, the jobs of one shape one CIPM stack solve and one multicast SCA loop,
-and each of n worker processes runs every n-th job (its own stacks). Both
+frame) job draws once for every precoder, the jobs of one shape share one CIPM
+stack solve and one multicast SCA loop, the jobs still alive one lock-step OB
+loop, and each of n worker processes runs every n-th job (its own stacks).
+From the stacks' per-row errors, one pass finds the first failing job. Both
 fixed-channel studies take targets, noise and constellations from FrameConfig.
 """
 
@@ -19,13 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import solve_multicast_stack, solve_ob, solve_ob_stack
+from .baselines import _ob_frames, solve_multicast_stack, solve_ob
 from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats, write_csv)
 from .constellation import detect, gather, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
-from .solver import SinrTargets, SolverError, _check_mode, solve_cipm_stack
+from .solver import (SinrTargets, SolverError, _check_mode, _cipm_rows, _in_combination,
+                     solve_cipm_stack)
 
 PRECODERS = ("cipm", "ob", "multicast")
 
@@ -134,73 +136,92 @@ def _result(d: _Frame, x, det_scale, hits, entries) -> FrameResult:
 
 
 def _solve_shape(frames, precoders):
-    """cipm and multicast results of same-shaped frames: one CIPM stack, one SCA loop."""
+    """cipm and multicast results of same-shaped frames: one CIPM stack, then one SCA loop on
+    the frames whose CIPM rows all solved. Returns {i: the error frames[i] raises alone}."""
     cfg, specs = frames[0].cfg, frames[0].cfg.constellations()
     combos, inverse = zip(*(np.unique(d.symbols, axis=0, return_inverse=True) for d in frames))
     row = np.repeat(np.arange(len(frames)), [len(c) for c in combos])    # frame of each row
     targets = SinrTargets(np.stack([d.targets.zeta for d in frames])[row], cfg.sigma_z)
     h, stacked = np.stack([d.channel.entries for d in frames])[row], np.concatenate(combos)
-    xs = {"cipm": solve_cipm_stack(h, specs, stacked, targets, cfg.mode)[0]}
-    if "multicast" in precoders:
+    x, _, errors = _cipm_rows(h, specs, stacked, targets, cfg.mode)
+    xs, ok = {"cipm": x}, ~np.isin(row, row[list(errors)])    # rows of frames still alive
+    if "multicast" in precoders and ok.any():
         # bounds on the effective channels (built per frame, as a lone frame's bits),
         # warm started at each row's CIPM point so none exceeds it, from its frame's seed
-        eff = [effective_channel(d.channel, specs, c).entries for d, c in zip(frames, combos)]
-        xs["multicast"], _, feasible = solve_multicast_stack(
-            np.concatenate(eff), targets, cfg.multicast_restarts,
-            np.array([d.mc_seed for d in frames])[row], xs["cipm"])
-        if not feasible.all():
-            c = stacked[np.argmin(feasible)].tolist()
-            raise SolverError(f"combination {c}: multicast bound infeasible despite warm start")
+        eff = np.concatenate([effective_channel(d.channel, specs, c).entries
+                              for d, c in zip(frames, combos)])
+        xs["multicast"] = x.copy()
+        xs["multicast"][ok], _, feasible, mc = solve_multicast_stack(
+            eff[ok], SinrTargets(targets.zeta[ok], cfg.sigma_z), cfg.multicast_restarts,
+            np.array([d.mc_seed for d in frames])[row[ok]], x[ok])
+        errors.update({np.flatnonzero(ok)[i]: mc.get(i, SolverError(
+            "multicast bound infeasible despite warm start")) for i in np.flatnonzero(~feasible)})
+    # each frame's first failing row: rows in reverse, so the first one is written last
+    failed = {row[c]: _in_combination(errors[c], stacked[c]) for c in sorted(errors)[::-1]}
     for i, d in enumerate(frames):
+        if i in failed:
+            continue
         # the inverse's shape changed across numpy 2.0.x; flatten it
         take, c = np.flatnonzero(row == i)[inverse[i].ravel()], len(combos[i])
         # cipm receivers rescale by the constraint scaling before the slicer
         scale = {"cipm": np.sqrt(d.targets.zeta) * d.targets.sigma_z, "multicast": None}
         d.results.update({p: _result(d, xs[p][take], scale[p], d.cfg.n_symbols - c, c)
                           for p in xs if p in precoders})
+    return failed
+
+
+def _solve_jobs(jobs, precoders):
+    """Per job (cfg, frame index, channel or None), in job order, {precoder: FrameResult} or
+    the error the job raises alone: its first failing CIPM row's, else multicast row's,
+    else its OB frame's.
+
+    A job draws its channel (unless given), then its symbols, multicast seed and noise,
+    once for every precoder. The frames of one shape (K, Nt, modulations, mode, noise,
+    restarts) share one _solve_shape, and the frames still alive one OB stack.
+    """
+    frames, shapes = [], {}
+    for cfg, f, channel in jobs:
+        channel = draw_channel(cfg, f) if channel is None else channel
+        rng = _frame_rng(cfg.seed, f, 1)
+        symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
+                                   for s in cfg.constellations()])
+        mc_seed = int(rng.integers(0, 2 ** 31))
+        noise = 0.0 if cfg.noiseless else cfg.sigma_z * (
+            (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
+            / np.sqrt(2.0))
+        shapes.setdefault((cfg.k_users, cfg.n_antennas, tuple(cfg.modulation_names()),
+                           cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(len(frames))
+        frames.append(_Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise, {}))
+    out = [d.results for d in frames]
+    for idx in shapes.values() if {"cipm", "multicast"} & set(precoders) else ():
+        for i, err in _solve_shape([frames[j] for j in idx], precoders).items():
+            out[idx[i]] = err
+    ob = [i for i, o in enumerate(out) if "ob" in precoders and isinstance(o, dict)]
+    beams = _ob_frames([frames[i].channel for i in ob], [frames[i].targets for i in ob])
+    for i, d, b in zip(ob, [frames[i] for i in ob], beams):
+        # user j detects against its own beam gain h_j w_j
+        out[i] = b if isinstance(b, SolverError) else dict(d.results, ob=_result(
+            d, gather(d.cfg.constellations(), d.symbols) @ b.w,
+            np.diag(d.channel.entries @ b.w.T), 0, 1))
+    return out
 
 
 def _run_jobs(jobs, precoders, threads: int = 1):
-    """{precoder: FrameResult} per job (cfg, frame index, channel or None), in job order.
+    """_solve_jobs' results; raises the first failing job's error as 'frame f: <error>'.
 
-    A job draws its channel (unless given), then its symbols, multicast seed and
-    noise, once for every precoder. All frames share one solve_ob_stack; the frames
-    of one shape (K, Nt, modulations, mode, noise, restarts) share one _solve_shape.
-    With threads > 1, worker w of n = min(threads, jobs) runs jobs w, w + n, ...
+    With threads > 1, worker w of n = min(threads, jobs) solves jobs w, w + n, ...
     """
     n = min(threads, len(jobs))
     if n > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_run_jobs, [jobs[w::n] for w in range(n)], [precoders] * n))
-        return [parts[i % n][i // n] for i in range(len(jobs))]
-    frames, shapes = [], {}
-    try:
-        for cfg, f, channel in jobs:
-            channel = draw_channel(cfg, f) if channel is None else channel
-            rng = _frame_rng(cfg.seed, f, 1)
-            symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
-                                       for s in cfg.constellations()])
-            mc_seed = int(rng.integers(0, 2 ** 31))
-            noise = 0.0 if cfg.noiseless else cfg.sigma_z * (
-                (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
-                / np.sqrt(2.0))
-            frames.append(d := _Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise, {}))
-            shapes.setdefault((cfg.k_users, cfg.n_antennas, tuple(cfg.modulation_names()),
-                               cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(d)
-        for group in shapes.values() if {"cipm", "multicast"} & set(precoders) else ():
-            _solve_shape(group, precoders)
-        ob = frames if "ob" in precoders else []
-        for d, b in zip(ob, solve_ob_stack([d.channel for d in ob], [d.targets for d in ob])):
-            # user j detects against its own beam gain h_j w_j
-            d.results["ob"] = _result(d, gather(d.cfg.constellations(), d.symbols) @ b.w,
-                                      np.diag(d.channel.entries @ b.w.T), 0, 1)
-    except SolverError as exc:
-        if len(jobs) == 1:
-            raise SolverError(f"frame {jobs[0][1]}: {exc}") from exc
-        for job in jobs:        # alone, the first job that fails raises, naming its frame
-            _run_jobs([job], precoders)
-        raise
-    return [d.results for d in frames]
+            parts = list(pool.map(_solve_jobs, [jobs[w::n] for w in range(n)], [precoders] * n))
+    else:
+        parts = [_solve_jobs(jobs, precoders)]
+    out = [parts[i % n][i // n] for i in range(len(jobs))]
+    for (_, f, _), o in zip(jobs, out):
+        if isinstance(o, SolverError):
+            raise SolverError(f"frame {f}: {o}") from o
+    return out
 
 
 def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0

@@ -9,15 +9,17 @@ coefficient and free-axis tables into one sign-normalized real system on
 least-distance program. One QP core, min_norm_ldp, solves a stack of them by
 lock-step primal-dual active-set steps on their Gram systems; what those do
 not certify runs one NNLS each, which finds the active set, or a Farkas
-certificate of infeasibility, for any rank of the rows. solve_cipm (strict
-mode included) and the equivalent-channel form run the core on one problem,
-frames and the multicast SCA rounds on stacks. The KKT report keeps the
-multipliers and builds its residual, violation, active set and correlation
+certificate of infeasibility, for any rank of the rows. The core reports
+each failing problem's error, and each public entry raises from it. solve_cipm
+(strict mode included) and the equivalent-channel form run the core on one
+problem, frames and the multicast SCA rounds on stacks. The KKT report keeps
+the multipliers and builds its residual, violation, active set and correlation
 matrix only on request.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -218,17 +220,17 @@ def _pdas_step(gram, rows, rhs, is_eq, w):
     return u, nu, w_next, done
 
 
-def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None,
+def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
                  work: np.ndarray | None = None):
     """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
 
     Up to _STEPS lock-step primal-dual active-set steps (Hintermueller, Ito and Kunisch,
     SIAM J. Optim. 2002) from working sets work | is_eq, else every row. Problems left open
-    go to _ldp_nnls in index order (the only source of Farkas certificates and of
-    ActiveSetLimitError), then one step from each NNLS support retakes the points it
-    certifies: a point depends on its support alone, so a first working set changes the
-    cost, never the optimum. Errors name problem c by keys[c], if given. Returns u (C, n)
-    and nu (C, m) with u[c] = rows[c].T @ nu[c].
+    go to _ldp_nnls (the only source of Farkas certificates and of ActiveSetLimitError),
+    then one step from each NNLS support retakes the points it certifies: a point depends
+    on its support alone, so a first working set changes the cost, never the optimum.
+    Returns u (C, n), nu (C, m) with u[c] = rows[c].T @ nu[c], and errors: {c: the
+    SolverError problem c raises alone}, in index order, with u[c] and nu[c] nan.
     """
     w = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
     gram = rows @ rows.transpose(0, 2, 1)
@@ -238,17 +240,20 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
             break
         o = ~done if done.any() else slice(None)
         u[o], nu[o], w[o], done[o] = _pdas_step(gram[o], rows[o], rhs[o], is_eq[o], w[o])
-    if not done.all():
-        rest = np.flatnonzero(~done)
-        g, a, b, eq = gram[rest], rows[rest], rhs[rest], is_eq[rest]
-        u[rest], nu[rest] = _ldp_nnls(a, b, eq, None if keys is None else keys[rest])
-        x, v, _, done = _pdas_step(g, a, b, eq, eq | (nu[rest] > 0.0))
-        u[rest[done]], nu[rest[done]] = x[done], v[done]
-    return u, nu
+    if done.all():
+        return u, nu, {}
+    rest = np.flatnonzero(~done)
+    u[rest], nu[rest], errors = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest])
+    errors = {int(rest[c]): errors[c] for c in sorted(errors)}
+    rest = rest[~np.isin(rest, list(errors))]       # the retake skips the failed problems
+    a, b, eq = rows[rest], rhs[rest], is_eq[rest]
+    x, v, _, done = _pdas_step(gram[rest], a, b, eq, eq | (nu[rest] > 0.0))
+    u[rest[done]], nu[rest[done]] = x[done], v[done]
+    return u, nu, errors
 
 
-def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
-    """min_norm_ldp by one NNLS per problem, for any rank of its rows.
+def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray):
+    """min_norm_ldp by one NNLS per problem, for any rank of its rows (errors unordered).
 
     Lawson and Hanson, Solving Least Squares Problems, ch. 23: min ||E y -
     e_n+1|| over y >= 0, E = [A^T; b^T] with A and b scaled to unit max-norm
@@ -257,42 +262,58 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys):
     and those with y > 0 are the active set, whose point _polish recomputes
     (-r[:n] / r[n] loses digits to cancellation).
     """
-    where = (lambda c: "") if keys is None else (lambda c: f"combination {keys[c].tolist()}: ")
     m, n = rows.shape[1:]
     b_max = np.abs(rhs).max(axis=1, keepdims=True)
     b = rhs * (np.abs(rows).max(axis=(1, 2))[:, None] / np.maximum(b_max, np.finfo(float).tiny))
     e = np.concatenate([rows, b[..., None]], axis=2)
     e = np.concatenate([e, -e * is_eq[..., None]], axis=1).transpose(0, 2, 1).copy()
-    target, y = np.eye(n + 1)[n], np.empty((len(e), 2 * m))
+    target, y, errors = np.eye(n + 1)[n], np.zeros((len(e), 2 * m)), {}
     for c in range(len(e)):
         try:
             y[c], resid = nnls(e[c], target)
         except RuntimeError as exc:
-            raise ActiveSetLimitError(f"{where(c)}NNLS stopped: {exc}") from exc
+            errors[c] = ActiveSetLimitError(f"NNLS stopped: {exc}")
+            continue
         if resid <= _LDP_TOL:
             z = y[c, :m] - y[c, m:]
             bad = [_row_labels(m)[i] for i in np.flatnonzero(z)]
-            raise InfeasibleConstraintsError(f"{where(c)}infeasible; Farkas certificate on"
-                                             f" conflicting rows {bad}", bad, z / (rhs[c] @ z))
+            errors[c] = InfeasibleConstraintsError(
+                f"infeasible; Farkas certificate on conflicting rows {bad}", bad, z / (rhs[c] @ z))
     u, nu = _polish(rows, rhs, is_eq | (y[:, :m] > 0.0))
     gaps = rhs - (rows @ u[..., None])[..., 0]
     bad = np.where(is_eq, np.abs(gaps), gaps) > _FEAS_TOL * (1.0 + b_max)
-    if bad.any():
-        c = int(np.argmax(bad.any(axis=1)))
-        raise SolverError(f"{where(c)}active-set point violates rows "
-                          f"{[_row_labels(m)[i] for i in np.flatnonzero(bad[c])]}")
-    return u, nu
+    for c in np.flatnonzero(bad.any(axis=1)):
+        labels = [_row_labels(m)[i] for i in np.flatnonzero(bad[c])]
+        errors.setdefault(int(c), SolverError(f"active-set point violates rows {labels}"))
+    u[list(errors)] = nu[list(errors)] = np.nan
+    return u, nu, errors
 
 
-def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
-                     targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Transmit vectors (C, Nt) and powers (C,) of symbol rows (C, K); errors name the row.
+def _in_combination(err: SolverError, combo) -> SolverError:
+    """err as the row of symbol combination combo raises it: same type and fields."""
+    (named := copy.copy(err)).args = (f"combination {np.asarray(combo).tolist()}: {err}",)
+    return named
+
+
+def _cipm_rows(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
+               targets: SinrTargets, mode: str):
+    """Transmit vectors (C, Nt), powers (C,) and min_norm_ldp's errors of symbol rows (C, K).
     h is one channel (K, Nt) or one per row (C, K, Nt), targets.zeta (K,) or (C, K)."""
     _check_mode(mode)
     free = gather(specs, combos, "free") & (mode == "relaxed")
     rows, rhs, is_eq, _ = _assemble(h, gather(specs, combos, "coeffs"), free, targets)
-    u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
-    return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u)
+    u, _, errors = min_norm_ldp(rows, rhs, is_eq)
+    return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u), errors
+
+
+def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
+                     targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """_cipm_rows' vectors and powers; raises the first failing row's error, naming it."""
+    x, power, errors = _cipm_rows(h, specs, combos, targets, mode)
+    if errors:
+        c = min(errors)
+        raise _in_combination(errors[c], combos[c])
+    return x, power
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,
@@ -308,7 +329,9 @@ def _row_labels(m: int) -> tuple:
 
 def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
     """Minimum-power transmit vector honoring every detection region."""
-    u, nu = min_norm_ldp(problem.rows[None], problem.rhs[None], problem.is_eq[None])
+    u, nu, errors = min_norm_ldp(problem.rows[None], problem.rhs[None], problem.is_eq[None])
+    if errors:
+        raise errors[0]
     u, nu, nt = u[0], nu[0], problem.n_antennas
     # map working-set multipliers back to the unflipped I/Q frame
     nu_eff = problem.flips * nu

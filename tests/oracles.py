@@ -59,7 +59,7 @@ from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
 from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, SolverError, _ldp_nnls, _polish, _row_labels,
+                         SinrTargets, SolverError, _polish, _row_labels,
                          solve_cipm_stack)
 
 
@@ -571,6 +571,11 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, keys=None
     return u, nu
 
 
+# solver._ldp_nnls as it was while it raised, naming problem c by keys[c]: the
+# core above, which certify_first_ldp falls back to.
+_ldp_nnls = min_norm_ldp
+
+
 # The least-distance core as it was before lock-step primal-dual active-set
 # steps on the Gram system replaced its first guess: one batched SVD polish
 # of a guessed working set (the caller's, or every row for a stack of two or
@@ -786,7 +791,7 @@ def multicast_stack_oracle(h: np.ndarray, targets, restarts: int,
     power, a = np.einsum("bn,bn->b", x.conj(), x).real, np.arange(len(x))   # a: live starts
     for _ in range(200):
         rows, rhs = _tangent_rows(hb[a], x[a], rhs_abs2)
-        u, _ = solver.min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool), c_idx[a])
+        u, _, _ = solver.min_norm_ldp(rows, rhs, np.zeros(rhs.shape, dtype=bool))
         p_new = np.einsum("bn,bn->b", u, u)
         stop = p_new > power[a] - 1e-12 * (1.0 + power[a])
         take = ~stop | (p_new < power[a])
@@ -846,7 +851,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
                 # CIPM point so none exceeds it; one seed for every row keeps
                 # each row's bound independent of the others
                 eff = effective_channel(channel, specs, combos).entries
-                xs, _, feasible = solve_multicast_stack(
+                xs, _, feasible, _ = solve_multicast_stack(
                     eff, targets, cfg.multicast_restarts, mc_seed, xs)
                 if not feasible.all():
                     raise SolverError(f"combination {combos[~feasible][0].tolist()}: "

@@ -1,17 +1,19 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from cipm import baselines
+from cipm import baselines, solver
 from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
                             achieved_sinrs, solve_multicast_bound,
                             solve_multicast_stack, solve_ob, solve_ob_stack)
 from cipm.constellation import get_constellation
 from cipm.simulator import FrameConfig, fixed_channel_experiment
-from cipm.solver import InfeasibleConstraintsError, SinrTargets, make_problem, solve_cipm
+from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError, SinrTargets,
+                         make_problem, solve_cipm)
 
 from oracles import multicast_oracle, multicast_stack_oracle, ob_fixed_point_oracle
 from oracles import solve_ob as solve_ob_oracle
@@ -225,7 +227,8 @@ _MULTICAST_STACKS = dict(nt=st.integers(1, 4), data=st.data(), log_scale=st.floa
 def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
     h, targets, restarts, warm, rng = _multicast_stack_instance(nt, data, log_scale, seed)
     n_rows, rhs = len(h), targets.zeta
-    x, power, feasible = solve_multicast_stack(h, targets, restarts, seed, warm)
+    x, power, feasible, errors = solve_multicast_stack(h, targets, restarts, seed, warm)
+    assert errors == {}
 
     # the certificate is direct evaluation, and it holds
     got = np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2
@@ -240,8 +243,8 @@ def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
             p_warm = np.sum(np.abs(warm[c]) ** 2) * max(1.0, np.max(rhs / y2))
             assert power[c] <= p_warm * (1 + 1e-12)
     perm = rng.permutation(n_rows)
-    _, p_perm, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
-                                         None if warm is None else warm[perm])
+    _, p_perm, _, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
+                                            None if warm is None else warm[perm])
     assert np.allclose(p_perm, power[perm], rtol=1e-12, atol=0.0)
 
 
@@ -251,9 +254,10 @@ def test_multicast_stack_matches_all_active_rounds_bit_for_bit(nt, data, log_sca
     # each SCA round starting from the previous round's support certifies the
     # same optimum on the same working set as the all-active guess did
     h, targets, restarts, warm, _ = _multicast_stack_instance(nt, data, log_scale, seed)
-    got = solve_multicast_stack(h, targets, restarts, seed, warm)
+    *got, errors = solve_multicast_stack(h, targets, restarts, seed, warm)
     want = multicast_stack_oracle(h, targets, restarts, seed, warm)
-    for g, w in zip(got, want):
+    assert errors == {}
+    for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
 
@@ -265,12 +269,39 @@ def test_multicast_stack_rows_take_their_own_targets_and_seeds(nt, data, log_sca
     h, targets, restarts, warm, rng = _multicast_stack_instance(nt, data, log_scale, seed)
     zeta = targets.zeta * 10.0 ** rng.uniform(-1.0, 1.0, (len(h), 1))
     seeds = rng.integers(0, 3, size=len(h))
-    got = solve_multicast_stack(h, SinrTargets(zeta, 1.0), restarts, seeds, warm)
+    *got, errors = solve_multicast_stack(h, SinrTargets(zeta, 1.0), restarts, seeds, warm)
+    assert errors == {}
     for c in range(len(h)):
-        want = solve_multicast_stack(h[c:c + 1], SinrTargets(zeta[c], 1.0), restarts,
-                                     int(seeds[c]), None if warm is None else warm[c:c + 1])
-        for g, w in zip(got, want):
+        *want, _ = solve_multicast_stack(h[c:c + 1], SinrTargets(zeta[c], 1.0), restarts,
+                                         int(seeds[c]), None if warm is None else warm[c:c + 1])
+        for g, w in zip(got, want, strict=True):
             assert np.array_equal(g[c], w[0]), c
+
+
+def test_multicast_stack_reports_a_failed_row(monkeypatch):
+    # a start whose QP fails stops there: its row reports the error, with nan, and the
+    # other rows keep their bits; the one-row entry raises the error
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    targets = SinrTargets(zeta=np.array([2.0, 3.0]), sigma_z=1.0)
+    want = solve_multicast_stack(h, targets, 1, 0, None)
+    ldp = baselines.min_norm_ldp
+
+    def failing(rows, rhs, is_eq, work=None):
+        u, nu, errors = ldp(rows, rhs, is_eq, work)
+        if work is None:                # round 1: the last start, row 2's one start
+            u[-1] = nu[-1] = np.nan
+            errors[len(rows) - 1] = ActiveSetLimitError("NNLS stopped: test")
+        return u, nu, errors
+
+    monkeypatch.setattr(baselines, "min_norm_ldp", failing)
+    x, power, feasible, errors = solve_multicast_stack(h, targets, 1, 0, None)
+    assert list(errors) == [2] and str(errors[2]) == "NNLS stopped: test"
+    assert np.isnan(x[2]).all() and np.isnan(power[2]) and not feasible[2]
+    for c in (0, 1):
+        assert np.array_equal(x[c], want[0][c]) and power[c] == want[1][c] and feasible[c]
+    with pytest.raises(ActiveSetLimitError, match="^NNLS stopped: test$"):
+        solve_multicast_bound(h[0], targets, restarts=1, seed=0)
 
 
 def test_frozen_reference_instance():
@@ -324,12 +355,16 @@ def _assert_stack_is_each_lone_oracle(hs, targets):
     if errors:
         with pytest.raises(BeamformingConvergenceError) as exc:
             solve_ob_stack(hs, targets)
-        assert str(exc.value) in errors
-        return want
-    for f, (beams, (w, power, iterations)) in enumerate(zip(solve_ob_stack(hs, targets), want)):
-        assert np.array_equal(beams.w, w), f
-        assert beams.total_power == power, f
-        assert beams.iterations == iterations, f
+        assert str(exc.value) == errors[0]
+    # every frame ends as its lone run does, beams or error, whatever the others do
+    got = baselines._ob_frames(hs, targets) if errors else solve_ob_stack(hs, targets)
+    for f, (beams, w) in enumerate(zip(got, want, strict=True)):
+        if isinstance(w, str):
+            assert isinstance(beams, BeamformingConvergenceError) and str(beams) == w, f
+            continue
+        assert np.array_equal(beams.w, w[0]), f
+        assert beams.total_power == w[1], f
+        assert beams.iterations == w[2], f
     return want
 
 
@@ -387,6 +422,17 @@ def test_ob_stack_raises_the_failing_frames_own_error():
         solve_ob_stack([good, good], [targets])      # one SinrTargets per channel
 
 
+def test_ob_frames_end_as_each_lone_run():
+    # a collinear frame fails mid-block and a K=3, Nt=2 frame at the cap; each stops with
+    # its lone error, and the frames around them run on to their lone beams
+    targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)
+    over = SinrTargets(zeta=np.full(3, 10.0 ** 0.4), sigma_z=1.0)
+    hs = [_channel(3, 2, 2), np.array([[1.0 + 0.0j, 0.5], [1.0 + 0.0j, 0.5]]),
+          _channel(5, 3, 2), _channel(4, 2, 3)]
+    want = _assert_stack_is_each_lone_oracle(hs, [targets, targets, over, targets])
+    assert [isinstance(w, str) for w in want] == [False, True, True, False]
+
+
 def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
     # the stop test runs once per block, so a frame iterates past its own
     # stop; a Cholesky failure there (NaN solutions) must not raise for it,
@@ -412,3 +458,18 @@ def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
     assert calls[0] == edge + 1             # the block's rows, then the beams
     for beams, ref in zip(got, want):
         assert np.array_equal(beams.w, ref.w) and beams.iterations == ref.iterations
+
+
+def test_solver_errors_survive_pickling_and_naming():
+    # pool workers return raw errors, and a failing row's error is renamed with its
+    # combination: each comes back with its type, message and every field
+    errors = [InfeasibleConstraintsError("m1", ["user1/I"], np.array([1.0, 0.5])),
+              ActiveSetLimitError("m2"), BeamformingConvergenceError("m3", 3)]
+    for err in errors:
+        for back, message in ((pickle.loads(pickle.dumps(err)), str(err)),
+                              (solver._in_combination(err, np.array([1, 2])),
+                               f"combination [1, 2]: {err}")):
+            assert type(back) is type(err) and str(back) == message
+            assert vars(back).keys() == vars(err).keys()
+            for key, value in vars(err).items():
+                assert np.array_equal(getattr(back, key), value), key

@@ -263,6 +263,19 @@ def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--preset", "regions", "--grid", "4,1e308"], "--grid"),
+    (["--preset", "combos", "--zeta-db", "1e308"], "--zeta-db"),
+])
+def test_fixed_out_of_range_targets_exit_config_naming_the_option(tmp_path, argv, flag, capsys):
+    # the targets are probed per flag, as sweep does, before the output directory is made
+    out = tmp_path / "out"
+    assert main(["fixed", *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy_stats():
     # importing scipy.stats costs about half a second, which every CLI run would pay
     src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cipm import simulator
+from cipm import baselines, simulator, solver
 from cipm.simulator import (
     MAX_ENUMERATION,
     PRECODERS,
@@ -74,7 +75,7 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     xs, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
     if precoder == "multicast":
         eff = np.stack([effective_channel(ch, specs, combo).entries for combo in combos])
-        xs, _, feasible = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
+        xs, _, feasible, _ = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
         assert feasible.all()
     assert len(combos) < cfg.n_symbols
     assert r.cache_entries == len(combos)
@@ -361,6 +362,87 @@ def test_infeasible_slot_names_its_frame_and_combination():
         run_frames(cfg)
     assert str(got.value) == str(want.value)
     assert re.match(r"frame \d+: combination \[\d+, \d+, \d+\]: infeasible", str(got.value))
+
+
+def test_pooled_run_names_the_same_failing_frame():
+    # workers return their jobs' outcomes and the parent raises the first failing job, so
+    # the frame named does not depend on how the jobs were split among processes
+    cfg = FrameConfig(n_symbols=6, frames=6, n_antennas=2, k_users=3, seed=1, zeta_db=2.0)
+    with pytest.raises(SolverError) as want:
+        oracles.run_frames(cfg)
+    assert str(want.value).startswith("frame 1: combination [2, 2, 1]: infeasible")
+    for threads in (1, 2, 3):
+        with pytest.raises(SolverError) as got:
+            run_frames(cfg, threads=threads)
+        assert str(got.value) == str(want.value), threads
+
+
+def test_failing_runs_solve_each_job_once(monkeypatch):
+    # one pass finds the failing job: the QP core sees each frame's combinations once,
+    # and an infeasible OB run iterates its uplink loop once
+    rows, uplinks, ldp, uplink = [], [], solver.min_norm_ldp, baselines._uplink_powers
+
+    def counting_ldp(a, b, is_eq, work=None):
+        rows.append(len(a))
+        return ldp(a, b, is_eq, work)
+
+    def counting_uplink(frames):
+        uplinks.append(len(frames))
+        return uplink(frames)
+
+    monkeypatch.setattr(solver, "min_norm_ldp", counting_ldp)
+    monkeypatch.setattr(baselines, "_uplink_powers", counting_uplink)
+    cfg = FrameConfig(n_symbols=6, frames=6, n_antennas=2, k_users=3, seed=1, zeta_db=2.0)
+    with pytest.raises(SolverError, match="frame 1: combination"):
+        run_frames(cfg)
+    distinct = 0
+    for f in range(cfg.frames):
+        rng = _frame_rng(cfg.seed, f, 1)
+        symbols = np.column_stack([rng.integers(0, 4, size=cfg.n_symbols) for _ in range(3)])
+        distinct += len(np.unique(symbols, axis=0))
+    assert rows == [distinct]
+    with pytest.raises(SolverError, match="frame 0: uplink power iteration did not converge"):
+        run_frames(replace(cfg, n_symbols=10, frames=2, zeta_db=6.0, precoder="ob"))
+    assert uplinks == [2]
+
+
+def test_failing_multicast_row_names_its_frame_and_combination(monkeypatch):
+    # a multicast row whose QP fails: the frame's error names the row's combination
+    cfg = FrameConfig(n_symbols=20, frames=2, seed=4, precoder="multicast", multicast_restarts=0)
+    ldp = baselines.min_norm_ldp
+
+    def failing(rows, rhs, is_eq, work=None):
+        u, nu, errors = ldp(rows, rhs, is_eq, work)
+        if work is None:                # round 1: frame 1's last combination comes last
+            u[-1] = nu[-1] = np.nan
+            errors[len(rows) - 1] = solver.ActiveSetLimitError("NNLS stopped: test")
+        return u, nu, errors
+
+    monkeypatch.setattr(baselines, "min_norm_ldp", failing)
+    rng = _frame_rng(cfg.seed, 1, 1)
+    symbols = np.column_stack([rng.integers(0, 4, size=cfg.n_symbols) for _ in range(2)])
+    last = np.unique(symbols, axis=0)[-1].tolist()
+    with pytest.raises(SolverError) as err:
+        run_frames(cfg)
+    assert str(err.value) == f"frame 1: combination {last}: NNLS stopped: test"
+
+
+def test_infeasible_ob_frames_raise_with_no_warning():
+    # K=3 on Nt=2 at 6 dB: q overflows on its way to the iteration cap, which the
+    # one-frame oracle reports with numpy warnings; the runner's error is the same text
+    cfg = FrameConfig(n_symbols=10, frames=2, n_antennas=2, k_users=3, seed=1, zeta_db=6.0,
+                      precoder="ob")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverError) as want:
+            oracles.run_frames(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as got:
+            run_frames(cfg)
+    assert str(got.value) == str(want.value) == (
+        "frame 0: uplink power iteration did not converge in 10000 iterations"
+        " (targets may be infeasible)")
 
 
 # -------------------------------------------------------------------- sweeps

@@ -161,6 +161,22 @@ def _assert_farkas(z, rows, rhs, is_eq):
     assert np.linalg.norm(rows.T @ z) <= 1e-9 * np.abs(rows).max() / np.abs(rhs).max()
 
 
+def _assert_lone_failures(errors, u, oracle, rows, rhs, is_eq, work=None):
+    """The core's per-problem errors are the errors oracle raises on each problem alone:
+    the same type, message and Farkas certificate, with nan in the problem's row of u."""
+    for c in range(len(rows)):
+        try:
+            oracle(rows[c:c + 1], rhs[c:c + 1], is_eq[c:c + 1], None,
+                   *(() if work is None else (work[c:c + 1],)))
+        except SolverError as ref:
+            assert (type(errors[c]), str(errors[c])) == (type(ref), str(ref)), c
+            assert np.isnan(u[c]).all()
+            if isinstance(ref, InfeasibleConstraintsError):
+                assert np.array_equal(errors[c].farkas, ref.farkas), c
+            continue
+        assert c not in errors, c
+
+
 def test_conflicting_users_raise_infeasible():
     # identical rows, opposite corner symbols: no x satisfies both regions
     h = np.array([[1.0 + 0.5j, 0.3 - 0.2j],
@@ -343,7 +359,8 @@ def test_solver_properties(nt, data, mode, log_scale, seed):
         assert sig.power * c ** 2 == pytest.approx(p_ref, rel=1e-8)
 
     rows, rhs, is_eq = prob.rows, prob.rhs, prob.is_eq
-    u, nu = (v[0] for v in min_norm_ldp(rows[None], rhs[None], is_eq[None]))
+    (u,), (nu,), errors = min_norm_ldp(rows[None], rhs[None], is_eq[None])
+    assert errors == {}
     assert np.array_equal(u, np.concatenate([sig.x.real, sig.x.imag]))
     tol = 1e-9 * (1.0 + np.max(np.abs(rhs)))       # the core's feasibility tolerance
     slack = rows @ u - rhs
@@ -406,7 +423,8 @@ def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_com
     # the least-distance core against the replaced scalar active-set loop
     combos, probs, (rows, rhs, is_eq), cap, (specs, targets) = _draw_stack(
         data, nt, 1, mode, log_scale, seed, n_combos)
-    u, nu = min_norm_ldp(rows, rhs, is_eq, combos)
+    u, nu, errors = min_norm_ldp(rows, rhs, is_eq)
+    assert errors == {}
     # the frame path assembles the same stack in one call, bit for bit
     _, powers = solve_cipm_stack(probs[0].channel, specs, combos, targets, mode)
     assert np.array_equal(powers, np.einsum("cn,cn->c", u, u))
@@ -423,23 +441,22 @@ def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_com
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(**{**_STACKS, "nt": st.integers(2, 4)})
-def test_batched_core_names_first_infeasible_collinear_combination(nt, data, mode, log_scale,
-                                                                   seed, n_combos):
+def test_batched_core_reports_each_infeasible_collinear_combination(nt, data, mode, log_scale,
+                                                                    seed, n_combos):
+    # every combination linprog rejects, and only those, fails with a certificate and
+    # the error its lone NNLS-only oracle run raises; the others are the scalar loop's
     combos, probs, (rows, rhs, is_eq), cap, _ = _draw_stack(
         data, nt, 2, mode, log_scale, seed, n_combos, collinear=True)
-    feasible = [_lp_feasible(p.rows, p.rhs, p.is_eq) for p in probs]
-    if all(feasible):
-        u, _ = min_norm_ldp(rows, rhs, is_eq, combos)
-        for c, p in enumerate(probs):
+    u, _, errors = min_norm_ldp(rows, rhs, is_eq)
+    for c, p in enumerate(probs):
+        if _lp_feasible(p.rows, p.rhs, p.is_eq):
+            assert c not in errors
             u_ref, _ = min_norm_qp(p.rows, p.rhs, p.is_eq, max_iter=cap)
             assert u[c] @ u[c] == pytest.approx(u_ref @ u_ref, rel=1e-12)
-        return
-    # the first combination linprog rejects is the one named, with a certificate
-    first = feasible.index(False)
-    with pytest.raises(InfeasibleConstraintsError,
-                       match=re.escape(f"combination {combos[first].tolist()}:")) as err:
-        min_norm_ldp(rows, rhs, is_eq, combos)
-    _assert_farkas(err.value.farkas, rows[first], rhs[first], is_eq[first])
+            continue
+        assert isinstance(errors[c], InfeasibleConstraintsError)
+        _assert_farkas(errors[c].farkas, rows[c], rhs[c], is_eq[c])
+    _assert_lone_failures(errors, u, oracles.min_norm_ldp, rows, rhs, is_eq)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -472,11 +489,11 @@ def test_overloaded_and_collinear_slots(nt, data, collinear, log_channel, log_ta
 
     powers = {}
     for mode, eq in (("relaxed", is_eq), ("strict", np.ones_like(is_eq))):
-        try:
-            u, nu = (v[0] for v in min_norm_ldp(rows[None], rhs[None], eq[None]))
-        except InfeasibleConstraintsError as err:
+        (u,), (nu,), errors = min_norm_ldp(rows[None], rhs[None], eq[None])
+        if errors:
+            assert isinstance(errors[0], InfeasibleConstraintsError)
             assert not _lp_feasible(rows, rhs, eq)
-            _assert_farkas(err.farkas, rows, rhs, eq)
+            _assert_farkas(errors[0].farkas, rows, rhs, eq)
             continue
         assert _lp_feasible(rows, rhs, eq)
         # KKT: feasible, rows.T nu = u, nu >= 0 on inequalities and 0 off the
@@ -498,7 +515,7 @@ def test_overloaded_and_collinear_slots(nt, data, collinear, log_channel, log_ta
 
 
 def _certify_first_stack(load, stack, nt, data, log_channel, log_target, seed, n_combos):
-    """(rows, rhs, is_eq, keys) of C stacked problems on one channel.
+    """(rows, rhs, is_eq) of C stacked problems on one channel.
 
     load: 'loaded' (K <= Nt), 'overloaded' (K > Nt) or 'collinear' (users on
     one direction with their own gain and phase, twins of user 1 among them).
@@ -529,13 +546,12 @@ def _certify_first_stack(load, stack, nt, data, log_channel, log_target, seed, n
         rhs_abs2 = targets.zeta * targets.sigma_z ** 2
         x *= np.sqrt(np.max(rhs_abs2 / np.abs(x @ h.T) ** 2, axis=1))[:, None]
         rows, rhs = baselines._tangent_rows(np.broadcast_to(h, (n_combos, k, nt)), x, rhs_abs2)
-        return rows, rhs, np.zeros(rhs.shape, dtype=bool), np.arange(n_combos)
+        return rows, rhs, np.zeros(rhs.shape, dtype=bool)
     combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
     combos[:, twins] = combos[:, :1]
     coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
     free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (stack == "relaxed")
-    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
-    return rows, rhs, is_eq, combos
+    return _assemble(h, coeffs, free, targets)[:3]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -547,21 +563,19 @@ def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channe
                                                seed, n_combos):
     # the active-set steps certify what they can and NNLS takes the rest;
     # outputs and errors must be those of the NNLS-only core
-    rows, rhs, is_eq, keys = _certify_first_stack(load, stack, nt, data, log_channel,
-                                                  log_target, seed, n_combos)
-    try:
-        u_ref, nu_ref = oracles.min_norm_ldp(rows, rhs, is_eq, keys)
-    except SolverError as ref:
-        with pytest.raises(type(ref)) as err:
-            min_norm_ldp(rows, rhs, is_eq, keys)
-        named = re.match(r"combination (.*?): ", str(ref)).group(1)
-        assert str(err.value).startswith(f"combination {named}: ")
-        if isinstance(ref, InfeasibleConstraintsError):
-            c = [str(key.tolist()) for key in keys].index(named)
-            _assert_farkas(err.value.farkas, rows[c], rhs[c], is_eq[c])
-        return
+    rows, rhs, is_eq = _certify_first_stack(load, stack, nt, data, log_channel, log_target,
+                                            seed, n_combos)
     with mock.patch.object(solver, "_ldp_nnls", wraps=solver._ldp_nnls) as fallback:
-        u, nu = min_norm_ldp(rows, rhs, is_eq, keys)
+        u, nu, errors = min_norm_ldp(rows, rhs, is_eq)
+    try:
+        u_ref, nu_ref = oracles.min_norm_ldp(rows, rhs, is_eq)
+    except SolverError:
+        _assert_lone_failures(errors, u, oracles.min_norm_ldp, rows, rhs, is_eq)
+        for c, err in errors.items():
+            if isinstance(err, InfeasibleConstraintsError):
+                _assert_farkas(err.farkas, rows[c], rhs[c], is_eq[c])
+        return
+    assert errors == {}
     norms = np.linalg.norm(u_ref, axis=1)
     assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * norms)
     assert np.einsum("cn,cn->c", u, u) == pytest.approx(norms ** 2, rel=1e-12)
@@ -591,7 +605,7 @@ def test_gram_solve_keeps_a_singular_slice_to_its_own_row():
 
 
 def _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos):
-    """(rows, rhs, is_eq, keys) of C problems of K users (loaded or overloaded), each
+    """(rows, rhs, is_eq) of C problems of K users (loaded or overloaded), each
     on its own channel: independent users, users on one direction with their own gain
     and phase (twins of user 1 among them, some with its constellation and symbol,
     others making the problem infeasible where their rows are equalities), or users a
@@ -620,15 +634,14 @@ def _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos):
         x *= np.sqrt(np.max(rhs_abs2 / np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2,
                             axis=1))[:, None]
         rows, rhs = baselines._tangent_rows(h, x, rhs_abs2)
-        return rows, rhs, np.zeros(rhs.shape, dtype=bool), np.arange(n_combos)
+        return rows, rhs, np.zeros(rhs.shape, dtype=bool)
     combos = np.column_stack([rng.integers(0, s.order, size=n_combos) for s in specs])
     same = (twins & (kind[:, 0] > 0) & (rng.random(twins.shape) < 0.5)
             & np.array([spec is specs[0] for spec in specs]))
     combos[same] = np.broadcast_to(combos[:, :1], combos.shape)[same]
     coeffs = np.stack([s.coeffs[combos[:, j]] for j, s in enumerate(specs)], 1)
     free = np.stack([s.free[combos[:, j]] for j, s in enumerate(specs)], 1) & (stack == "relaxed")
-    rows, rhs, is_eq, _ = _assemble(h, coeffs, free, targets)
-    return rows, rhs, is_eq, np.column_stack([np.arange(n_combos), combos])   # unique keys
+    return _assemble(h, coeffs, free, targets)[:3]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -639,28 +652,25 @@ def _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos):
 def test_gram_core_matches_certify_first_core(stack, nt, data, log_channel, log_target, seed,
                                               n_combos, guess):
     # the active-set steps on the Gram system against the core they replaced
-    # (a guessed working set, then NNLS): the same optimum within 1e-12, or the
-    # same error naming the same combination, with a Farkas certificate
-    rows, rhs, is_eq, keys = _mixed_stack(stack, nt, data, log_channel, log_target, seed,
-                                          n_combos)
+    # (a guessed working set, then NNLS): the same optimum within 1e-12, or, for
+    # each failing problem, the error it raises alone there, with its Farkas certificate
+    rows, rhs, is_eq = _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos)
     work = (np.random.default_rng(seed).random(rhs.shape) < 0.5) if guess == "random" else None
+    u, _, errors = min_norm_ldp(rows, rhs, is_eq, work)
     try:
-        u_ref, _ = oracles.certify_first_ldp(rows, rhs, is_eq, keys, work)
-    except SolverError as ref:
-        with pytest.raises(type(ref)) as err:
-            min_norm_ldp(rows, rhs, is_eq, keys, work)
-        named = re.match(r"combination (.*?): ", str(ref)).group(1)
-        assert str(err.value).startswith(f"combination {named}: ")
-        if isinstance(ref, InfeasibleConstraintsError):
-            # the replaced core's certificate; rhs @ z == 1 up to the rounding of its terms
-            c, z = [str(key.tolist()) for key in keys].index(named), err.value.farkas
-            assert np.array_equal(z, ref.farkas)
-            assert abs(rhs[c] @ z - 1.0) <= 1e-12 * (np.abs(rhs[c]) @ np.abs(z))
-            assert np.all(z[~is_eq[c]] >= 0.0)
-            assert (np.linalg.norm(rows[c].T @ z)
-                    <= 1e-9 * np.abs(rows[c]).max() / np.abs(rhs[c]).max())
+        u_ref, _ = oracles.certify_first_ldp(rows, rhs, is_eq, None, work)
+    except SolverError:
+        _assert_lone_failures(errors, u, oracles.certify_first_ldp, rows, rhs, is_eq, work)
+        for c, err in errors.items():
+            if isinstance(err, InfeasibleConstraintsError):
+                # rhs @ z == 1 up to the rounding of its terms
+                z = err.farkas
+                assert abs(rhs[c] @ z - 1.0) <= 1e-12 * (np.abs(rhs[c]) @ np.abs(z))
+                assert np.all(z[~is_eq[c]] >= 0.0)
+                assert (np.linalg.norm(rows[c].T @ z)
+                        <= 1e-9 * np.abs(rows[c]).max() / np.abs(rhs[c]).max())
         return
-    u, _ = min_norm_ldp(rows, rhs, is_eq, keys, work)
+    assert errors == {}
     assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * np.linalg.norm(u_ref, axis=1))
 
 
@@ -698,26 +708,25 @@ def test_first_working_set_changes_cost_not_answer(load, stack, nt, data, log_ch
                                                    log_target, seed, n_combos, guess):
     # a first working set (stacks of one included) is only a guess: the point,
     # the multipliers and the errors are those of the core without one
-    rows, rhs, is_eq, keys = _certify_first_stack(load, stack, nt, data, log_channel,
-                                                  log_target, seed, n_combos)
+    rows, rhs, is_eq = _certify_first_stack(load, stack, nt, data, log_channel, log_target,
+                                            seed, n_combos)
     rng = np.random.default_rng(seed)
     work = {"none": np.zeros(rhs.shape, dtype=bool), "all": np.ones(rhs.shape, dtype=bool),
             "random": rng.random(rhs.shape) < 0.5}[guess]
-    try:
-        u_ref, nu_ref = min_norm_ldp(rows, rhs, is_eq, keys)
-    except SolverError as ref:
-        with pytest.raises(type(ref)) as err:
-            min_norm_ldp(rows, rhs, is_eq, keys, work)
-        named = re.match(r"combination (.*?): ", str(ref)).group(1)
-        assert str(err.value).startswith(f"combination {named}: ")
-        if isinstance(ref, InfeasibleConstraintsError):
-            c = [str(key.tolist()) for key in keys].index(named)
-            _assert_farkas(err.value.farkas, rows[c], rhs[c], is_eq[c])
-        return
-    u, nu = min_norm_ldp(rows, rhs, is_eq, keys, work)
+    u_ref, nu_ref, want = min_norm_ldp(rows, rhs, is_eq)
+    u, nu, errors = min_norm_ldp(rows, rhs, is_eq, work)
+    assert [(c, type(e), str(e)) for c, e in errors.items()] == [
+        (c, type(e), str(e)) for c, e in want.items()]
+    for c, err in errors.items():
+        assert np.isnan(u[c]).all() and np.isnan(nu[c]).all()
+        if isinstance(err, InfeasibleConstraintsError):
+            _assert_farkas(err.farkas, rows[c], rhs[c], is_eq[c])
+    ok = [c for c in range(len(rows)) if c not in errors]
+    u, nu, u_ref, nu_ref, rows = u[ok], nu[ok], u_ref[ok], nu_ref[ok], rows[ok]
+    rhs, is_eq = rhs[ok], is_eq[ok]
     assert np.all(np.linalg.norm(u - u_ref, axis=1) <= 1e-12 * np.linalg.norm(u_ref, axis=1))
     assert np.allclose(np.einsum("cmn,cm->cn", rows, nu), u, rtol=1e-9,
-                       atol=1e-12 * np.max(np.linalg.norm(u, axis=1)))
+                       atol=1e-12 * np.max(np.linalg.norm(u, axis=1), initial=0.0))
     for c in range(len(rows)):
         assert _kkt_failures(rows[c], rhs[c], is_eq[c], u[c]) == [], c
         # the multipliers are unique where the rows they weight are linearly
@@ -738,7 +747,7 @@ def test_guessed_point_is_checked_relative_to_the_rhs(scale):
     is_eq = np.zeros(rhs.shape, dtype=bool)
     u_ref, _ = oracles.min_norm_ldp(rows, rhs, is_eq)
     for work in (None, is_eq, ~is_eq):
-        u, nu = min_norm_ldp(rows, rhs, is_eq, work=work)
+        u, nu, _ = min_norm_ldp(rows, rhs, is_eq, work)
         assert np.allclose(u, u_ref, rtol=1e-12, atol=0.0)
         assert np.allclose(u, scale * np.array([[2.0, 1.0], [3.0, 1.0]]), rtol=1e-12, atol=0.0)
 
@@ -755,9 +764,9 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
         counts["nnls"] += 1
         return core(a, b)
 
-    def counting_ldp(rows, rhs, is_eq, keys=None, work=None):
+    def counting_ldp(rows, rhs, is_eq, work=None):
         before = counts["nnls"]
-        out = ldp(rows, rhs, is_eq, keys, work)
+        out = ldp(rows, rhs, is_eq, work)
         if len(rows) > 1:
             counts["stacked"] += len(rows)
             counts["stacked_nnls"] += counts["nnls"] - before
