@@ -6,8 +6,8 @@ the point's component, or a one-sided inequality pointing away from the
 origin when the point sits on the boundary of the lattice in that axis.
 The point components (``coeffs``) and the lattice-edge mask (``free``) are
 the only record of that rule; ``gather`` looks any table up per user for
-rows of symbol indices. ``get_constellation`` hands out one cached, read-only
-spec per order.
+rows of symbol indices, each of which ``check_symbols`` first holds to [0,
+order). ``get_constellation`` hands out one cached, read-only spec per order.
 """
 
 from __future__ import annotations
@@ -100,9 +100,24 @@ def get_constellation(name: str) -> ConstellationSpec:
     return _SPECS[_ALIASES[key]]
 
 
-def gather(specs, symbols, table: str = "points") -> np.ndarray:
-    """specs[j]'s table ('points', 'coeffs' or 'free') at symbols[..., j], stacked on axis K."""
+def check_symbols(specs, symbols) -> np.ndarray:
+    """symbols (K,) or (C, K) as an array; raises ValueError naming the first user, row by
+    row, whose index is not an integer in [0, order) of its constellation specs[j]."""
     idx = np.asarray(symbols)
+    if idx.dtype.kind in "iu" and ((idx >= 0) & (idx < [s.order for s in specs])).all():
+        return idx
+    for row in np.asarray(symbols, dtype=object).reshape(-1, len(specs)):
+        for j, (spec, i) in enumerate(zip(specs, row)):
+            if not (hasattr(i, "__index__") and 0 <= i < spec.order):
+                raise ValueError(f"user {j + 1}: symbol index {i!r} is not an integer in"
+                                 f" [0, {spec.order})")
+    raise ValueError(f"symbol indices must be integers, got {idx.dtype}")
+
+
+def gather(specs, symbols, table: str = "points") -> np.ndarray:
+    """specs[j]'s table ('points', 'coeffs' or 'free') at symbols[..., j], stacked on axis K;
+    check_symbols vets the indices first."""
+    idx = check_symbols(specs, symbols)
     return np.stack([getattr(s, table)[idx[..., j]] for j, s in enumerate(specs)], idx.ndim - 1)
 
 

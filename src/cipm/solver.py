@@ -7,27 +7,34 @@ and solve_cipm_stack (through constellation.gather) read them from the cached
 coefficient and free-axis tables into one sign-normalized real system on
 [Re x; Im x], whose minimum-norm point is the transmit vector: a
 least-distance program. One QP core, min_norm_ldp, solves a stack of them by
-lock-step primal-dual active-set steps on their Gram systems; what those do
+lock-step primal-dual active-set steps on their Gram systems (solved by numpy's
+LAPACK gesv gufunc, called directly, with what the steps read of a stack computed
+once per stack, so a lone slot pays little fixed cost per call); what those do
 not certify runs one NNLS each, which finds the active set, or a Farkas
 certificate of infeasibility, for any rank of the rows. The core reports
 each failing problem's error, and each public entry raises from it. solve_cipm
 (strict mode included) and the equivalent-channel form run the core on one
 problem, frames and the multicast SCA rounds on stacks. The KKT report keeps
 the multipliers and builds its residual, violation, active set and correlation
-matrix only on request.
+matrix only on request. make_problem, like gather, rejects a symbol index that is
+not an integer in [0, order) of its user's constellation, naming the user.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
+# np.linalg.solve's gufunc (LAPACK gesv) without its wrapper, two thirds of a small solve's
+# time: the same bits, and a singular slice is nan in its own row, not a stack-wide raise
+from numpy.linalg._umath_linalg import solve1 as _gesv
 from scipy.optimize import nnls
 
 from .channel import REFERENCE_SYMBOL, ChannelMatrix, as_entries, effective_channel
-from .constellation import ConstellationSpec, gather
+from .constellation import ConstellationSpec, check_symbols, gather
 
 _FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a step, 1 + max|rhs| after NNLS
 _LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
@@ -152,9 +159,7 @@ class KktReport:
 def _embed_rows(h: np.ndarray) -> np.ndarray:
     """Real functionals of u = [Re x; Im x]: row 2j gives Re(h_j x), row 2j+1 Im(h_j x)."""
     k, nt = h.shape[-2:]
-    out = np.empty(h.shape[:-2] + (k, 2, 2 * nt))
-    out[..., 0, :nt] = out[..., 1, nt:] = h.real
-    out[..., 1, :nt], out[..., 0, nt:] = h.imag, -h.imag
+    out = np.concatenate([h.real, -h.imag, h.imag, h.real], axis=-1)
     return out.reshape(*h.shape[:-2], 2 * k, 2 * nt)
 
 
@@ -174,7 +179,13 @@ def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: Sinr
     if len(specs) != k or len(symbols) != k or len(targets.zeta) != k:
         raise ValueError("specs, symbols and targets must all have one entry per user")
     _check_mode(mode)
-    idx = [int(i) for i in symbols]
+    try:
+        idx = [operator.index(i) for i in symbols]
+        valid = all(0 <= i < spec.order for spec, i in zip(specs, idx))
+    except TypeError:
+        valid = False
+    if not valid:
+        check_symbols(specs, symbols)
     coeffs = np.array([spec.coeffs[i] for spec, i in zip(specs, idx)])
     free = np.array([spec.free[i] for spec, i in zip(specs, idx)]) & (mode == "relaxed")
     return PrecodeProblem(h, *_assemble(h, coeffs, free, targets), mode)
@@ -192,29 +203,39 @@ def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
     return (c[:, None] @ vt)[:, 0], (left @ (c * sv_inv)[..., None])[..., 0] * work
 
 
+@cache
+def _eye(m: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(m), (m, m))       # read only: every caller shares it
+
+
+@np.errstate(invalid="ignore")         # gesv flags a singular slice invalid
 def _gram_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (C, m) of g x = b; a singular slice gives nan in its own row, not an error."""
-    try:
-        return np.linalg.solve(g, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:       # one singular slice fails the call: bisect the stack
-        half = len(g) // 2
-        return (np.concatenate([_gram_solve(g[:half], b[:half]), _gram_solve(g[half:], b[half:])])
-                if half else np.full(b.shape, np.nan))
+    """x (C, m) of g x = b by LAPACK gesv; a singular slice gives nan in its own row."""
+    return _gesv(g, b)
 
 
-def _pdas_step(gram, rows, rhs, is_eq, w):
-    """One primal-dual active-set step: solve (A_w A_w^T) nu = b_w (identity rows off w), u =
-    A^T nu. Returns u, nu, the next w = is_eq | (nu + (b - A u) / max_i ||a_i||^2 > 0) and
-    done: u keeps w, meets its rows within _FEAS_TOL max|b| and the rest exactly, has nu >= 0
-    on inequality rows, and a refinement step moves it by at most _REFINE_TOL ||u||."""
-    g = np.where(w[:, :, None] & w[:, None, :], gram, np.eye(w.shape[1]))
+def _invariants(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray) -> tuple:
+    """What _pdas_step reads of a stack and never changes: the Gram stack, rows, rhs, is_eq,
+    ~is_eq, max_i ||a_i||^2 and the feasibility tolerance _FEAS_TOL max|b|, each (C, ...)."""
+    gram = rows @ rows.transpose(0, 2, 1)
+    return (gram, rows, rhs, is_eq, ~is_eq, gram.diagonal(0, 1, 2).max(axis=1, keepdims=True),
+            _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True))
+
+
+def _pdas_step(stack, w: np.ndarray):
+    """One primal-dual active-set step on a stack's _invariants: solve (A_w A_w^T) nu = b_w
+    (identity rows off w), u = A^T nu. Returns u, nu, the next w = is_eq | (nu + (b - A u) /
+    max_i ||a_i||^2 > 0) and done: u keeps w, meets its rows within _FEAS_TOL max|b| and the
+    rest exactly, has nu >= 0 on inequality rows, and a refinement step moves it by at most
+    _REFINE_TOL ||u||."""
+    gram, rows, rhs, is_eq, ineq, scale, tol = stack
+    g = np.where(w[:, :, None] & w[:, None, :], gram, _eye(w.shape[1]))
     nu = _gram_solve(g, np.where(w, rhs, 0.0))
     u = (nu[:, None] @ rows)[:, 0]
     gaps = rhs - (rows @ u[..., None])[..., 0]
-    w_next = is_eq | (nu * np.einsum("cii->ci", gram).max(axis=1, keepdims=True) + gaps > 0.0)
-    tol = _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True)
-    done = ~((w_next != w) | (np.abs(gaps) > tol) & w | (nu < 0.0) & ~is_eq).any(axis=1)
-    if done.any():
+    w_next = is_eq | (nu * scale + gaps > 0.0)
+    done = ~((w_next != w) | (np.abs(gaps) > tol) & w | (nu < 0.0) & ineq).any(axis=1)
+    if np.count_nonzero(done):
         du = (_gram_solve(g, np.where(w, gaps, 0.0))[:, None] @ rows)[:, 0]
         done &= np.abs(du).max(axis=1) <= _REFINE_TOL * np.abs(u).max(axis=1)
     return u, nu, w_next, done
@@ -233,21 +254,23 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
     SolverError problem c raises alone}, in index order, with u[c] and nu[c] nan.
     """
     w = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
-    gram = rows @ rows.transpose(0, 2, 1)
-    u, nu, w, done = _pdas_step(gram, rows, rhs, is_eq, w)
-    for _ in range(_STEPS - 1):         # later steps take only the open problems
-        if done.all():
-            break
-        o = ~done if done.any() else slice(None)
-        u[o], nu[o], w[o], done[o] = _pdas_step(gram[o], rows[o], rhs[o], is_eq[o], w[o])
+    stack = _invariants(rows, rhs, is_eq)
+    u, nu, w, done = _pdas_step(stack, w)
+    for _ in range(_STEPS - 1):
+        if (n_done := np.count_nonzero(done)) == len(done):
+            return u, nu, {}
+        if n_done:                      # a later step takes only the open problems
+            o = ~done
+            u[o], nu[o], w[o], done[o] = _pdas_step([a[o] for a in stack], w[o])
+        else:
+            u, nu, w, done = _pdas_step(stack, w)
     if done.all():
         return u, nu, {}
     rest = np.flatnonzero(~done)
     u[rest], nu[rest], errors = _ldp_nnls(rows[rest], rhs[rest], is_eq[rest])
     errors = {int(rest[c]): errors[c] for c in sorted(errors)}
     rest = rest[~np.isin(rest, list(errors))]       # the retake skips the failed problems
-    a, b, eq = rows[rest], rhs[rest], is_eq[rest]
-    x, v, _, done = _pdas_step(gram[rest], a, b, eq, eq | (nu[rest] > 0.0))
+    x, v, _, done = _pdas_step([a[rest] for a in stack], is_eq[rest] | (nu[rest] > 0.0))
     u[rest[done]], nu[rest[done]] = x[done], v[done]
     return u, nu, errors
 
@@ -332,11 +355,11 @@ def solve_cipm(problem: PrecodeProblem) -> tuple[PrecodedSignal, KktReport]:
     u, nu, errors = min_norm_ldp(problem.rows[None], problem.rhs[None], problem.is_eq[None])
     if errors:
         raise errors[0]
-    u, nu, nt = u[0], nu[0], problem.n_antennas
+    u, nt = u[0], problem.n_antennas
     # map working-set multipliers back to the unflipped I/Q frame
-    nu_eff = problem.flips * nu
+    lam, mu = (-2.0 * problem.flips * nu[0]).reshape(-1, 2).T
     sig = PrecodedSignal(x=u[:nt] + 1j * u[nt:], power=float(u @ u))
-    return sig, KktReport(lam=-2.0 * nu_eff[0::2], mu=-2.0 * nu_eff[1::2], problem=problem, u=u)
+    return sig, KktReport(lam=lam, mu=mu, problem=problem, u=u)
 
 
 def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets

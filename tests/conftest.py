@@ -6,6 +6,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402
 
+pytest_plugins = ["pytester"]     # test_tooling runs pytest on probe files
+
 
 @pytest.fixture(scope="session")
 def ser_cache_dir(tmp_path_factory):

@@ -20,7 +20,9 @@ before it certified a stack's all-active points (min_norm_ldp: one NNLS per
 problem), the reference for the certify-first step, and that certify-first
 core as it was before primal-dual active-set steps on the Gram system
 replaced its guess (certify_first_ldp: one SVD polish of a guessed working
-set, then NNLS), the reference for the Gram core. Last comes the
+set, then NNLS), the reference for the Gram core, and the Gram core as it was
+before it called LAPACK's gesv gufunc directly (linalg_solve_ldp), which the
+core must match bit for bit. Last comes the
 hand-written pool-adjacent-violators fit (_isotonic_nonincreasing) that
 SerCurve.monotonized used before it called scipy's isotonic_regression.
 After it come detect and build_ser_curve as they were before the SER curve
@@ -58,9 +60,9 @@ from cipm.constellation import detect, get_constellation
 from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
 from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
-from cipm.solver import (_LDP_TOL, ActiveSetLimitError, InfeasibleConstraintsError,
-                         SinrTargets, SolverError, _polish, _row_labels,
-                         solve_cipm_stack)
+from cipm.solver import (_LDP_TOL, _REFINE_TOL, _STEPS, ActiveSetLimitError,
+                         InfeasibleConstraintsError, SinrTargets, SolverError, _polish,
+                         _row_labels, solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -619,6 +621,73 @@ def _violations(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, u: np.ndar
     gaps = rhs - (rows @ u[..., None])[..., 0]
     np.abs(gaps, out=gaps, where=is_eq)
     return gaps > tol
+
+
+# The Gram core as it was before it called LAPACK's gesv gufunc directly and read
+# its per-stack invariants once: each solve through np.linalg.solve, bisecting a
+# stack that holds a singular slice, and each step recomputing its scale, its
+# tolerance, ~is_eq and an identity. Kept verbatim, up to the names of its three
+# functions and solver._ldp_nnls for the NNLS fallback (this file's _ldp_nnls is
+# the older raising core), as the reference the core must match bit for bit.
+def linalg_solve_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
+                     work: np.ndarray | None = None):
+    """min ||u||^2 s.t. rows u == rhs on is_eq rows, >= rhs on the rest; C stacked problems.
+
+    Up to _STEPS lock-step primal-dual active-set steps (Hintermueller, Ito and Kunisch,
+    SIAM J. Optim. 2002) from working sets work | is_eq, else every row. Problems left open
+    go to _ldp_nnls (the only source of Farkas certificates and of ActiveSetLimitError),
+    then one step from each NNLS support retakes the points it certifies: a point depends
+    on its support alone, so a first working set changes the cost, never the optimum.
+    Returns u (C, n), nu (C, m) with u[c] = rows[c].T @ nu[c], and errors: {c: the
+    SolverError problem c raises alone}, in index order, with u[c] and nu[c] nan.
+    """
+    w = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
+    gram = rows @ rows.transpose(0, 2, 1)
+    u, nu, w, done = _linalg_pdas_step(gram, rows, rhs, is_eq, w)
+    for _ in range(_STEPS - 1):         # later steps take only the open problems
+        if done.all():
+            break
+        o = ~done if done.any() else slice(None)
+        u[o], nu[o], w[o], done[o] = _linalg_pdas_step(gram[o], rows[o], rhs[o], is_eq[o], w[o])
+    if done.all():
+        return u, nu, {}
+    rest = np.flatnonzero(~done)
+    u[rest], nu[rest], errors = solver._ldp_nnls(rows[rest], rhs[rest], is_eq[rest])
+    errors = {int(rest[c]): errors[c] for c in sorted(errors)}
+    rest = rest[~np.isin(rest, list(errors))]       # the retake skips the failed problems
+    a, b, eq = rows[rest], rhs[rest], is_eq[rest]
+    x, v, _, done = _linalg_pdas_step(gram[rest], a, b, eq, eq | (nu[rest] > 0.0))
+    u[rest[done]], nu[rest[done]] = x[done], v[done]
+    return u, nu, errors
+
+
+def _linalg_pdas_step(gram, rows, rhs, is_eq, w):
+    """One primal-dual active-set step: solve (A_w A_w^T) nu = b_w (identity rows off w), u =
+    A^T nu. Returns u, nu, the next w = is_eq | (nu + (b - A u) / max_i ||a_i||^2 > 0) and
+    done: u keeps w, meets its rows within _FEAS_TOL max|b| and the rest exactly, has nu >= 0
+    on inequality rows, and a refinement step moves it by at most _REFINE_TOL ||u||."""
+    g = np.where(w[:, :, None] & w[:, None, :], gram, np.eye(w.shape[1]))
+    nu = _linalg_gram_solve(g, np.where(w, rhs, 0.0))
+    u = (nu[:, None] @ rows)[:, 0]
+    gaps = rhs - (rows @ u[..., None])[..., 0]
+    w_next = is_eq | (nu * np.einsum("cii->ci", gram).max(axis=1, keepdims=True) + gaps > 0.0)
+    tol = _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True)
+    done = ~((w_next != w) | (np.abs(gaps) > tol) & w | (nu < 0.0) & ~is_eq).any(axis=1)
+    if done.any():
+        du = (_linalg_gram_solve(g, np.where(w, gaps, 0.0))[:, None] @ rows)[:, 0]
+        done &= np.abs(du).max(axis=1) <= _REFINE_TOL * np.abs(u).max(axis=1)
+    return u, nu, w_next, done
+
+
+def _linalg_gram_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x (C, m) of g x = b; a singular slice gives nan in its own row, not an error."""
+    try:
+        return np.linalg.solve(g, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:       # one singular slice fails the call: bisect the stack
+        half = len(g) // 2
+        return (np.concatenate([_linalg_gram_solve(g[:half], b[:half]),
+                                _linalg_gram_solve(g[half:], b[half:])])
+                if half else np.full(b.shape, np.nan))
 
 
 def _isotonic_nonincreasing(y):
