@@ -7,7 +7,8 @@ multicast problem on the effective channel, whose optimum lower-bounds the
 symbol-level power. Its SCA descents of a whole stack of channels also run in
 lock-step, each round one call of the solver's QP core, min_norm_ldp, which
 takes collinear users' tangent rows as they are. Like that core, both stacks
-report each failing frame or row with the error it raises alone.
+return each failing frame's or row's error as a value; only the lone entries,
+solve_ob and solve_multicast_bound, raise it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ class BeamformerSet:
     iterations: int
 
 
-def _reject_zero_rows(h: np.ndarray) -> None:
-    """Raise InfeasibleConstraintsError naming each user with an all-zero row in h (..., K, Nt)."""
+def _reject_zero_rows(h: np.ndarray) -> InfeasibleConstraintsError | None:
+    """The InfeasibleConstraintsError naming each user with an all-zero row in h (..., K, Nt)."""
     live = np.any(h, axis=-1).reshape(-1, h.shape[-2]).all(axis=0)
     zero = [f"user{j + 1}" for j in np.flatnonzero(~live)]
-    if zero:
-        raise InfeasibleConstraintsError(f"all-zero channel row for {zero}", zero)
+    return InfeasibleConstraintsError(f"all-zero channel row for {zero}", zero) if zero else None
 
 
 def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
@@ -60,11 +60,15 @@ def achieved_sinrs(channel, beams: BeamformerSet, sigma_z: float) -> np.ndarray:
 
 def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
     """Minimum-power beams meeting per-user SINR targets: solve_ob_stack of one frame."""
-    return solve_ob_stack([channel], [targets])[0]
+    beams = solve_ob_stack([channel], [targets])[0]
+    if isinstance(beams, SolverError):
+        raise beams
+    return beams
 
 
 def solve_ob_stack(channels, targets) -> list:
-    """Minimum-power beams, one BeamformerSet per channel (K, Nt) and its SinrTargets.
+    """Minimum-power beams, one BeamformerSet per channel (K, Nt) and its SinrTargets, or
+    the SolverError that frame raises alone.
 
     Solved through the virtual-uplink fixed point (_uplink_powers: every frame
     in lock-step, each bit for bit its lone run), then a K x K linear system
@@ -72,22 +76,11 @@ def solve_ob_stack(channels, targets) -> list:
     A covariance that is not numerically positive definite (q diverging, as on
     collinear users) is a BeamformingConvergenceError, like any other sign of
     infeasible targets; an all-zero channel row an InfeasibleConstraintsError.
-    Raises the first failing frame's error, the one it raises alone.
     """
-    beams = _ob_frames(channels, targets)
-    if errors := [b for b in beams if isinstance(b, SolverError)]:
-        raise errors[0]
-    return beams
-
-
-def _ob_frames(channels, targets) -> list:
-    """solve_ob_stack's BeamformerSet per frame, or the SolverError the frame raises alone."""
     frames, groups, out = {}, {}, {}
     for f, (c, t) in enumerate(zip(channels, targets, strict=True)):
         h = as_entries(c)
-        try:
-            _reject_zero_rows(h)
-        except InfeasibleConstraintsError as err:
+        if err := _reject_zero_rows(h):
             out[f] = err
             continue
         hc, nt = h.conj(), h.shape[1]
@@ -218,7 +211,8 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     if restarts < 0 or (warm is None and restarts == 0):
         raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
                          f" and {'no' if warm is None else 'a'} warm start")
-    _reject_zero_rows(h)
+    if err := _reject_zero_rows(h):
+        raise err
     nt, rhs_abs2 = h.shape[2], np.broadcast_to(targets.zeta * targets.sigma_z ** 2, h.shape[:2])
     seeds, row_seed = (([seed], np.zeros(len(h), dtype=int)) if np.ndim(seed) == 0
                        else np.unique(seed, return_inverse=True))

@@ -42,6 +42,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
+MAX_SIZE = 64   # users and antennas: a 100-slot frame's row and Gram stacks are ~13 MB each
+MAX_REGION_POINTS = 100   # per target axis: a region map solves the square of this
+
 # deterministic 2x2 test channels for the fixed subcommand
 PRESET_CHANNELS = {
     "combos": np.array([[0.1787 + 1.9179j, 0.9201 + 1.0048j],
@@ -113,14 +116,15 @@ _SCHEMAS = {
         "frames": _Opt(int, 50, "Monte-Carlo frames"),
         "symbols": _Opt(int, 100, "symbol slots per frame"),
         "axis": _Opt(str, "sinr", "sweep variable (default: sinr)", SWEEP_AXES),
-        "grid": _Opt(float_list, [4.0, 8.0, 12.0], "comma-separated grid values"),
+        "grid": _Opt(float_list, [4.0, 8.0, 12.0],
+                     f"comma-separated grid values (size, users: 1 to {MAX_SIZE})"),
         "precoders": _Opt(name_list, ["cipm", "ob"],
                           "comma list from {%s}" % ",".join(PRECODERS)),
         "modulations": _Opt(name_list, ["qpsk"],
                             "per-user constellation names (single name = all users)"),
         "mode": _Opt(str, "relaxed", "constraint mode", MODES),
-        "antennas": _Opt(int, 2, "transmit antennas"),
-        "users": _Opt(int, 2, "number of users"),
+        "antennas": _Opt(int, 2, f"transmit antennas (1 to {MAX_SIZE})"),
+        "users": _Opt(int, 2, f"number of users (1 to {MAX_SIZE})"),
         "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "target SINR in dB (fixed axes)"),
         "sigma_h2_db": _Opt(float, 0.0, "channel variance in dB"),
         "sigma_z2_db": _Opt(float, 0.0, "noise variance in dB"),
@@ -131,7 +135,8 @@ _SCHEMAS = {
         "preset": _Opt(str, None, "built-in 2x2 channel: 'combos' for the per-combination "
                        "table, 'regions' for the SINR region map", tuple(PRESET_CHANNELS)),
         "channel": _Opt(str, None, "channel file (K Nt header + rows)"),
-        "grid": _Opt(str, None, "region grid: point count or comma dB list"),
+        "grid": _Opt(str, None,
+                     f"region grid: point count (1 to {MAX_REGION_POINTS}) or comma dB list"),
         "modulations": _Opt(name_list, ["qpsk"], "per-user constellation names"),
         "mode": _Opt(str, "relaxed", "constraint mode", MODES),
         "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "per-user target SINR in dB"),
@@ -143,7 +148,7 @@ _SCHEMAS = {
         "constellation": _Opt(str, "16qam", "constellation name (default 16qam)"),
         "samples": _Opt(int, 100_000, "Monte-Carlo draws"),
         "bins": _Opt(int, None, "equal-probability bins (default 24, qpsk 12)"),
-        "antennas": _Opt(int, 2, "transmit antennas"),
+        "antennas": _Opt(int, 2, f"transmit antennas (1 to {MAX_SIZE})"),
         "beta": _Opt(float, 1.0, "fading rate parameter"),
         "threshold": _Opt(float, None, "L1 pass threshold (default 0.02, qpsk 0.01)"),
     }),
@@ -225,8 +230,11 @@ def cmd_sweep(opts):
         raise ValueError(f"--threads must be >= 0 (0 = all cores), got {opts['threads']}")
     if len(set(opts["precoders"])) < len(opts["precoders"]):
         raise ValueError(f"--precoders names a precoder twice: {','.join(opts['precoders'])}")
-    if opts["axis"] != "sinr" and not all(v >= 1 and v.is_integer() for v in opts["grid"]):
-        raise ValueError(f"--grid: {opts['axis']} takes whole numbers >= 1, got {opts['grid']}")
+    sizes = {"--users": [opts["users"]], "--antennas": [opts["antennas"]],
+             f"--grid ({opts['axis']} axis)": opts["grid"] if opts["axis"] != "sinr" else []}
+    for flag, values in sizes.items():
+        if not all(1 <= v <= MAX_SIZE and float(v).is_integer() for v in values):
+            raise ValueError(f"{flag} takes whole numbers from 1 to {MAX_SIZE}, got {values}")
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
         n_antennas=opts["antennas"], k_users=opts["users"],
@@ -254,12 +262,13 @@ def _parse_region_grid(text):
     if text is None:
         return list(np.linspace(4.0, 14.0, 6))
     with contextlib.suppress(ValueError):
-        grid = (float_list(text) if "," in text or "." in text
-                else list(np.linspace(4.0, 14.0, int(text))))
+        count = None if "," in text or "." in text else int(text)   # bounded before linspace
+        grid = float_list(text) if count is None else (
+            list(np.linspace(4.0, 14.0, count)) if count <= MAX_REGION_POINTS else [])
         if grid and np.isfinite(grid).all():
             return grid
-    raise ValueError(f"--grid must be a point count >= 1 or a comma list of finite dB values,"
-                     f" got {text!r}")
+    raise ValueError(f"--grid must be a point count from 1 to {MAX_REGION_POINTS} or a comma"
+                     f" list of finite dB values, got {text!r}")
 
 
 def _ladder(opts, **analytic):
@@ -321,6 +330,8 @@ def cmd_pdfcheck(opts):
         threshold = 0.01 if qpsk else 0.02
     if not 0.0 < threshold < float("inf"):
         raise ValueError(f"--threshold must be finite and positive, got {threshold}")
+    if not 1 <= opts["antennas"] <= MAX_SIZE:
+        raise ValueError(f"--antennas must be from 1 to {MAX_SIZE}, got {opts['antennas']}")
     report = validate_distribution(
         constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
         samples=opts["samples"], bins=bins, seed=opts["seed"])

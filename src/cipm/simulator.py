@@ -20,14 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import _ob_frames, solve_multicast_stack, solve_ob
+from .baselines import solve_multicast_stack, solve_ob, solve_ob_stack
 from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel,
                       eq_power_cdf, eq_power_mean, eq_power_pdf,
                       sample_rayleigh, symbol_stats, write_csv)
 from .constellation import detect, gather, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
-from .solver import (SinrTargets, SolverError, _check_mode, _cipm_rows, _in_combination,
-                     solve_cipm_stack)
+from .solver import SinrTargets, SolverError, _check_mode, _in_combination, solve_cipm_stack
 
 PRECODERS = ("cipm", "ob", "multicast")
 
@@ -143,7 +142,7 @@ def _solve_shape(frames, precoders):
     row = np.repeat(np.arange(len(frames)), [len(c) for c in combos])    # frame of each row
     targets = SinrTargets(np.stack([d.targets.zeta for d in frames])[row], cfg.sigma_z)
     h, stacked = np.stack([d.channel.entries for d in frames])[row], np.concatenate(combos)
-    x, _, errors = _cipm_rows(h, specs, stacked, targets, cfg.mode)
+    x, _, errors = solve_cipm_stack(h, specs, stacked, targets, cfg.mode)
     xs, ok = {"cipm": x}, ~np.isin(row, row[list(errors)])    # rows of frames still alive
     if "multicast" in precoders and ok.any():
         # bounds on the effective channels (built per frame, as a lone frame's bits),
@@ -197,7 +196,7 @@ def _solve_jobs(jobs, precoders):
         for i, err in _solve_shape([frames[j] for j in idx], precoders).items():
             out[idx[i]] = err
     ob = [i for i, o in enumerate(out) if "ob" in precoders and isinstance(o, dict)]
-    beams = _ob_frames([frames[i].channel for i in ob], [frames[i].targets for i in ob])
+    beams = solve_ob_stack([frames[i].channel for i in ob], [frames[i].targets for i in ob])
     for i, d, b in zip(ob, [frames[i] for i in ob], beams):
         # user j detects against its own beam gain h_j w_j
         out[i] = b if isinstance(b, SolverError) else dict(d.results, ob=_result(
@@ -344,7 +343,11 @@ def _combination_powers(h, cfg: FrameConfig):
             f"enumeration of {total} combinations exceeds the "
             f"{MAX_ENUMERATION} limit")
     combos = enumerate_combinations(orders)
-    return combos, solve_cipm_stack(h, specs, combos, cfg.targets(), cfg.mode)[1]
+    _, power, errors = solve_cipm_stack(h, specs, combos, cfg.targets(), cfg.mode)
+    if errors:
+        c = min(errors)
+        raise _in_combination(errors[c], combos[c])
+    return combos, power
 
 
 def fixed_channel_experiment(channel, cfg: FrameConfig) -> CombinationTable:

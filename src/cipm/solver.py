@@ -11,13 +11,14 @@ lock-step primal-dual active-set steps on their Gram systems (solved by numpy's
 LAPACK gesv gufunc, called directly, with what the steps read of a stack computed
 once per stack, so a lone slot pays little fixed cost per call); what those do
 not certify runs one NNLS each, which finds the active set, or a Farkas
-certificate of infeasibility, for any rank of the rows. The core reports
-each failing problem's error, and each public entry raises from it. solve_cipm
-(strict mode included) and the equivalent-channel form run the core on one
-problem, frames and the multicast SCA rounds on stacks. The KKT report keeps
-the multipliers and builds its residual, violation, active set and correlation
-matrix only on request. make_problem, like gather, rejects a symbol index that is
-not an integer in [0, order) of its user's constellation, naming the user.
+certificate of infeasibility, for any rank of the rows. The core and
+solve_cipm_stack return each failing problem's error; only lone entries raise
+it. solve_cipm (strict mode included) and the equivalent-channel form run the
+core on one problem, frames and the multicast SCA rounds on stacks. The KKT
+report keeps the multipliers and builds its residual, violation, active set and
+correlation matrix only on request. make_problem, like gather, rejects a symbol
+index that is not an integer in [0, order) of its user's constellation, naming
+the user.
 """
 
 from __future__ import annotations
@@ -318,25 +319,15 @@ def _in_combination(err: SolverError, combo) -> SolverError:
     return named
 
 
-def _cipm_rows(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
-               targets: SinrTargets, mode: str):
-    """Transmit vectors (C, Nt), powers (C,) and min_norm_ldp's errors of symbol rows (C, K).
-    h is one channel (K, Nt) or one per row (C, K, Nt), targets.zeta (K,) or (C, K)."""
+def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
+                     targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Transmit vectors (C, Nt), powers (C,) and min_norm_ldp's errors (rows of nan) of
+    symbol rows (C, K); h is one channel (K, Nt) or one per row, targets.zeta (K,) or (C, K)."""
     _check_mode(mode)
     free = gather(specs, combos, "free") & (mode == "relaxed")
     rows, rhs, is_eq, _ = _assemble(h, gather(specs, combos, "coeffs"), free, targets)
     u, _, errors = min_norm_ldp(rows, rhs, is_eq)
     return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u), errors
-
-
-def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.ndarray,
-                     targets: SinrTargets, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """_cipm_rows' vectors and powers; raises the first failing row's error, naming it."""
-    x, power, errors = _cipm_rows(h, specs, combos, targets, mode)
-    if errors:
-        c = min(errors)
-        raise _in_combination(errors[c], combos[c])
-    return x, power
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,

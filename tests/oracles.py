@@ -62,7 +62,7 @@ from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, _REFINE_TOL, _STEPS, ActiveSetLimitError,
                          InfeasibleConstraintsError, SinrTargets, SolverError, _polish,
-                         _row_labels, solve_cipm_stack)
+                         _in_combination, _row_labels, solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -334,7 +334,8 @@ def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
     an all-zero channel row raises InfeasibleConstraintsError up front.
     """
     h, zeta, s2 = as_entries(channel), targets.zeta, targets.sigma_z ** 2
-    _reject_zero_rows(h)
+    if err := _reject_zero_rows(h):
+        raise err
     k, nt = h.shape
     gain, hc = zeta / (1.0 + zeta), h.conj()
     outer = (hc[:, :, None] * h[:, None, :]).reshape(k, nt * nt)   # row j: h_j^H h_j
@@ -844,7 +845,8 @@ def multicast_stack_oracle(h: np.ndarray, targets, restarts: int,
     if restarts < 0 or (warm is None and restarts == 0):
         raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
                          f" and {'no' if warm is None else 'a'} warm start")
-    _reject_zero_rows(h)
+    if err := _reject_zero_rows(h):
+        raise err
     nt, rhs_abs2 = h.shape[2], targets.zeta * targets.sigma_z ** 2
     draws = np.random.default_rng(seed).standard_normal((restarts, 2, nt))
     starts = np.broadcast_to(draws[:, 0] + 1j * draws[:, 1], (len(h), restarts, nt))
@@ -912,7 +914,10 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
             hits, entries = 0, 1
         else:
             combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
-            xs, _ = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
+            xs, _, errors = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
+            if errors:
+                c = min(errors)
+                raise _in_combination(errors[c], combos[c])
             # receiver rescales by the constraint scaling before the slicer
             det_scale = np.sqrt(targets.zeta) * targets.sigma_z
             if cfg.precoder == "multicast":

@@ -21,7 +21,7 @@ from cipm.linkadapt import (AnalyticBackend, EmpiricalBackend, ModulationTable,
 from cipm.simulator import (FrameConfig, draw_channel, enumerate_combinations,
                             fixed_channel_experiment, run_frame, run_frames,
                             validate_distribution)
-from cipm.solver import SinrTargets, make_problem, solve_cipm
+from cipm.solver import SinrTargets, SolverError, make_problem, solve_cipm
 
 from oracles import qp_oracle, seeded_instances, sinr_from_ser_oracle, embed_constraints
 
@@ -38,6 +38,9 @@ def _ob_dbw_mean(cfg):
     """Design-average OB power per frame (sum of beam powers), dB-averaged."""
     beams = solve_ob_stack([draw_channel(cfg, f) for f in range(cfg.frames)],
                            [cfg.targets()] * cfg.frames)
+    for b in beams:
+        if isinstance(b, SolverError):
+            raise b
     return float(np.mean([10.0 * np.log10(np.sum(np.abs(b.w) ** 2)) for b in beams]))
 
 

@@ -350,14 +350,9 @@ def _ob_outcome(solve, h, targets):
 
 
 def _assert_stack_is_each_lone_oracle(hs, targets):
-    want = [_ob_outcome(solve_ob_oracle, h, t) for h, t in zip(hs, targets)]
-    errors = [w for w in want if isinstance(w, str)]
-    if errors:
-        with pytest.raises(BeamformingConvergenceError) as exc:
-            solve_ob_stack(hs, targets)
-        assert str(exc.value) == errors[0]
     # every frame ends as its lone run does, beams or error, whatever the others do
-    got = baselines._ob_frames(hs, targets) if errors else solve_ob_stack(hs, targets)
+    want = [_ob_outcome(solve_ob_oracle, h, t) for h, t in zip(hs, targets)]
+    got = solve_ob_stack(hs, targets)
     for f, (beams, w) in enumerate(zip(got, want, strict=True)):
         if isinstance(w, str):
             assert isinstance(beams, BeamformingConvergenceError) and str(beams) == w, f
@@ -402,27 +397,30 @@ def test_ob_stack_stops_on_block_edges_bit_for_bit():
 
 
 def test_ob_stack_raises_the_failing_frames_own_error():
-    # a collinear frame between feasible ones raises its lone error, at the
-    # iteration the oracle names; so does a frame at the iteration cap
+    # a collinear frame between feasible ones gets its lone error in its slot, at
+    # the iteration the oracle names, and solve_ob raises it; so does a frame at
+    # the iteration cap
     targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)
     good, collinear = _channel(3, 2, 2), np.array([[1.0 + 0.0j, 0.5], [1.0 + 0.0j, 0.5]])
-    want = _ob_outcome(solve_ob_oracle, collinear, targets)
-    assert "not positive definite" in want
-    with pytest.raises(BeamformingConvergenceError) as exc:
-        solve_ob_stack([good, collinear, _channel(4, 2, 3)], [targets] * 3)
-    assert str(exc.value) == want
     # K=3 on Nt=2 at 4 dB: no powers meet the targets, and the iteration runs out
     over = SinrTargets(zeta=np.full(3, 10.0 ** 0.4), sigma_z=1.0)
-    want = _ob_outcome(solve_ob_oracle, _channel(5, 3, 2), over)
-    assert "did not converge in 10000 iterations" in want
-    with pytest.raises(BeamformingConvergenceError) as exc:
-        solve_ob_stack([_channel(5, 3, 2), good], [over, targets])
-    assert str(exc.value) == want
+    cases = [([good, collinear, _channel(4, 2, 3)], [targets] * 3, 1, "not positive definite"),
+             ([_channel(5, 3, 2), good], [over, targets], 0,
+              "did not converge in 10000 iterations")]
+    for hs, ts, f, message in cases:
+        want = _ob_outcome(solve_ob_oracle, hs[f], ts[f])
+        assert message in want
+        got = solve_ob_stack(hs, ts)
+        assert isinstance(got[f], BeamformingConvergenceError) and str(got[f]) == want
+        assert [isinstance(b, BeamformerSet) for b in got] == [g != f for g in range(len(hs))]
+        with pytest.raises(BeamformingConvergenceError) as exc:
+            solve_ob(hs[f], ts[f])
+        assert str(exc.value) == want
     with pytest.raises(ValueError, match="shorter"):
         solve_ob_stack([good, good], [targets])      # one SinrTargets per channel
 
 
-def test_ob_frames_end_as_each_lone_run():
+def test_ob_stack_ends_each_frame_as_its_lone_run():
     # a collinear frame fails mid-block and a K=3, Nt=2 frame at the cap; each stops with
     # its lone error, and the frames around them run on to their lone beams
     targets = SinrTargets(zeta=np.array([10.0, 10.0]), sigma_z=1.0)

@@ -2,8 +2,10 @@
 
 import argparse
 import importlib.util
+import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -34,6 +36,13 @@ SWEEP_HEADER = ("target_sinr_db,precoder,avg_power_dbw,avg_power_watts,"
 
 def _read(path):
     return path.read_text(encoding="ascii").splitlines()
+
+
+def _child_env(**extra):
+    """This process's environment for a child Python, with the package's source on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
 
 
 # ------------------------------------------------------------ option plumbing
@@ -263,6 +272,52 @@ def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag,
     assert list(tmp_path.iterdir()) == []
 
 
+# each count sizes an allocation: without its check, these ask for 8 GB (the region
+# grid) to EiB (the size axis) before anything fails
+_HUGE_COUNTS = [
+    (["sweep", "--axis", "size", "--grid", "1e9"], "--grid"),
+    (["sweep", "--axis", "users", "--grid", "1e9", "--antennas", "2"], "--grid"),
+    (["sweep", "--axis", "size", "--grid", "2,65"], "--grid"),
+    (["sweep", "--users", "1000000000"], "--users"),
+    (["sweep", "--users", "65"], "--users"),
+    (["sweep", "--antennas", "1000000000"], "--antennas"),
+    (["fixed", "--preset", "regions", "--grid", "1000000000"], "--grid"),
+    (["fixed", "--preset", "regions", "--grid", "101"], "--grid"),
+    (["pdfcheck", "--antennas", "1000000000"], "--antennas"),
+    (["pdfcheck", "--antennas", "65"], "--antennas"),
+]
+_CAPPED_CHILD = """
+import contextlib, io, json, sys
+from cipm.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_huge_counts_exit_config_naming_the_option_under_a_memory_cap(tmp_path):
+    # one child runs every argv with its address space capped at 1 GiB, so a count
+    # that reaches an allocation raises MemoryError there rather than filling memory
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argvs = [argv + ["--out", str(tmp_path / f"out{i}")]
+             + (["--threads", "1"] if argv[0] == "sweep" else [])
+             for i, (argv, _) in enumerate(_HUGE_COUNTS)]
+    child = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
+                           env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                           preexec_fn=cap_address_space, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    for (argv, flag), (code, err) in zip(_HUGE_COUNTS, json.loads(child.stdout), strict=True):
+        assert code == EXIT_CONFIG and err.startswith(f"error: {flag}"), (argv, err)
+        assert "Traceback" not in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["--preset", "regions", "--grid", "4,1e308"], "--grid"),
     (["--preset", "combos", "--zeta-db", "1e308"], "--zeta-db"),
@@ -278,9 +333,7 @@ def test_fixed_out_of_range_targets_exit_config_naming_the_option(tmp_path, argv
 
 def test_import_loads_no_scipy_stats():
     # importing scipy.stats costs about half a second, which every CLI run would pay
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     code = "import sys, cipm; print([m for m in sys.modules if m.startswith('scipy.stats')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
@@ -339,9 +392,7 @@ def test_main_calls_in_one_process_match_separate_runs(tmp_path, capsys):
     for i, argv in enumerate(runs):
         assert main(argv + ["--out", str(tmp_path / f"same{i}")]) == EXIT_OK
     capsys.readouterr()
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cipm.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     for i, argv in enumerate(runs):
         subprocess.run([sys.executable, "-m", "cipm.cli", *argv,
                         "--out", str(tmp_path / f"own{i}")],

@@ -72,7 +72,7 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     specs, targets = cfg.constellations(), cfg.targets()
     symbols, mc_seed = _frame_symbols(cfg, specs)
     combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
-    xs, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
+    xs, _, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
     if precoder == "multicast":
         eff = np.stack([effective_channel(ch, specs, combo).entries for combo in combos])
         xs, _, feasible, _ = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
@@ -138,6 +138,25 @@ def test_frame_solver_error_names_a_replayable_symbol_row():
                                     cfg.targets()))
         rows.append(row)
     assert rows[0] == [0, 1]     # the first distinct-symbol row enumerated
+
+
+def test_cipm_stack_returns_each_failing_rows_own_error():
+    # the twin users above: the stack raises for no row, and returns exactly the
+    # distinct-symbol rows' errors, unprefixed, with nan in those rows and every
+    # other row bit for bit a stack of the feasible rows alone
+    h = np.array([[1.0 + 0.5j, 0.3 - 0.2j], [1.0 + 0.5j, 0.3 - 0.2j]])
+    cfg = FrameConfig(modulations="qpsk")
+    specs, targets = cfg.constellations(), cfg.targets()
+    combos = enumerate_combinations([4, 4])
+    x, power, errors = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
+    twins = combos[:, 0] == combos[:, 1]
+    assert list(errors) == np.flatnonzero(~twins).tolist()
+    for c, err in errors.items():
+        assert type(err) is InfeasibleConstraintsError and "combination" not in str(err)
+    assert np.isnan(x[~twins]).all() and np.isnan(power[~twins]).all()
+    x_ok, power_ok, errors_ok = solve_cipm_stack(h, specs, combos[twins], targets, cfg.mode)
+    assert errors_ok == {}
+    assert x[twins].tobytes() == x_ok.tobytes() and power[twins].tobytes() == power_ok.tobytes()
 
 
 def test_enumerate_combinations_order():
@@ -427,7 +446,7 @@ def test_failing_multicast_row_names_its_frame_and_combination(monkeypatch):
     assert str(err.value) == f"frame 1: combination {last}: NNLS stopped: test"
 
 
-def test_infeasible_ob_frames_raise_with_no_warning():
+def test_ob_run_of_infeasible_frames_raises_with_no_warning():
     # K=3 on Nt=2 at 6 dB: q overflows on its way to the iteration cap, which the
     # one-frame oracle reports with numpy warnings; the runner's error is the same text
     cfg = FrameConfig(n_symbols=10, frames=2, n_antennas=2, k_users=3, seed=1, zeta_db=6.0,
