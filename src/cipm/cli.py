@@ -13,21 +13,26 @@ Subcommands
 Exit codes: 0 success, 2 bad configuration or input, 3 solver failure,
 4 validation failure.  Config files are flat ``key = value`` text; command
 line flags override file values.  Each option is declared once, in
-``_SCHEMAS``, which generates both its flag and its config-file key.
+``_SCHEMAS``, which generates its flag, config-file key and help text.  Its
+parser is a ``_Domain``, the option's values (whole numbers in [lo, hi],
+finite positive numbers, dB values within +-3000, a set of names, or comma
+lists of one of these): flag and config text alike pass through it before
+any command runs, and text outside it exits 2 with ``error: --flag: takes
+<domain>, got '<text>'``.  A command checks only what joins two options.
 """
 
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import ChannelMatrix
-from .constellation import get_constellation
+from .constellation import ALIASES, get_constellation
 from .linkadapt import (AnalyticBackend, EmpiricalBackend, ModulationTable,
                         allocate, load_table)
 from .simulator import (DEFAULT_ZETA_DB, PRECODERS, SWEEP_AXES,
@@ -42,8 +47,13 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
+# every count sizes an allocation or a process pool, so each has a maximum
 MAX_SIZE = 64   # users and antennas: a 100-slot frame's row and Gram stacks are ~13 MB each
 MAX_REGION_POINTS = 100   # per target axis: a region map solves the square of this
+MAX_FRAMES = MAX_SLOTS = MAX_BINS = 10_000   # a sweep draws every frame's slots up front
+MAX_SYMBOLS = 10_000_000   # modmap, per SER point: about 0.7 GB of draws at the maximum
+MAX_SAMPLES = 1_000_000    # pdfcheck: (samples, antennas) complex channel draws
+MAX_RESTARTS = MAX_THREADS = 64   # multicast starts per combination; worker processes
 
 # deterministic 2x2 test channels for the fixed subcommand
 PRESET_CHANNELS = {
@@ -72,93 +82,121 @@ def read_config(path):
     return values
 
 
-def _parse_bool(text):
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+class _Domain(NamedTuple):
+    """An option's parser: convert(text), if that succeeds and ok(value) holds; else
+    ValueError(what), what naming the domain."""
+
+    what: str
+    convert: Callable = str
+    ok: Callable = bool
+
+    def __call__(self, text):
+        with contextlib.suppress(ValueError, KeyError):
+            if self.ok(value := self.convert(text)):
+                return value
+        raise ValueError(self.what)
 
 
-def float_list(text):
-    parts = [p for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [float(p) for p in parts]
+def _whole(lo, hi=math.inf):
+    span = f"from {lo} to {hi}" if hi < math.inf else f">= {lo}"
+    return _Domain(f"a whole number {span}", int, lambda v: lo <= v <= hi)
 
 
-def name_list(text):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of names")
-    return parts
+def _one_of(names):
+    return _Domain("one of " + ", ".join(names), str, lambda v: v in names)
+
+
+def _list_of(item, distinct=False):
+    """Comma lists of item's values, at least one; blank parts are skipped."""
+    return _Domain(f"a comma list of {'distinct ' * distinct}values, each {item.what}",
+                   lambda text: [item(p.strip()) for p in text.split(",") if p.strip()],
+                   lambda v: len(v) > 0 and (not distinct or len(set(v)) == len(v)))
+
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False)
+_SWITCH = _Domain("yes or no", lambda text: _BOOLS[text.strip().lower()], lambda v: True)
+_PATH = _Domain("a path")
+_POSITIVE = _Domain("a finite positive number", float, lambda v: 0.0 < v < math.inf)
+_DB = _Domain("a dB value from -3000 to 3000", float, lambda v: abs(v) <= 3000.0)  # 1e-300..1e300
+_DB_LIST = _list_of(_DB)
+_CONSTELLATION = _Domain("a constellation name (" + ", ".join(ALIASES) + ")", str,
+                         lambda v: v.strip().lower() in ALIASES)
+
+
+def _region_points(text):
+    """A point count spread evenly over 4..14 dB, or a comma list of dB values."""
+    try:
+        int(text)
+    except ValueError:
+        return _DB_LIST(text)
+    return list(np.linspace(4.0, 14.0, _whole(1, MAX_REGION_POINTS)(text)))   # bounded first
 
 
 class _Opt(NamedTuple):
-    """One option: parses a flag or config value; a _parse_bool one is a bare flag."""
+    """One option: its _Domain parser, default and help; a _SWITCH one is a bare flag."""
 
-    parse: Callable
+    parse: _Domain
     default: object
     help: str
-    choices: tuple | None = None
 
 
-# per-subcommand option schema: the one declaration of each option.  It
-# generates the flags (key zeta_db is --zeta-db), the accepted config-file
-# keys and the hard defaults.  A subcommand lists only the options it reads.
-_COMMON = {"out": _Opt(str, ".", "output directory (default: .)")}
-_SEEDED = dict(_COMMON, seed=_Opt(int, 0, "base RNG seed"))
+# per-subcommand option schema: the one declaration of each option.  It generates the
+# flags (key zeta_db is --zeta-db), the config-file keys, the hard defaults and the
+# help text.  A subcommand lists only the options it reads.
+_COMMON = {"out": _Opt(_PATH, ".", "output directory (default: .)")}
+_SEEDED = dict(_COMMON, seed=_Opt(_whole(0), 0, "base RNG seed"))
 
 _SCHEMAS = {
     "sweep": dict(_SEEDED, **{
-        "threads": _Opt(int, 0, "worker processes; 0 = all cores"),
-        "frames": _Opt(int, 50, "Monte-Carlo frames"),
-        "symbols": _Opt(int, 100, "symbol slots per frame"),
-        "axis": _Opt(str, "sinr", "sweep variable (default: sinr)", SWEEP_AXES),
-        "grid": _Opt(float_list, [4.0, 8.0, 12.0],
-                     f"comma-separated grid values (size, users: 1 to {MAX_SIZE})"),
-        "precoders": _Opt(name_list, ["cipm", "ob"],
-                          "comma list from {%s}" % ",".join(PRECODERS)),
-        "modulations": _Opt(name_list, ["qpsk"],
+        "threads": _Opt(_whole(0, MAX_THREADS), 0, "worker processes; 0 = all cores"),
+        "frames": _Opt(_whole(1, MAX_FRAMES), 50, "Monte-Carlo frames"),
+        "symbols": _Opt(_whole(1, MAX_SLOTS), 100, "symbol slots per frame"),
+        "axis": _Opt(_one_of(SWEEP_AXES), "sinr", "sweep variable (default: sinr)"),
+        "grid": _Opt(_DB_LIST, [4.0, 8.0, 12.0],
+                     f"grid values (size, users: whole numbers from 1 to {MAX_SIZE})"),
+        "precoders": _Opt(_list_of(_one_of(PRECODERS), distinct=True), ["cipm", "ob"],
+                          "precoders compared on the same frames"),
+        "modulations": _Opt(_list_of(_CONSTELLATION), ["qpsk"],
                             "per-user constellation names (single name = all users)"),
-        "mode": _Opt(str, "relaxed", "constraint mode", MODES),
-        "antennas": _Opt(int, 2, f"transmit antennas (1 to {MAX_SIZE})"),
-        "users": _Opt(int, 2, f"number of users (1 to {MAX_SIZE})"),
-        "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "target SINR in dB (fixed axes)"),
-        "sigma_h2_db": _Opt(float, 0.0, "channel variance in dB"),
-        "sigma_z2_db": _Opt(float, 0.0, "noise variance in dB"),
-        "restarts": _Opt(int, 2, "multicast bound restarts per combination"),
-        "summary": _Opt(_parse_bool, False, "print headline numbers"),
+        "mode": _Opt(_one_of(MODES), "relaxed", "constraint mode"),
+        "antennas": _Opt(_whole(1, MAX_SIZE), 2, "transmit antennas"),
+        "users": _Opt(_whole(1, MAX_SIZE), 2, "number of users"),
+        "zeta_db": _Opt(_DB, DEFAULT_ZETA_DB, "target SINR in dB (fixed axes)"),
+        "sigma_h2_db": _Opt(_DB, 0.0, "channel variance in dB"),
+        "sigma_z2_db": _Opt(_DB, 0.0, "noise variance in dB"),
+        "restarts": _Opt(_whole(0, MAX_RESTARTS), 2, "multicast bound restarts per combination"),
+        "summary": _Opt(_SWITCH, False, "print headline numbers"),
     }),
     "fixed": dict(_COMMON, **{
-        "preset": _Opt(str, None, "built-in 2x2 channel: 'combos' for the per-combination "
-                       "table, 'regions' for the SINR region map", tuple(PRESET_CHANNELS)),
-        "channel": _Opt(str, None, "channel file (K Nt header + rows)"),
-        "grid": _Opt(str, None,
-                     f"region grid: point count (1 to {MAX_REGION_POINTS}) or comma dB list"),
-        "modulations": _Opt(name_list, ["qpsk"], "per-user constellation names"),
-        "mode": _Opt(str, "relaxed", "constraint mode", MODES),
-        "zeta_db": _Opt(float, DEFAULT_ZETA_DB, "per-user target SINR in dB"),
-        "sigma_z2_db": _Opt(float, 0.0, "noise variance in dB"),
-        "table": _Opt(str, None, "modulation table file for region maps"),
-        "summary": _Opt(_parse_bool, False, "print headline numbers"),
+        "preset": _Opt(_one_of(tuple(PRESET_CHANNELS)), None, "built-in 2x2 channel: 'combos'"
+                       " for the per-combination table, 'regions' for the SINR region map"),
+        "channel": _Opt(_PATH, None, "channel file (K Nt header + rows)"),
+        "grid": _Opt(_Domain(f"a point count from 1 to {MAX_REGION_POINTS} or {_DB_LIST.what}",
+                             _region_points), None, "region grid (default: 6 points)"),
+        "modulations": _Opt(_list_of(_CONSTELLATION), ["qpsk"], "per-user constellation names"),
+        "mode": _Opt(_one_of(MODES), "relaxed", "constraint mode"),
+        "zeta_db": _Opt(_DB, DEFAULT_ZETA_DB, "per-user target SINR in dB"),
+        "sigma_z2_db": _Opt(_DB, 0.0, "noise variance in dB"),
+        "table": _Opt(_PATH, None, "modulation table file for region maps"),
+        "summary": _Opt(_SWITCH, False, "print headline numbers"),
     }),
     "pdfcheck": dict(_SEEDED, **{
-        "constellation": _Opt(str, "16qam", "constellation name (default 16qam)"),
-        "samples": _Opt(int, 100_000, "Monte-Carlo draws"),
-        "bins": _Opt(int, None, "equal-probability bins (default 24, qpsk 12)"),
-        "antennas": _Opt(int, 2, f"transmit antennas (1 to {MAX_SIZE})"),
-        "beta": _Opt(float, 1.0, "fading rate parameter"),
-        "threshold": _Opt(float, None, "L1 pass threshold (default 0.02, qpsk 0.01)"),
+        "constellation": _Opt(_CONSTELLATION, "16qam", "constellation name (default 16qam)"),
+        "samples": _Opt(_whole(1, MAX_SAMPLES), 100_000, "Monte-Carlo draws"),
+        "bins": _Opt(_whole(1, MAX_BINS), None, "equal-probability bins (default 24, qpsk 12)"),
+        "antennas": _Opt(_whole(1, MAX_SIZE), 2, "transmit antennas"),
+        "beta": _Opt(_POSITIVE, 1.0, "fading rate parameter"),
+        "threshold": _Opt(_POSITIVE, None, "L1 pass threshold (default 0.02, qpsk 0.01)"),
     }),
     "modmap": dict(_SEEDED, **{
-        "symbols": _Opt(int, 1_000_000, "symbols per SER curve point"),
-        "rates": _Opt(float_list, None, "comma list of per-user goodput targets"),
-        "backend": _Opt(str, "both", "SINR lookup backend (default: both)",
-                        ("analytic", "empirical", "both")),
-        "table": _Opt(str, None, "modulation table file"),
-        "reference_ser": _Opt(float, 1e-2, "SER defining analytic ladder thresholds"),
+        "symbols": _Opt(_whole(1, MAX_SYMBOLS), 1_000_000, "symbols per SER curve point"),
+        "rates": _Opt(_list_of(_POSITIVE), None, "per-user goodput targets"),
+        "backend": _Opt(_one_of(("analytic", "empirical", "both")), "both",
+                        "SINR lookup backend (default: both)"),
+        "table": _Opt(_PATH, None, "modulation table file"),
+        "reference_ser": _Opt(_Domain("a number between 0 and 1", float, lambda v: 0.0 < v < 1.0),
+                              1e-2, "SER defining analytic ladder thresholds"),
     }),
 }
 
@@ -167,8 +205,8 @@ _SCHEMAS = {
 def build_parser():
     """The one parser of every subcommand, built once per process.
 
-    It holds no per-call state: every flag defaults to None, and
-    resolve_options applies the real defaults.
+    It holds no per-call state: every flag stores its text and defaults to
+    None, and resolve_options parses the text and applies the real defaults.
     """
     parser = argparse.ArgumentParser(
         prog="cipm",
@@ -179,43 +217,27 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         for key, opt in schema.items():
             flag = "--" + key.replace("_", "-")
-            if opt.parse is _parse_bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True,
-                               help=opt.help)
-            else:
-                p.add_argument(flag, dest=key, type=opt.parse, choices=opt.choices,
-                               help=opt.help)
+            p.add_argument(flag, dest=key, **(
+                dict(action="store_const", const="yes", help=opt.help) if opt.parse is _SWITCH
+                else dict(help=f"{opt.help}; takes {opt.parse.what}")))
     return parser
 
 
 def resolve_options(args):
-    """Hard defaults < config file < explicit flags."""
+    """Hard defaults < config file < explicit flags; each given text goes through its
+    option's parser, and a value outside its domain raises ValueError naming the flag."""
     schema = _SCHEMAS[args.subcommand]
+    texts = read_config(args.config) if args.config is not None else {}
+    if unknown := [key for key in texts if key not in schema]:
+        raise ValueError(f"unknown config key {unknown[0]!r} for '{args.subcommand}'")
+    texts.update((key, getattr(args, key)) for key in schema if getattr(args, key) is not None)
     opts = {key: opt.default for key, opt in schema.items()}
-    if args.config is not None:
-        for key, text in read_config(args.config).items():
-            if key not in schema:
-                raise ValueError(f"unknown config key {key!r} for "
-                                 f"'{args.subcommand}'")
-            opt = schema[key]
-            opts[key] = opt.parse(text)
-            if opt.choices is not None and opts[key] not in opt.choices:
-                raise ValueError(f"config key {key!r} must be one of "
-                                 f"{opt.choices}, got {opts[key]!r}")
-    for key in schema:
-        flag = getattr(args, key)
-        if flag is not None:
-            opts[key] = flag
-    return opts
-
-
-def _check_targets(cfg, flags):
-    """Each (flag, value) as cfg's zeta_db must give valid targets; an error names the flag."""
-    for flag, value in flags:
+    for key, text in texts.items():
         try:
-            replace(cfg, zeta_db=value).targets()
+            opts[key] = schema[key].parse(text)
         except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+            raise ValueError(f"--{key.replace('_', '-')}: takes {exc}, got '{text}'") from None
+    return opts
 
 
 def _outdir(opts):
@@ -226,28 +248,18 @@ def _outdir(opts):
 
 def cmd_sweep(opts):
     """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
-    if opts["threads"] < 0:
-        raise ValueError(f"--threads must be >= 0 (0 = all cores), got {opts['threads']}")
-    if len(set(opts["precoders"])) < len(opts["precoders"]):
-        raise ValueError(f"--precoders names a precoder twice: {','.join(opts['precoders'])}")
-    sizes = {"--users": [opts["users"]], "--antennas": [opts["antennas"]],
-             f"--grid ({opts['axis']} axis)": opts["grid"] if opts["axis"] != "sinr" else []}
-    for flag, values in sizes.items():
-        if not all(1 <= v <= MAX_SIZE and float(v).is_integer() for v in values):
-            raise ValueError(f"{flag} takes whole numbers from 1 to {MAX_SIZE}, got {values}")
+    grid = opts["grid"]
+    if opts["axis"] != "sinr" and not all(1 <= v <= MAX_SIZE and v.is_integer() for v in grid):
+        raise ValueError(f"--grid: takes whole numbers from 1 to {MAX_SIZE} on the "
+                         f"{opts['axis']} axis, got '{','.join(f'{v:g}' for v in grid)}'")
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
         n_antennas=opts["antennas"], k_users=opts["users"],
-        sigma_h2_db=opts["sigma_h2_db"], sigma_z2_db=opts["sigma_z2_db"],
-        zeta_db=opts["zeta_db"],
+        sigma_h2_db=opts["sigma_h2_db"], sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
         modulations=tuple(opts["modulations"]), mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
-    sinr_grid = opts["grid"] if opts["axis"] == "sinr" else []
-    # --zeta-db on every axis, though only fixed axes read it
-    _check_targets(cfg, [("--zeta-db", opts["zeta_db"])] + [("--grid", v) for v in sinr_grid])
-    rows = run_sweep(cfg, opts["grid"], axis=opts["axis"],
-                     precoders=tuple(opts["precoders"]),
-                     threads=opts["threads"] if opts["threads"] > 0 else os.cpu_count() or 1)
+    rows = run_sweep(cfg, grid, axis=opts["axis"], precoders=tuple(opts["precoders"]),
+                     threads=opts["threads"] or os.cpu_count() or 1)
     path = os.path.join(_outdir(opts), "sweep.csv")
     write_sweep_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -256,19 +268,6 @@ def cmd_sweep(opts):
             print(f"  {opts['axis']}={row.value:g} {row.precoder}: "
                   f"{row.avg_power_dbw:.3f} dBW, eta={row.eta:.3f}")
     return EXIT_OK
-
-
-def _parse_region_grid(text):
-    if text is None:
-        return list(np.linspace(4.0, 14.0, 6))
-    with contextlib.suppress(ValueError):
-        count = None if "," in text or "." in text else int(text)   # bounded before linspace
-        grid = float_list(text) if count is None else (
-            list(np.linspace(4.0, 14.0, count)) if count <= MAX_REGION_POINTS else [])
-        if grid and np.isfinite(grid).all():
-            return grid
-    raise ValueError(f"--grid must be a point count from 1 to {MAX_REGION_POINTS} or a comma"
-                     f" list of finite dB values, got {text!r}")
 
 
 def _ladder(opts, **analytic):
@@ -290,15 +289,11 @@ def cmd_fixed(opts):
         raise ValueError(f"{' and '.join(stray)} only apply with --preset regions")
     cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
                       modulations=tuple(opts["modulations"]), mode=opts["mode"])
-    grid = _parse_region_grid(opts["grid"]) if opts["preset"] == "regions" else None
-    _check_targets(cfg, [("--zeta-db", opts["zeta_db"])] if grid is None
-                   else [("--grid", v) for v in grid])
     out = _outdir(opts)
 
-    if grid is not None:
-        points = region_maps(channel.entries, grid, _ladder(opts),
-                             sigma_z2_db=opts["sigma_z2_db"],
-                             mode=opts["mode"])
+    if opts["preset"] == "regions":
+        points = region_maps(channel.entries, opts["grid"] or _region_points("6"), _ladder(opts),
+                             sigma_z2_db=opts["sigma_z2_db"], mode=opts["mode"])
         path = os.path.join(out, "regions.csv")
         write_region_csv(points, path)
         print(f"wrote {path} ({len(points)} grid points)")
@@ -322,16 +317,8 @@ def cmd_pdfcheck(opts):
     """equivalent-channel density fit check"""
     name = opts["constellation"]
     qpsk = get_constellation(name).order == 4
-    bins = opts["bins"]
-    if bins is None:
-        bins = 12 if qpsk else 24
-    threshold = opts["threshold"]
-    if threshold is None:
-        threshold = 0.01 if qpsk else 0.02
-    if not 0.0 < threshold < float("inf"):
-        raise ValueError(f"--threshold must be finite and positive, got {threshold}")
-    if not 1 <= opts["antennas"] <= MAX_SIZE:
-        raise ValueError(f"--antennas must be from 1 to {MAX_SIZE}, got {opts['antennas']}")
+    bins = opts["bins"] or (12 if qpsk else 24)          # neither option can be 0
+    threshold = opts["threshold"] or (0.01 if qpsk else 0.02)
     report = validate_distribution(
         constellation=name, n_antennas=opts["antennas"], beta=opts["beta"],
         samples=opts["samples"], bins=bins, seed=opts["seed"])

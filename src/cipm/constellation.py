@@ -21,7 +21,7 @@ import numpy as np
 _LEVELS = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (6, 6), 64: (8, 8)}
 QAM_ORDERS = tuple(_LEVELS)
 
-_ALIASES = {
+ALIASES = {
     "qpsk": 4, "4qam": 4, "8qam": 8, "16qam": 16, "32qam": 32, "64qam": 64,
 }
 
@@ -95,9 +95,9 @@ _SPECS = {order: build_qam(order) for order in QAM_ORDERS}
 
 def get_constellation(name: str) -> ConstellationSpec:
     key = name.strip().lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown constellation {name!r}; expected one of {sorted(_ALIASES)}")
-    return _SPECS[_ALIASES[key]]
+    if key not in ALIASES:
+        raise ValueError(f"unknown constellation {name!r}; expected one of {sorted(ALIASES)}")
+    return _SPECS[ALIASES[key]]
 
 
 def check_symbols(specs, symbols) -> np.ndarray:

@@ -327,7 +327,8 @@ def solve_cipm_stack(h: np.ndarray, specs: list[ConstellationSpec], combos: np.n
     free = gather(specs, combos, "free") & (mode == "relaxed")
     rows, rhs, is_eq, _ = _assemble(h, gather(specs, combos, "coeffs"), free, targets)
     u, _, errors = min_norm_ldp(rows, rhs, is_eq)
-    return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], np.einsum("cn,cn->c", u, u), errors
+    power = (u[:, None] @ u[..., None])[:, 0, 0]    # each row's u @ u, as solve_cipm sums it
+    return u[:, :h.shape[-1]] + 1j * u[:, h.shape[-1]:], power, errors
 
 
 def kkt_residual(problem: PrecodeProblem, x: np.ndarray, lam: np.ndarray,

@@ -1,7 +1,9 @@
 """CLI tests: option resolution, artifacts, exit codes."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cipm
 from cipm.channel import ChannelMatrix
@@ -23,7 +26,6 @@ from cipm.cli import (
     EXIT_VALIDATION,
     _COMMANDS,
     _SCHEMAS,
-    _parse_region_grid,
     build_parser,
     main,
     read_config,
@@ -78,7 +80,7 @@ def test_unknown_config_key_exits_config(tmp_path, capsys):
     # a config value outside its flag's choices is rejected like the flag
     cfg.write_text("backend = y\n", encoding="ascii")
     assert main(["modmap", "--rates", "2", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "'backend'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --backend: takes one of ")
 
 
 _COMMON_FLAGS = [("--config", "config"), ("--out", "out")]
@@ -120,7 +122,7 @@ def test_cli_surface_is_pinned():
         # every config-file key is also a flag
         assert {dest for _, dest in got} >= set(_SCHEMAS[name]), name
     summary = next(a for a in subs["sweep"]._actions if a.dest == "summary")
-    assert summary.nargs == 0 and summary.const is True
+    assert summary.nargs == 0 and summary.const == "yes"
 
 
 class _ReadLog(dict):
@@ -163,7 +165,8 @@ def _bench_workloads():
 
 
 def test_benchmark_argvs_parse(tmp_path, monkeypatch):
-    # every argv the benchmark hands to cli.main, its warm-ups included, parses
+    # every argv the benchmark hands to cli.main, its warm-ups included, parses and
+    # lies in every option's domain
     wl = _bench_workloads()
     argvs = []
     monkeypatch.setattr(wl, "cli_call", argvs.append)
@@ -174,7 +177,18 @@ def test_benchmark_argvs_parse(tmp_path, monkeypatch):
     wl.warm_up("modmap_pdfcheck", str(tmp_path))
     assert len(argvs) == 8
     for argv in argvs:
-        assert build_parser().parse_args(argv).subcommand == argv[0]
+        args = build_parser().parse_args(argv)
+        assert args.subcommand == argv[0]
+        resolve_options(args)
+
+
+def test_every_default_lies_in_its_domain():
+    for name, schema in _SCHEMAS.items():
+        for key, opt in schema.items():
+            if opt.default is not None:
+                d = opt.default
+                text = ",".join(map(str, d)) if isinstance(d, list) else str(d)
+                assert opt.parse(text) == d, (name, key)
 
 
 def test_modmap_pdfcheck_operations_pass_the_benchmark_check(tmp_path):
@@ -217,10 +231,9 @@ def test_slot_stream_operations_pass_the_benchmark_check(tmp_path):
     (["sweep", "--frames", "abc"], "--frames"),
 ])
 def test_bad_flag_values_exit_config_naming_the_option(argv, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_CONFIG
-    assert f"argument {flag}" in capsys.readouterr().err
+    # a bad choice or number is an error of main, not of argparse
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {flag}: takes ")
 
 
 _TARGETS = "SINR targets and sigma_z must be finite and positive"
@@ -242,12 +255,18 @@ _NOISE = "sigma_h2_db and sigma_z2_db must be finite"
     (["fixed", "--preset", "regions", "--grid", "4,1e308"], _TARGETS),   # overflows
     (["sweep", "--sigma-z2-db", "1e308"], _NOISE),    # its linear power overflows
     (["sweep", "--sigma-h2-db", "1e308"], _NOISE),
+    (["sweep", "--axis", "size", "--grid", "2", "--zeta-db", "3050"], _TARGETS),   # 1e305
 ])
 def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, message, capsys):
+    # the last flag's domain rejects its value and says so, before the library check
+    # whose message is `message` (or a flag's own) sees the value
+    flag, text = argv[-1].split("=", 1) if "=" in argv[-1] else argv[-2:]
     if argv[0] == "sweep":
         argv = argv + ["--frames", "1", "--symbols", "10", "--threads", "1"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: takes ") and err.endswith(f", got '{text}'\n")
+    assert message == flag or message not in err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -261,6 +280,7 @@ def test_non_finite_values_exit_config_saying_what_is_wrong(tmp_path, argv, mess
     (["sweep", "--axis", "sinr", "--grid", "4,nan"], "--grid"),
     (["sweep", "--grid", "1e308"], "--grid"),      # overflows to an infinite target
     (["sweep", "--grid", "8,-1e308"], "--grid"),    # underflows to a zero target
+    (["sweep", "--threads", "65", "--grid", "4"], "--threads"),   # one job: no pool either way
 ])
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag, capsys):
@@ -268,13 +288,20 @@ def test_out_of_range_values_exit_config_naming_the_option(tmp_path, argv, flag,
     if argv[0] == "sweep":
         argv = argv + ["--frames", "1", "--symbols", "5"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
-    assert flag in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {flag}: takes ")
     assert list(tmp_path.iterdir()) == []
 
 
-# each count sizes an allocation: without its check, these ask for 8 GB (the region
-# grid) to EiB (the size axis) before anything fails
+# each count sizes an allocation: without its check, these ask for 7 GB (sweep
+# slots) to EiB (the size axis) before anything fails
 _HUGE_COUNTS = [
+    (["sweep", "--symbols", "1000000000"], "--symbols"),
+    (["sweep", "--frames", "1000000000", "--symbols", "1"], "--frames"),
+    (["sweep", "--restarts", "1000000000", "--precoders", "cipm,multicast"], "--restarts"),
+    (["pdfcheck", "--samples", "1000000000"], "--samples"),
+    (["pdfcheck", "--bins", "1000000000"], "--bins"),
+    (["modmap", "--backend", "empirical", "--rates", "1.9", "--symbols", "1000000000"],
+     "--symbols"),
     (["sweep", "--axis", "size", "--grid", "1e9"], "--grid"),
     (["sweep", "--axis", "users", "--grid", "1e9", "--antennas", "2"], "--grid"),
     (["sweep", "--axis", "size", "--grid", "2,65"], "--grid"),
@@ -298,24 +325,123 @@ print(json.dumps(results))
 """
 
 
-def test_huge_counts_exit_config_naming_the_option_under_a_memory_cap(tmp_path):
-    # one child runs every argv with its address space capped at 1 GiB, so a count
-    # that reaches an allocation raises MemoryError there rather than filling memory
+def _run_capped(code, *args, cwd=None):
+    """Run code in a child Python whose address space is capped at 1 GiB, so a value that
+    reaches an allocation raises MemoryError there rather than filling memory."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_huge_counts_exit_config_naming_the_option_under_a_memory_cap(tmp_path):
+    # one capped child runs every argv
     argvs = [argv + ["--out", str(tmp_path / f"out{i}")]
              + (["--threads", "1"] if argv[0] == "sweep" else [])
              for i, (argv, _) in enumerate(_HUGE_COUNTS)]
-    child = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
-                           env=_child_env(OPENBLAS_NUM_THREADS="1"),
-                           preexec_fn=cap_address_space, capture_output=True, text=True,
-                           timeout=120)
+    child = _run_capped(_CAPPED_CHILD, json.dumps(argvs))
     assert child.returncode == 0, child.stderr
     for (argv, flag), (code, err) in zip(_HUGE_COUNTS, json.loads(child.stdout), strict=True):
-        assert code == EXIT_CONFIG and err.startswith(f"error: {flag}"), (argv, err)
+        assert code == EXIT_CONFIG and err.startswith(f"error: {flag}: takes "), (argv, err)
         assert "Traceback" not in err, argv
     assert list(tmp_path.iterdir()) == []
+
+
+def _texts(*values):
+    return st.sampled_from(values)
+
+
+_NO_NUMBER = _texts("nan", "x", "")
+_NO_NAME = _texts("x", "", "nan", "0", "-1", "1e308")
+
+
+def _not_whole(lo, hi=None):
+    """Text that is no whole number from lo to hi."""
+    ints = st.integers(max_value=lo - 1)
+    if hi is not None:
+        ints |= st.integers(min_value=hi + 1)
+    return ints.map(str) | _texts("2.5", "1e3", "inf", "-inf") | _NO_NUMBER
+
+
+def _floats_outside(below, above, exclude=False):
+    """Text of floats up to below or from above (infinities included), nan, or no number."""
+    return (st.floats(max_value=below, exclude_max=exclude)
+            | st.floats(min_value=above, exclude_min=exclude)).map(str) | _NO_NUMBER
+
+
+def _not_list(good, bad):
+    """Comma lists with no item, or with an item from bad, alone or after good."""
+    bad = bad.filter(bool)      # a blank item is skipped, so it is no bad item
+    return bad | bad.map(lambda b: f"{good},{b}") | _texts("", ",", ",,")
+
+
+_DB_OUT = _floats_outside(-3000.0, 3000.0, exclude=True)
+_POSITIVE_OUT = _floats_outside(0.0, float("inf"))
+# text outside each option's domain as the README states it, by option or by
+# "subcommand option" where two subcommands' domains differ
+_OUTSIDE = {
+    "out": _texts(""), "channel": _texts(""), "table": _texts(""),
+    "summary": _texts("maybe", "2", ""),
+    "seed": _not_whole(0), "threads": _not_whole(0, 64), "frames": _not_whole(1, 10_000),
+    "sweep symbols": _not_whole(1, 10_000), "modmap symbols": _not_whole(1, 10_000_000),
+    "samples": _not_whole(1, 1_000_000), "bins": _not_whole(1, 10_000),
+    "antennas": _not_whole(1, 64), "users": _not_whole(1, 64), "restarts": _not_whole(0, 64),
+    "axis": _NO_NAME, "mode": _NO_NAME, "preset": _NO_NAME, "backend": _NO_NAME,
+    "constellation": _NO_NAME | _texts("256qam"),
+    "modulations": _not_list("qpsk", _NO_NAME | _texts("256qam")),
+    "precoders": _not_list("cipm", _NO_NAME) | _texts("cipm,cipm", "ob,cipm,ob"),
+    "zeta_db": _DB_OUT, "sigma_h2_db": _DB_OUT, "sigma_z2_db": _DB_OUT,
+    "sweep grid": _not_list("4", _DB_OUT),
+    "fixed grid": (st.integers(max_value=0) | st.integers(min_value=101)).map(str)
+    | _not_list("4", _DB_OUT),
+    "beta": _POSITIVE_OUT, "threshold": _POSITIVE_OUT, "rates": _not_list("1.9", _POSITIVE_OUT),
+    "reference_ser": _floats_outside(0.0, 1.0),
+}
+
+
+def _check_outside_values_exit_config(root):
+    """Each (subcommand, option) pair, fed text outside its domain by flag or config key,
+    exits 2 naming the flag, with no traceback, no warning and no output directory."""
+    for name, schema in _SCHEMAS.items():
+        for key in schema:
+            outside = _OUTSIDE.get(f"{name} {key}", _OUTSIDE.get(key))
+            assert outside is not None, (name, key)
+
+            @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+            @given(text=outside, by_config=st.booleans())
+            def prop(text, by_config):
+                flag, out = "--" + key.replace("_", "-"), os.path.join(root, "out")
+                argv = [name] + ([] if key == "out" else ["--out", out])
+                if by_config or key == "summary":    # a bare flag carries no text
+                    cfg = os.path.join(root, "run.cfg")
+                    Path(cfg).write_text(f"{key} = {text}\n", encoding="ascii")
+                    argv += ["--config", cfg]
+                else:
+                    argv.append(f"{flag}={text}")
+                err = io.StringIO()
+                with (warnings.catch_warnings(record=True) as caught,
+                      contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                err = err.getvalue()
+                assert code == EXIT_CONFIG, (argv, err)
+                assert err.startswith(f"error: {flag}: takes ") and "Traceback" not in err, err
+                assert err.endswith(f", got '{text}'\n"), err
+                assert caught == [] and not os.path.exists(out), argv
+
+            prop()
+
+
+def test_values_outside_each_domain_exit_config_under_a_memory_cap(tmp_path):
+    # the property runs in one capped child, so a value that slips through to an
+    # allocation fails there with MemoryError
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_cli;"
+            " test_cli._check_outside_values_exit_config(sys.argv[2])")
+    child = _run_capped(code, str(Path(__file__).parent), str(tmp_path), cwd=tmp_path)
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -323,7 +449,7 @@ def test_huge_counts_exit_config_naming_the_option_under_a_memory_cap(tmp_path):
     (["--preset", "combos", "--zeta-db", "1e308"], "--zeta-db"),
 ])
 def test_fixed_out_of_range_targets_exit_config_naming_the_option(tmp_path, argv, flag, capsys):
-    # the targets are probed per flag, as sweep does, before the output directory is made
+    # each target's dB value is checked, as sweep's are, before the output directory is made
     out = tmp_path / "out"
     assert main(["fixed", *argv, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -348,11 +474,16 @@ def test_bad_region_grid_exits_config_naming_grid(tmp_path, grid, capsys):
     assert not (tmp_path / "regions.csv").exists()
 
 
-def test_parse_region_grid_forms():
-    assert _parse_region_grid(None) == pytest.approx(np.linspace(4.0, 14.0, 6))
-    assert _parse_region_grid("5") == pytest.approx(np.linspace(4.0, 14.0, 5))
-    assert _parse_region_grid("4,10") == [4.0, 10.0]
-    assert _parse_region_grid("4.5") == [4.5]
+def test_parse_region_grid_forms(tmp_path, capsys):
+    parse = _SCHEMAS["fixed"]["grid"].parse
+    assert parse("5") == pytest.approx(np.linspace(4.0, 14.0, 5))
+    assert parse("4,10") == [4.0, 10.0]
+    assert parse("4.5") == [4.5]
+    # with no --grid, a region map spans six points
+    assert main(["fixed", "--preset", "regions", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    zeta1 = {line.split(",")[0] for line in _read(tmp_path / "regions.csv")[1:]}
+    assert sorted(map(float, zeta1)) == pytest.approx(np.linspace(4.0, 14.0, 6))
 
 
 # -------------------------------------------------------------------- sweeps
@@ -449,7 +580,7 @@ def test_fixed_region_flags_need_region_preset(tmp_path, capsys):
     ch = tmp_path / "ch.txt"
     ChannelMatrix(np.array([[1.0 + 0.0j]])).save_text(ch)
     out = tmp_path / "out"
-    for argv in (["--preset", "combos", "--grid", "abc", "--table", "nothere"],
+    for argv in (["--preset", "combos", "--grid", "4,10", "--table", "nothere"],
                  ["--preset", "combos", "--grid", "6"],
                  ["--channel", str(ch), "--table", "nothere"]):
         assert main(["fixed", *argv, "--out", str(out)]) == EXIT_CONFIG
@@ -537,7 +668,7 @@ def test_modmap_analytic_output(capsys):
 
 def test_sweep_rejects_negative_restarts(tmp_path, capsys):
     assert main(["sweep", "--restarts", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "multicast_restarts" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --restarts: takes a whole number from 0")
 
 
 def test_modmap_rejects_bad_ser_curves(tmp_path, capsys):
@@ -559,12 +690,14 @@ def test_modmap_rejects_bad_ser_curves(tmp_path, capsys):
     (["pdfcheck", "--bins", "0"], "bins=0"),
 ])
 def test_bad_sample_counts_exit_config_naming_the_option(tmp_path, argv, name, capsys):
-    # rejected up front: no numpy warning, no traceback, no curve written
+    # rejected up front by the flag's domain, before the library check that names
+    # `name`: no numpy warning, no traceback, no curve written
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert name in captured.err and "must be >= 1" in captured.err
+    assert captured.err.startswith(f"error: {argv[-2]}: takes a whole number from 1 to ")
+    assert name not in captured.err
     assert captured.out == ""
     cache = tmp_path / "ser_cache"
     assert not cache.exists() or list(cache.iterdir()) == []

@@ -214,10 +214,9 @@ def test_iteration_budget_error_is_raised_when_capped(monkeypatch):
     assert np.isnan(x[1]).all() and np.isnan(power[1])
     with pytest.raises(ActiveSetLimitError, match="Maximum number of iterations"):
         solve_cipm(make_problem(h[1], [spec, spec], combos[1], targets))
-    # the feasible row is certified without NNLS, bit for bit its lone solve (the
-    # stack sums its power by einsum, u @ u may round the last bit the other way)
+    # the feasible row is certified without NNLS, bit for bit its lone solve, power included
     sig, _ = solve_cipm(make_problem(h[0], [spec, spec], combos[0], targets))
-    assert x[0].tobytes() == sig.x.tobytes() and power[0] == pytest.approx(sig.power, rel=1e-15)
+    assert x[0].tobytes() == sig.x.tobytes() and power[0] == sig.power
 
 
 def test_solver_is_deterministic():
@@ -430,9 +429,10 @@ def test_batched_core_matches_scalar_core(nt, data, mode, log_scale, seed, n_com
         data, nt, 1, mode, log_scale, seed, n_combos)
     u, nu, errors = min_norm_ldp(rows, rhs, is_eq)
     assert errors == {}
-    # the frame path assembles the same stack in one call, bit for bit
+    # the frame path assembles the same stack in one call, bit for bit, and sums each
+    # row's power as a lone solve does
     _, powers, _ = solve_cipm_stack(probs[0].channel, specs, combos, targets, mode)
-    assert np.array_equal(powers, np.einsum("cn,cn->c", u, u))
+    assert np.array_equal(powers, [uc @ uc for uc in u])
     for c, p in enumerate(probs):
         u_ref, _ = min_norm_qp(p.rows, p.rhs, p.is_eq, max_iter=cap)
         assert u[c] @ u[c] == pytest.approx(u_ref @ u_ref, rel=1e-12)
