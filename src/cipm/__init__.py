@@ -2,7 +2,7 @@
 
 from .constellation import ConstellationSpec, build_qam, detect, get_constellation
 from .channel import (
-    ChannelMatrix, EquivalentChannel, FadingConfig, SymbolStats,
+    ChannelMatrix, FadingConfig, SymbolStats,
     effective_channel, eq_power_cdf, eq_power_mean, eq_power_pdf,
     sample_rayleigh, symbol_stats, REFERENCE_SYMBOL,
 )
@@ -12,7 +12,7 @@ from .solver import (
     kkt_residual, make_problem, solve_cipm, solve_strict_equivalent,
 )
 from .baselines import (
-    BeamformerSet, BeamformingConvergenceError, MulticastSolution,
+    BeamformerSet, BeamformingConvergenceError,
     achieved_sinrs, solve_multicast_bound, solve_ob,
 )
 from .linkadapt import (

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg.lapack import zposv
 
 from .channel import as_entries
-from .solver import InfeasibleConstraintsError, SinrTargets, SolverError, min_norm_ldp
+from .solver import (InfeasibleConstraintsError, PrecodedSignal, SinrTargets, SolverError,
+                     min_norm_ldp)
 
 # uplink fixed point: relative step, iterations, and iterations per stop test
 _OB_TOL, _OB_MAX_ITER, _OB_BLOCK = 1e-10, 10000, 16
@@ -175,13 +176,6 @@ def _downlink(h, targets, outer, noise, hh, q, it):
     return beams
 
 
-@dataclass(frozen=True)
-class MulticastSolution:
-    x: np.ndarray
-    power: float
-    feasible: bool
-
-
 def _tangent_rows(h: np.ndarray, x: np.ndarray, rhs_abs2: np.ndarray):
     """Unit rows (B, K, 2Nt) and rhs (B, K) of the tangent bounds of |h_j x'|^2 at x (B, Nt)."""
     y = np.einsum("bkn,bn->bk", h, x)
@@ -205,8 +199,9 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     on its support alone, so this changes the cost, not the result. A start
     stops once its power drops by no more than 1e-12 (1 + p), taking that step
     only if lower. Each row keeps its first minimum-power start, certified
-    feasible by evaluation: returns x (C, Nt), power (C,), feasible (C,) and {c:
-    the error row c raises alone, its first failed QP's}, with nan in row c.
+    feasible by evaluation: returns x (C, Nt), power (C,) and {c: the error row
+    c raises alone (its first failed QP's, else that start's miss of a target)},
+    with nan in row c.
     """
     if restarts < 0 or (warm is None and restarts == 0):
         raise ValueError(f"need restarts >= 0 and a start, got restarts={restarts}"
@@ -247,18 +242,20 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     table[c_idx, s_idx] = power
     pick = np.flatnonzero(s_idx == np.argmin(table, axis=1)[c_idx])   # one start per row
     x, power = x[pick], power[pick]
-    x[list(errors)] = power[list(errors)] = np.nan
     y2 = np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2
-    return x, power, np.all(y2 >= rhs_abs2 - 1e-9, axis=1), errors
+    for c in np.flatnonzero(~np.all(y2 >= rhs_abs2 - 1e-9, axis=1)):
+        errors.setdefault(int(c), SolverError("multicast bound misses its targets on evaluation"))
+    x[list(errors)] = power[list(errors)] = np.nan
+    return x, power, errors
 
 
 def solve_multicast_bound(channel, targets: SinrTargets, restarts: int = 64,
                           seed: int | None = 0, warm_start: np.ndarray | None = None
-                          ) -> MulticastSolution:
+                          ) -> PrecodedSignal:
     """solve_multicast_stack on one channel (K, Nt) and an optional warm start (Nt,)."""
     warm = None if warm_start is None else np.asarray(warm_start, dtype=complex)[None]
-    x, power, feas, errors = solve_multicast_stack(as_entries(channel)[None], targets,
-                                                   restarts, seed, warm)
+    x, power, errors = solve_multicast_stack(as_entries(channel)[None], targets,
+                                             restarts, seed, warm)
     if errors:
         raise errors[0]
-    return MulticastSolution(x=x[0], power=float(power[0]), feasible=bool(feas[0]))
+    return PrecodedSignal(x=x[0], power=float(power[0]))

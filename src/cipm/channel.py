@@ -18,7 +18,7 @@ from scipy.special import gammainc, gammaln
 from .constellation import ConstellationSpec, gather
 
 REFERENCE_SYMBOL = (1.0 + 1.0j) / np.sqrt(2.0)
-_STATS_DECIMALS = 9     # levels closer than this are one amplitude or phase level
+_STATS_DECIMALS = 9     # levels closer than this are one amplitude level
 
 
 @dataclass(frozen=True)
@@ -109,53 +109,40 @@ def sample_rayleigh(cfg: FadingConfig, rng: np.random.Generator) -> ChannelMatri
     return ChannelMatrix(entries=h)
 
 
-@dataclass(frozen=True)
-class EquivalentChannel:
-    """Row-rescaled channel; |a_diag[j]| is the inverse symbol amplitude."""
-
-    entries: np.ndarray
-    a_diag: np.ndarray
-
-
 def as_entries(channel) -> np.ndarray:
     """Complex entries of a ChannelMatrix, or of an array (K, Nt) or stack (..., K, Nt)."""
     return (channel.entries if isinstance(channel, ChannelMatrix)
             else np.asarray(channel, dtype=complex))
 
 
-def effective_channel(channel, specs: list[ConstellationSpec], symbols) -> EquivalentChannel:
+def effective_channel(channel, specs: list[ConstellationSpec], symbols) -> np.ndarray:
     """Rotate/scale each user row so all users share one reference target.
 
     Row j is multiplied by exp(i(angle(REFERENCE_SYMBOL) - angle(d_j))) / |d_j|, which
     maps the exact-constraint target for symbol d_j onto the common unit-modulus
     reference point. symbols is one index row (K,) or a stack (C, K), channel one
-    (K, Nt) or one per row (C, K, Nt); a stack gives entries (C, K, Nt) and a_diag (C, K).
+    (K, Nt) or one per row (C, K, Nt); a stack gives a stack (C, K, Nt).
     """
     d = gather(specs, symbols)
     kappa = np.abs(d)
     if np.any(kappa == 0):
         raise ValueError("symbol amplitude is zero; cannot form the effective channel")
     a = np.exp(1j * (np.angle(REFERENCE_SYMBOL) - np.angle(d))) / kappa
-    return EquivalentChannel(entries=a[..., None] * as_entries(channel), a_diag=a)
+    return a[..., None] * as_entries(channel)
 
 
 @dataclass(frozen=True)
 class SymbolStats:
-    """Amplitude-squared and phase levels of a constellation with weights."""
+    """Amplitude-squared levels of a constellation with weights."""
 
     gamma: np.ndarray         # distinct |d|^2 levels, ascending
     gamma_probs: np.ndarray
-    phases: np.ndarray        # distinct angles in [-pi, pi), ascending
-    phase_probs: np.ndarray
 
 
 def symbol_stats(spec: ConstellationSpec) -> SymbolStats:
     g = np.round(np.abs(spec.points) ** 2, _STATS_DECIMALS)
-    ph = np.round(np.angle(spec.points), _STATS_DECIMALS)
     gu, gc = np.unique(g, return_counts=True)
-    pu, pc = np.unique(ph, return_counts=True)
-    m = float(spec.order)
-    return SymbolStats(gamma=gu, gamma_probs=gc / m, phases=pu, phase_probs=pc / m)
+    return SymbolStats(gamma=gu, gamma_probs=gc / float(spec.order))
 
 
 def _gamma_pdf(z: np.ndarray, shape: int, rate: float) -> np.ndarray:

@@ -248,15 +248,19 @@ def _outdir(opts):
 
 def cmd_sweep(opts):
     """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
-    grid = opts["grid"]
+    grid, mods = opts["grid"], opts["modulations"]
     if opts["axis"] != "sinr" and not all(1 <= v <= MAX_SIZE and v.is_integer() for v in grid):
         raise ValueError(f"--grid: takes whole numbers from 1 to {MAX_SIZE} on the "
                          f"{opts['axis']} axis, got '{','.join(f'{v:g}' for v in grid)}'")
+    users = [opts["users"]] if opts["axis"] == "sinr" else [int(v) for v in grid]
+    if bad := [k for k in users if len(mods) not in (1, k)]:
+        raise ValueError(f"--modulations: takes one name, or one per user ({bad[0]} users), "
+                         f"got '{','.join(mods)}'")
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
         n_antennas=opts["antennas"], k_users=opts["users"],
         sigma_h2_db=opts["sigma_h2_db"], sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-        modulations=tuple(opts["modulations"]), mode=opts["mode"], seed=opts["seed"],
+        modulations=tuple(mods), mode=opts["mode"], seed=opts["seed"],
         multicast_restarts=opts["restarts"])
     rows = run_sweep(cfg, grid, axis=opts["axis"], precoders=tuple(opts["precoders"]),
                      threads=opts["threads"] or os.cpu_count() or 1)
@@ -292,8 +296,8 @@ def cmd_fixed(opts):
     out = _outdir(opts)
 
     if opts["preset"] == "regions":
-        points = region_maps(channel.entries, opts["grid"] or _region_points("6"), _ladder(opts),
-                             sigma_z2_db=opts["sigma_z2_db"], mode=opts["mode"])
+        grid = opts["grid"] or _region_points("6")
+        points = region_maps(channel.entries, grid, _ladder(opts), cfg)
         path = os.path.join(out, "regions.csv")
         write_region_csv(points, path)
         print(f"wrote {path} ({len(points)} grid points)")
@@ -347,6 +351,9 @@ def cmd_modmap(opts):
     if opts["rates"] is None:
         raise ValueError("--rates is required")
     table = _ladder(opts, reference_ser=opts["reference_ser"])
+    if max(opts["rates"]) > table.max_rate:
+        raise ValueError(f"--rates: takes rates up to {table.max_rate:g}, the ladder's largest, "
+                         f"got '{','.join(f'{r:g}' for r in opts['rates'])}'")
     backends = []
     if opts["backend"] in ("analytic", "both"):
         backends.append(("analytic", AnalyticBackend()))

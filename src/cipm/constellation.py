@@ -32,7 +32,6 @@ class ConstellationSpec:
     order: int
     points: np.ndarray          # (M,) complex, unit average power
     lattice: np.ndarray         # (M, 2) odd integer I/Q coordinates
-    bits_per_symbol: int
     rate: float                 # bits/symbol carried by one detection
     coeffs: np.ndarray          # (M, 2) I/Q components of each point
     free: np.ndarray            # (M, 2) bool: axis freed in relaxed mode (lattice-extreme)
@@ -85,7 +84,7 @@ def build_qam(order: int) -> ConstellationSpec:
         same_line = lattice[:, 1 - axis][:, None] == lattice[:, 1 - axis][None, :]
         free[:, axis] = mag[:, axis] == np.max(np.where(same_line, mag[None, :, axis], 0), axis=1)
     return ConstellationSpec(name=name, order=order, points=points,
-                             lattice=lattice, bits_per_symbol=m, rate=float(m),
+                             lattice=lattice, rate=float(m),
                              coeffs=np.column_stack([points.real, points.imag]),
                              free=free)
 

@@ -11,7 +11,8 @@ frame) job draws once for every precoder, the jobs of one shape share one CIPM
 stack solve and one multicast SCA loop, the jobs still alive one lock-step OB
 loop, and each of n worker processes runs every n-th job (its own stacks).
 From the stacks' per-row errors, one pass finds the first failing job. Both
-fixed-channel studies take targets, noise and constellations from FrameConfig.
+fixed-channel studies take a FrameConfig; a region map sets its targets and
+constellations per grid point.
 """
 
 import concurrent.futures
@@ -147,14 +148,13 @@ def _solve_shape(frames, precoders):
     if "multicast" in precoders and ok.any():
         # bounds on the effective channels (built per frame, as a lone frame's bits),
         # warm started at each row's CIPM point so none exceeds it, from its frame's seed
-        eff = np.concatenate([effective_channel(d.channel, specs, c).entries
+        eff = np.concatenate([effective_channel(d.channel, specs, c)
                               for d, c in zip(frames, combos)])
         xs["multicast"] = x.copy()
-        xs["multicast"][ok], _, feasible, mc = solve_multicast_stack(
+        xs["multicast"][ok], _, mc = solve_multicast_stack(
             eff[ok], SinrTargets(targets.zeta[ok], cfg.sigma_z), cfg.multicast_restarts,
             np.array([d.mc_seed for d in frames])[row[ok]], x[ok])
-        errors.update({np.flatnonzero(ok)[i]: mc.get(i, SolverError(
-            "multicast bound infeasible despite warm start")) for i in np.flatnonzero(~feasible)})
+        errors.update({np.flatnonzero(ok)[i]: err for i, err in mc.items()})
     # each frame's first failing row: rows in reverse, so the first one is written last
     failed = {row[c]: _in_combination(errors[c], stacked[c]) for c in sorted(errors)[::-1]}
     for i, d in enumerate(frames):
@@ -262,18 +262,14 @@ def aggregate(results, axis, value, precoder):
                     energy_efficiency(gp, lin), len(results))
 
 
-SWEEP_AXES = ("sinr", "size", "users")
-
-
-def _config_at(base: FrameConfig, axis: str, value) -> FrameConfig:
-    if axis == "sinr":
-        return replace(base, zeta_db=float(value))
-    if axis == "size":
-        v = int(value)
-        return replace(base, k_users=v, n_antennas=v)
-    if axis == "users":
-        return replace(base, k_users=int(value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}")
+# per sweep axis: its CSV column, and config(c, v), the frame config c at grid value v
+SweepAxis = namedtuple("SweepAxis", "column config")
+SWEEP_AXIS_TABLE = {
+    "sinr": SweepAxis("target_sinr_db", lambda c, v: replace(c, zeta_db=float(v))),
+    "size": SweepAxis("system_size", lambda c, v: replace(c, k_users=int(v), n_antennas=int(v))),
+    "users": SweepAxis("k_users", lambda c, v: replace(c, k_users=int(v))),
+}
+SWEEP_AXES = tuple(SWEEP_AXIS_TABLE)
 
 
 def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
@@ -285,7 +281,10 @@ def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
     """
     # FrameConfig rejects an unknown precoder name
     precoders = tuple(replace(base_cfg, precoder=p).precoder for p in precoders)
-    cfgs = [replace(_config_at(base_cfg, axis, value), seed=int(np.random.SeedSequence(
+    if axis not in SWEEP_AXIS_TABLE:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    at = SWEEP_AXIS_TABLE[axis].config
+    cfgs = [replace(at(base_cfg, value), seed=int(np.random.SeedSequence(
         [int(base_cfg.seed), 977, gi]).generate_state(1)[0])) for gi, value in enumerate(grid)]
     n = base_cfg.frames
     res = _run_jobs([(cfg, f, None) for cfg in cfgs for f in range(n)], precoders, threads)
@@ -293,14 +292,9 @@ def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
             for gi, value in enumerate(grid) for p in precoders]
 
 
-def sweep_axis_column(axis):
-    return {"sinr": "target_sinr_db", "size": "system_size",
-            "users": "k_users"}[axis]
-
-
 def write_sweep_csv(rows, path):
     k = len(rows[0].ser)
-    cols = [sweep_axis_column(rows[0].axis), "precoder", "avg_power_dbw",
+    cols = [SWEEP_AXIS_TABLE[rows[0].axis].column, "precoder", "avg_power_dbw",
             "avg_power_watts"]
     cols += [f"ser_user{j+1}" for j in range(k)]
     cols += [f"goodput_user{j+1}" for j in range(k)]
@@ -380,20 +374,19 @@ class RegionPoint:
     eta: float
 
 
-def region_maps(channel, grid_db, table, sigma_z2_db: float = 0.0,
-                mode: str = "relaxed"):
+def region_maps(channel, grid_db, table, cfg: FrameConfig = FrameConfig()):
     """Power and efficiency surfaces over a 2-user target-SINR grid.
 
     Each grid point adapts both users' modulation to its target (highest
     entry whose threshold is met; the lowest entry below the ladder), then
-    averages the symbol-level power over the full combination enumeration.
-    Efficiency discounts each user's rate by the closed-form SER at its
-    target.
+    averages the symbol-level power at cfg's noise and mode over the full
+    combination enumeration. Efficiency discounts each user's rate by the
+    closed-form SER at its target. The channel's shape overrides cfg's.
     """
     ch = ChannelMatrix(as_entries(channel))
     if ch.k_users != 2:
         raise ValueError("region maps are defined for the 2-user case")
-    base = FrameConfig(n_antennas=ch.n_antennas, sigma_z2_db=sigma_z2_db, mode=mode)
+    base = replace(cfg, k_users=ch.k_users, n_antennas=ch.n_antennas)
     out = []
     for z1 in grid_db:
         for z2 in grid_db:
@@ -420,7 +413,6 @@ CURVE_POINTS = 200  # z-grid points of the exported density curves
 
 @dataclass(frozen=True)
 class DistributionReport:
-    constellation: str
     samples: int
     bins: int
     l1: float
@@ -491,8 +483,7 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     centers = 0.5 * (curve_edges[:-1] + curve_edges[1:])
 
     return DistributionReport(
-        constellation=constellation, samples=samples, bins=bins, l1=l1,
-        ks_phase=ks,
+        samples=samples, bins=bins, l1=l1, ks_phase=ks,
         raw_power_mean=float(np.mean(raw)),
         raw_power_expected=n_antennas / beta,
         eq_power_mean=float(np.mean(z)),

@@ -101,7 +101,6 @@ class PrecodeProblem:
     rhs: np.ndarray
     is_eq: np.ndarray
     flips: np.ndarray
-    mode: str
 
     @property
     def k_users(self) -> int:
@@ -189,7 +188,7 @@ def make_problem(channel, specs: list[ConstellationSpec], symbols, targets: Sinr
         check_symbols(specs, symbols)
     coeffs = np.array([spec.coeffs[i] for spec, i in zip(specs, idx)])
     free = np.array([spec.free[i] for spec, i in zip(specs, idx)]) & (mode == "relaxed")
-    return PrecodeProblem(h, *_assemble(h, coeffs, free, targets), mode)
+    return PrecodeProblem(h, *_assemble(h, coeffs, free, targets))
 
 
 def _polish(rows: np.ndarray, rhs: np.ndarray, work: np.ndarray):
@@ -362,7 +361,7 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets
     amplitude and phase are absorbed into the channel rows. The optimal
     power matches the direct strict solve exactly.
     """
-    h = effective_channel(ChannelMatrix(as_entries(channel)), specs, symbols).entries
+    h = effective_channel(ChannelMatrix(as_entries(channel)), specs, symbols)
     coeffs = np.tile([REFERENCE_SYMBOL.real, REFERENCE_SYMBOL.imag], (len(h), 1))
     free = np.zeros(coeffs.shape, dtype=bool)
-    return solve_cipm(PrecodeProblem(h, *_assemble(h, coeffs, free, targets), "strict"))
+    return solve_cipm(PrecodeProblem(h, *_assemble(h, coeffs, free, targets)))

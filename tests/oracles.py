@@ -58,7 +58,7 @@ from cipm.channel import (ChannelMatrix, FadingConfig, as_entries, effective_cha
                           eq_power_cdf, eq_power_pdf, sample_rayleigh, symbol_stats)
 from cipm.constellation import detect, get_constellation
 from cipm.linkadapt import SerCurve, effective_goodput, energy_efficiency
-from cipm.simulator import (FrameConfig, FrameResult, _config_at, _frame_rng,
+from cipm.simulator import (SWEEP_AXIS_TABLE, FrameConfig, FrameResult, _frame_rng,
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, _REFINE_TOL, _STEPS, ActiveSetLimitError,
                          InfeasibleConstraintsError, SinrTargets, SolverError, _polish,
@@ -924,12 +924,12 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
                 # bounds on the effective channels, warm started at each row's
                 # CIPM point so none exceeds it; one seed for every row keeps
                 # each row's bound independent of the others
-                eff = effective_channel(channel, specs, combos).entries
-                xs, _, feasible, _ = solve_multicast_stack(
+                eff = effective_channel(channel, specs, combos)
+                xs, _, errors = solve_multicast_stack(
                     eff, targets, cfg.multicast_restarts, mc_seed, xs)
-                if not feasible.all():
-                    raise SolverError(f"combination {combos[~feasible][0].tolist()}: "
-                                      "multicast bound infeasible despite warm start")
+                if errors:
+                    c = min(errors)
+                    raise _in_combination(errors[c], combos[c])
                 det_scale = None
             # the inverse's shape changed across numpy 2.0.x; flatten it
             x = xs[inverse.ravel()]
@@ -985,7 +985,7 @@ def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
     """
     rows = []
     for gi, value in enumerate(grid):
-        shaped = _config_at(base_cfg, axis, value)
+        shaped = SWEEP_AXIS_TABLE[axis].config(base_cfg, value)
         shaped = replace(shaped, seed=int(np.random.SeedSequence(
             [int(base_cfg.seed), 977, gi]).generate_state(1)[0]))
         for p in precoders:

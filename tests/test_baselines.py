@@ -13,7 +13,7 @@ from cipm.baselines import (BeamformerSet, BeamformingConvergenceError,
 from cipm.constellation import get_constellation
 from cipm.simulator import FrameConfig, fixed_channel_experiment
 from cipm.solver import (ActiveSetLimitError, InfeasibleConstraintsError, SinrTargets,
-                         make_problem, solve_cipm)
+                         SolverError, make_problem, solve_cipm)
 
 from oracles import multicast_oracle, multicast_stack_oracle, ob_fixed_point_oracle
 from oracles import solve_ob as solve_ob_oracle
@@ -129,12 +129,17 @@ def test_ob_infeasible_targets_raise():
     assert err.value.conflicts == ("user2",)
 
 
+def _meets_targets(h, x, targets):
+    """|h_j x|^2 >= zeta_j sigma_z^2 for every user j, within the stack's 1e-9."""
+    return bool(np.all(np.abs(h @ x) ** 2 >= targets.zeta * targets.sigma_z ** 2 - 1e-9))
+
+
 def test_multicast_single_user_is_matched_filter():
     h = _channel(8, 1, 3)
     zeta, sigma = 4.0, 1.5
-    sol = solve_multicast_bound(h, SinrTargets(zeta=np.array([zeta]), sigma_z=sigma),
-                                restarts=4, seed=0)
-    assert sol.feasible
+    targets = SinrTargets(zeta=np.array([zeta]), sigma_z=sigma)
+    sol = solve_multicast_bound(h, targets, restarts=4, seed=0)
+    assert _meets_targets(h, sol.x, targets)
     assert sol.power == pytest.approx(zeta * sigma ** 2 / np.sum(np.abs(h) ** 2),
                                       rel=1e-8)
 
@@ -143,9 +148,9 @@ def test_multicast_identical_rows_cost_single_constraint():
     h = np.array([[1.0 + 1.0j, 0.5 - 0.2j],
                   [1.0 + 1.0j, 0.5 - 0.2j]])
     zeta = np.array([2.0, 6.0])
-    sol = solve_multicast_bound(h, SinrTargets(zeta=zeta, sigma_z=1.0),
-                                restarts=4, seed=0)
-    assert sol.feasible
+    targets = SinrTargets(zeta=zeta, sigma_z=1.0)
+    sol = solve_multicast_bound(h, targets, restarts=4, seed=0)
+    assert _meets_targets(h, sol.x, targets)
     assert sol.power == pytest.approx(np.max(zeta) / np.sum(np.abs(h[0]) ** 2),
                                       rel=1e-8)
 
@@ -161,13 +166,12 @@ def test_multicast_certificate_and_warm_start_dominance():
         sig, _ = solve_cipm(prob)
         from cipm.channel import ChannelMatrix, effective_channel
         eff = effective_channel(ChannelMatrix(h), [spec, spec], symbols)
-        sol = solve_multicast_bound(eff.entries, targets, restarts=0, seed=0,
+        sol = solve_multicast_bound(eff, targets, restarts=0, seed=0,
                                     warm_start=sig.x)
-        assert sol.feasible
         # warm-started descent can only go downhill from the precoder point
         assert sol.power <= sig.power * (1 + 1e-9)
         rhs = targets.zeta * targets.sigma_z ** 2
-        assert np.all(np.abs(eff.entries @ sol.x) ** 2 >= rhs - 1e-8)
+        assert np.all(np.abs(eff @ sol.x) ** 2 >= rhs - 1e-8)
 
 
 def test_multicast_restarts_only_improve():
@@ -227,12 +231,12 @@ _MULTICAST_STACKS = dict(nt=st.integers(1, 4), data=st.data(), log_scale=st.floa
 def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
     h, targets, restarts, warm, rng = _multicast_stack_instance(nt, data, log_scale, seed)
     n_rows, rhs = len(h), targets.zeta
-    x, power, feasible, errors = solve_multicast_stack(h, targets, restarts, seed, warm)
+    x, power, errors = solve_multicast_stack(h, targets, restarts, seed, warm)
     assert errors == {}
 
     # the certificate is direct evaluation, and it holds
     got = np.abs(np.einsum("ckn,cn->ck", h, x)) ** 2
-    assert feasible.all() and np.all(got >= rhs - 1e-9)
+    assert np.all(got >= rhs - 1e-9)
     assert np.allclose(power, np.sum(np.abs(x) ** 2, axis=1), rtol=1e-12, atol=0.0)
     for c in range(n_rows):
         _, p_ref = multicast_oracle(h[c], rhs, restarts, seed,
@@ -243,8 +247,8 @@ def test_multicast_stack_matches_scalar_oracle(nt, data, log_scale, seed):
             p_warm = np.sum(np.abs(warm[c]) ** 2) * max(1.0, np.max(rhs / y2))
             assert power[c] <= p_warm * (1 + 1e-12)
     perm = rng.permutation(n_rows)
-    _, p_perm, _, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
-                                            None if warm is None else warm[perm])
+    _, p_perm, _ = solve_multicast_stack(h[perm], targets, restarts, seed,
+                                         None if warm is None else warm[perm])
     assert np.allclose(p_perm, power[perm], rtol=1e-12, atol=0.0)
 
 
@@ -255,8 +259,8 @@ def test_multicast_stack_matches_all_active_rounds_bit_for_bit(nt, data, log_sca
     # same optimum on the same working set as the all-active guess did
     h, targets, restarts, warm, _ = _multicast_stack_instance(nt, data, log_scale, seed)
     *got, errors = solve_multicast_stack(h, targets, restarts, seed, warm)
-    want = multicast_stack_oracle(h, targets, restarts, seed, warm)
-    assert errors == {}
+    *want, feasible = multicast_stack_oracle(h, targets, restarts, seed, warm)
+    assert errors == {} and feasible.all()
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
@@ -295,12 +299,39 @@ def test_multicast_stack_reports_a_failed_row(monkeypatch):
         return u, nu, errors
 
     monkeypatch.setattr(baselines, "min_norm_ldp", failing)
-    x, power, feasible, errors = solve_multicast_stack(h, targets, 1, 0, None)
+    x, power, errors = solve_multicast_stack(h, targets, 1, 0, None)
     assert list(errors) == [2] and str(errors[2]) == "NNLS stopped: test"
-    assert np.isnan(x[2]).all() and np.isnan(power[2]) and not feasible[2]
+    assert np.isnan(x[2]).all() and np.isnan(power[2])
     for c in (0, 1):
-        assert np.array_equal(x[c], want[0][c]) and power[c] == want[1][c] and feasible[c]
+        assert np.array_equal(x[c], want[0][c]) and power[c] == want[1][c]
     with pytest.raises(ActiveSetLimitError, match="^NNLS stopped: test$"):
+        solve_multicast_bound(h[0], targets, restarts=1, seed=0)
+
+
+def test_multicast_stack_reports_a_row_that_misses_its_targets(monkeypatch):
+    # a row whose kept point fails the evaluation |h_j x|^2 >= zeta_j sigma_z^2 is
+    # that row's own SolverError, with nan; the other rows keep their bits, and the
+    # one-row entry raises the error
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    targets = SinrTargets(zeta=np.array([2.0, 3.0]), sigma_z=1.0)
+    want = solve_multicast_stack(h, targets, 1, 0, None)
+    ldp = baselines.min_norm_ldp
+
+    def shrinking(rows, rhs, is_eq, work=None):
+        u, nu, errors = ldp(rows, rhs, is_eq, work)
+        if work is None:                # round 1: halve the last start, row 2's one start
+            u[-1] *= 0.5
+        return u, nu, errors
+
+    monkeypatch.setattr(baselines, "min_norm_ldp", shrinking)
+    x, power, errors = solve_multicast_stack(h, targets, 1, 0, None)
+    assert list(errors) == [2] and type(errors[2]) is SolverError
+    assert str(errors[2]) == "multicast bound misses its targets on evaluation"
+    assert np.isnan(x[2]).all() and np.isnan(power[2])
+    for c in (0, 1):
+        assert np.array_equal(x[c], want[0][c]) and power[c] == want[1][c]
+    with pytest.raises(SolverError, match="^multicast bound misses its targets"):
         solve_multicast_bound(h[0], targets, restarts=1, seed=0)
 
 

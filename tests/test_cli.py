@@ -191,36 +191,35 @@ def test_every_default_lies_in_its_domain():
                 assert opt.parse(text) == d, (name, key)
 
 
-def test_modmap_pdfcheck_operations_pass_the_benchmark_check(tmp_path):
-    # the benchmark's own prepare, run and check on a few of its operations
+def _run_as_the_benchmark(name, workdir, seeds, operations):
+    """What bench/run.py does for a workload, per seed: warm up in workdir, then run one
+    instance through operations 0, 1, ... in order, each passing its check and doing
+    work > 0 (the benchmark calls work() outside its failure guard)."""
     wl = _bench_workloads()
-    for seed in (0, 1, 2):
-        workload = wl.ModmapPdfcheck(seed, str(tmp_path))
-        for index in (0, 1):
+    wl.warm_up(name, workdir)
+    for seed in seeds:
+        workload = wl.WORKLOADS[name](seed, workdir)
+        for index in range(operations):
             inputs = workload.prepare(index)
-            assert workload.check(index, inputs, workload.run(inputs)) == [], (seed, index)
+            output = workload.run(inputs)
+            assert workload.check(index, inputs, output) == [], (seed, index)
+            assert workload.work(inputs, output) > 0, (seed, index)
+
+
+def test_modmap_pdfcheck_operations_pass_the_benchmark_check(tmp_path):
+    # the benchmark's own warm-up, prepare, run, check and work on a few of its operations
+    _run_as_the_benchmark("modmap_pdfcheck", str(tmp_path), (0, 1, 2), 2)
 
 
 @pytest.mark.parametrize("name", ["sweep_full_load", "sweep_qpsk_bound"])
 def test_sweep_operations_pass_the_benchmark_check(tmp_path, name):
-    # the benchmark's own prepare, run and check; seed 0, operation 0 also
-    # compares the sweep.csv with the stored reference within 1e-12
-    wl = _bench_workloads()
-    for seed in (0, 1, 2):
-        workload = wl.WORKLOADS[name](seed, str(tmp_path))
-        for index in (0, 1):
-            argv = workload.prepare(index)
-            assert workload.check(index, argv, workload.run(argv)) == [], (seed, index)
+    # seed 0, operation 0 also compares the sweep.csv with the stored reference within 1e-12
+    _run_as_the_benchmark(name, str(tmp_path), (0, 1, 2), 2)
 
 
 def test_slot_stream_operations_pass_the_benchmark_check(tmp_path):
     # operation 0 of each seed is also checked against the QP oracle
-    wl = _bench_workloads()
-    for seed in (0, 1, 2):
-        workload = wl.SlotStream(seed, str(tmp_path))
-        for index in (0, 1, 2):
-            inputs = workload.prepare(index)
-            assert workload.check(index, inputs, workload.run(inputs)) == [], (seed, index)
+    _run_as_the_benchmark("slot_stream", str(tmp_path), (0, 1, 2), 3)
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -721,6 +720,22 @@ def test_modmap_checks_its_input_before_it_writes(tmp_path, argv, capsys):
 def test_modmap_requires_rates(capsys):
     assert main(["modmap", "--backend", "analytic"]) == EXIT_CONFIG
     assert "--rates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--modulations", "qpsk,16qam,8qam", "--frames", "1", "--symbols", "5",
+      "--threads", "1"], "--modulations"),
+    (["sweep", "--axis", "users", "--grid", "2,3", "--modulations", "qpsk,16qam"],
+     "--modulations"),        # K is 3 at grid value 3
+    (["modmap", "--rates", "7", "--backend", "analytic"], "--rates"),
+])
+def test_values_that_join_two_options_exit_config_naming_the_flag(tmp_path, argv, flag, capsys):
+    # a modulation list that fits no user count, or a rate above the ladder, is
+    # rejected by the command before anything is drawn or written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
 
 
 def test_modmap_unsupported_rate(capsys):

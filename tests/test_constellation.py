@@ -18,7 +18,6 @@ def test_orders_and_rates(name, order, rate):
     assert spec.order == order
     assert len(spec.points) == order
     assert spec.rate == rate
-    assert spec.bits_per_symbol == int(rate)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -29,7 +29,6 @@ from cipm.simulator import (
     run_frame,
     run_frames,
     run_sweep,
-    sweep_axis_column,
     validate_distribution,
     write_combination_csv,
     write_region_csv,
@@ -74,9 +73,11 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     combos, inverse = np.unique(symbols, axis=0, return_inverse=True)
     xs, _, _ = solve_cipm_stack(ch.entries, specs, combos, targets, mode)
     if precoder == "multicast":
-        eff = np.stack([effective_channel(ch, specs, combo).entries for combo in combos])
-        xs, _, feasible, _ = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
-        assert feasible.all()
+        eff = np.stack([effective_channel(ch, specs, combo) for combo in combos])
+        xs, _, errors = solve_multicast_stack(eff, targets, 1, mc_seed, xs)
+        # every row's bound meets every user's target
+        got = np.abs(np.einsum("ckn,cn->ck", eff, xs)) ** 2
+        assert errors == {} and np.all(got >= targets.zeta * targets.sigma_z ** 2 - 1e-9)
     assert len(combos) < cfg.n_symbols
     assert r.cache_entries == len(combos)
     assert r.cache_hits == cfg.n_symbols - len(combos)
@@ -112,7 +113,7 @@ def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods):
             sig, _ = solve_cipm(make_problem(ch.entries, specs, row, targets,
                                              mode))
             if precoder == "multicast":
-                eff = effective_channel(ch, specs, row).entries
+                eff = effective_channel(ch, specs, row)
                 sig = solve_multicast_bound(eff, targets, restarts=1,
                                             seed=mc_seed, warm_start=sig.x)
             x.append(sig.x)
@@ -499,10 +500,15 @@ def test_run_sweep_rows_and_csv(tmp_path):
     assert float(first[2]) == rows[0].avg_power_dbw  # repr round trip
 
 
-def test_sweep_axis_columns():
-    assert sweep_axis_column("sinr") == "target_sinr_db"
-    assert sweep_axis_column("size") == "system_size"
-    assert sweep_axis_column("users") == "k_users"
+def test_sweep_axis_columns(tmp_path):
+    # the header write_sweep_csv writes names the axis in its first column
+    for axis, column in [("sinr", "target_sinr_db"), ("size", "system_size"),
+                         ("users", "k_users")]:
+        rows = [aggregate([_fake_result(1.0, (0.0, 0.1))], axis, 2.0, "cipm")]
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        header = (tmp_path / "sweep.csv").read_text(encoding="ascii").splitlines()[0]
+        assert header == (f"{column},precoder,avg_power_dbw,avg_power_watts,"
+                          "ser_user1,ser_user2,goodput_user1,goodput_user2,eta"), axis
 
 
 def test_run_sweep_size_axis_reshapes():
@@ -581,13 +587,24 @@ def test_region_maps_selects_modulations(tmp_path):
 def test_region_point_power_is_its_combination_table_mean(sigma_z2_db, mode):
     # 4 dB lies below the analytic ladder (qpsk by default), 9 and 15 dB pick 8qam and 64qam
     h = np.array([[0.3 + 1.2j, -0.5 + 0.4j], [1.1 - 0.2j, 0.6 + 0.9j]])
-    pts = region_maps(h, [4.0, 9.0, 15.0], ModulationTable.analytic(), sigma_z2_db, mode)
+    pts = region_maps(h, [4.0, 9.0, 15.0], ModulationTable.analytic(),
+                      FrameConfig(sigma_z2_db=sigma_z2_db, mode=mode))
     assert {p.modulation1 for p in pts} == {"qpsk", "8qam", "64qam"}
     for p in pts:
         cfg = FrameConfig(zeta_db=(p.zeta1_db, p.zeta2_db), sigma_z2_db=sigma_z2_db,
                           modulations=(p.modulation1, p.modulation2), mode=mode)
         table = fixed_channel_experiment(h, cfg)
         assert p.avg_power_dbw == 10.0 * np.log10(np.mean(table.cipm_power))
+
+
+def test_region_maps_set_targets_modulations_and_shape_per_point():
+    # only cfg's noise and mode reach a region map: the grid sets each point's
+    # targets and modulations, and the channel its shape
+    h = np.array([[0.3 + 1.2j, -0.5 + 0.4j], [1.1 - 0.2j, 0.6 + 0.9j]])
+    cfg = FrameConfig(n_symbols=7, frames=3, n_antennas=5, k_users=4, zeta_db=20.0,
+                      modulations="64qam", precoder="ob", seed=9)
+    table = ModulationTable.analytic()
+    assert region_maps(h, [4.0, 12.0], table, cfg) == region_maps(h, [4.0, 12.0], table)
 
 
 def test_region_maps_need_two_users():
@@ -600,7 +617,7 @@ def test_region_maps_need_two_users():
 def test_region_maps_reject_unknown_mode(mode):
     h = np.array([[0.3 + 1.2j, -0.5 + 0.4j], [1.1 - 0.2j, 0.6 + 0.9j]])
     with pytest.raises(ValueError, match="mode"):
-        region_maps(h, [4.0], ModulationTable.analytic(), mode=mode)
+        region_maps(h, [4.0], ModulationTable.analytic(), FrameConfig(mode=mode))
 
 
 # -------------------------------------------------------------- distribution
