@@ -11,8 +11,8 @@ Subcommands
               simulated-curve backends.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 solver failure,
-4 validation failure.  Config files are flat ``key = value`` text; command
-line flags override file values.  Each option is declared once, in
+4 validation failure.  Config files are ``key = value`` text, read by
+key_value_lines; flags override file values.  Each option is declared once, in
 ``_SCHEMAS``, which generates its flag, config-file key and help text.  Its
 parser is a ``_Domain``, the option's values (whole numbers in [lo, hi],
 finite positive numbers, dB values within +-3000, a set of names, or comma
@@ -34,7 +34,7 @@ import numpy as np
 from .channel import ChannelMatrix
 from .constellation import ALIASES, get_constellation
 from .linkadapt import (AnalyticBackend, EmpiricalBackend, ModulationTable,
-                        allocate, load_table)
+                        allocate, key_value_lines, load_table)
 from .simulator import (DEFAULT_ZETA_DB, PRECODERS, SWEEP_AXES,
                         FrameConfig, fixed_channel_experiment, region_maps,
                         run_sweep, validate_distribution,
@@ -65,21 +65,12 @@ PRESET_CHANNELS = {
 
 
 def read_config(path):
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
-    values = {}
+    """Flat key = value file (key_value_lines' grammar); a key's '-' reads as '_'."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not key:
-                raise ValueError(f"{path}:{lineno}: empty key")
-            values[key] = val.strip()
-    return values
+        try:
+            return {key.replace("-", "_"): v for _, key, v in key_value_lines(fh.read())}
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class _Domain(NamedTuple):
@@ -174,9 +165,10 @@ _SCHEMAS = {
         "channel": _Opt(_PATH, None, "channel file (K Nt header + rows)"),
         "grid": _Opt(_Domain(f"a point count from 1 to {MAX_REGION_POINTS} or {_DB_LIST.what}",
                              _region_points), None, "region grid (default: 6 points)"),
-        "modulations": _Opt(_list_of(_CONSTELLATION), ["qpsk"], "per-user constellation names"),
+        "modulations": _Opt(_list_of(_CONSTELLATION), None,
+                            "per-user constellation names (default qpsk; not regions)"),
         "mode": _Opt(_one_of(MODES), "relaxed", "constraint mode"),
-        "zeta_db": _Opt(_DB, DEFAULT_ZETA_DB, "per-user target SINR in dB"),
+        "zeta_db": _Opt(_DB, None, f"target SINR in dB (default {DEFAULT_ZETA_DB:g}; not regions)"),
         "sigma_z2_db": _Opt(_DB, 0.0, "noise variance in dB"),
         "table": _Opt(_PATH, None, "modulation table file for region maps"),
         "summary": _Opt(_SWITCH, False, "print headline numbers"),
@@ -246,16 +238,20 @@ def _outdir(opts):
     return out
 
 
+def _check_modulations(mods, users):
+    """A given --modulations list holds one name, or one per user at each count in users."""
+    if mods and (bad := [k for k in users if len(mods) not in (1, k)]):
+        raise ValueError(f"--modulations: takes one name, or one per user ({bad[0]} users), "
+                         f"got '{','.join(mods)}'")
+
+
 def cmd_sweep(opts):
     """Monte-Carlo sweep, one CSV row per (grid value, precoder)"""
     grid, mods = opts["grid"], opts["modulations"]
     if opts["axis"] != "sinr" and not all(1 <= v <= MAX_SIZE and v.is_integer() for v in grid):
         raise ValueError(f"--grid: takes whole numbers from 1 to {MAX_SIZE} on the "
                          f"{opts['axis']} axis, got '{','.join(f'{v:g}' for v in grid)}'")
-    users = [opts["users"]] if opts["axis"] == "sinr" else [int(v) for v in grid]
-    if bad := [k for k in users if len(mods) not in (1, k)]:
-        raise ValueError(f"--modulations: takes one name, or one per user ({bad[0]} users), "
-                         f"got '{','.join(mods)}'")
+    _check_modulations(mods, [opts["users"]] if opts["axis"] == "sinr" else map(int, grid))
     cfg = FrameConfig(
         n_symbols=opts["symbols"], frames=opts["frames"],
         n_antennas=opts["antennas"], k_users=opts["users"],
@@ -284,21 +280,23 @@ def cmd_fixed(opts):
     """deterministic single-channel studies"""
     if (opts["preset"] is None) == (opts["channel"] is None):
         raise ValueError("exactly one of --preset or --channel is required")
+    regions = opts["preset"] == "regions"
+    given = [key for key in ("grid", "table", "modulations", "zeta_db") if opts[key] is not None]
+    if stray := [f"--{key}" for key in given if (key in ("grid", "table")) != regions]:
+        raise ValueError(f"{' and '.join(stray).replace('_', '-')}: --grid and --table only apply"
+                         " with --preset regions, --modulations and --zeta-db only without it")
     if opts["preset"] is not None:
         channel = ChannelMatrix(PRESET_CHANNELS[opts["preset"]])
     else:
         channel = ChannelMatrix.load_text(opts["channel"])
-    stray = [f"--{key}" for key in ("grid", "table") if opts[key] is not None]
-    if stray and opts["preset"] != "regions":
-        raise ValueError(f"{' and '.join(stray)} only apply with --preset regions")
-    cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], zeta_db=opts["zeta_db"],
-                      modulations=tuple(opts["modulations"]), mode=opts["mode"])
-    out = _outdir(opts)
+    _check_modulations(opts["modulations"], [channel.k_users])
+    cfg = FrameConfig(sigma_z2_db=opts["sigma_z2_db"], mode=opts["mode"],
+                      **{key: opts[key] for key in given if key in ("modulations", "zeta_db")})
 
-    if opts["preset"] == "regions":
-        grid = opts["grid"] or _region_points("6")
-        points = region_maps(channel.entries, grid, _ladder(opts), cfg)
-        path = os.path.join(out, "regions.csv")
+    if regions:
+        points = region_maps(channel.entries, opts["grid"] or _region_points("6"),
+                             _ladder(opts), cfg)
+        path = os.path.join(_outdir(opts), "regions.csv")
         write_region_csv(points, path)
         print(f"wrote {path} ({len(points)} grid points)")
         if opts["summary"]:
@@ -307,7 +305,7 @@ def cmd_fixed(opts):
         return EXIT_OK
 
     table = fixed_channel_experiment(channel.entries, cfg)
-    path = os.path.join(out, "combinations.csv")
+    path = os.path.join(_outdir(opts), "combinations.csv")
     write_combination_csv(table, path)
     print(f"wrote {path} ({len(table.cipm_power)} combinations)")
     if opts["summary"]:
@@ -336,8 +334,8 @@ def cmd_pdfcheck(opts):
     print(f"eq power mean    {report.eq_power_mean:.6f} "
           f"(expected {report.eq_power_expected:.6f})")
     if not report.sufficient:
-        print(f"warning: {report.samples} samples are too few for "
-              f"{report.bins} bins; fit not judged", file=sys.stderr)
+        print(f"warning: {opts['samples']} samples are too few for "
+              f"{bins} bins; fit not judged", file=sys.stderr)
         return EXIT_OK
     if report.l1 >= threshold:
         print(f"FAIL: L1 {report.l1:.6f} >= {threshold:g}", file=sys.stderr)

@@ -4,7 +4,7 @@ The pipeline runs in three steps. A rate target picks the lowest modulation
 whose nominal rate covers it; the shortfall between target and nominal rate
 becomes the tolerable symbol error rate; the SER maps to a SINR target either
 through the closed-form MQAM approximation or by inverting a simulated
-SER-vs-SNR curve.
+SER-vs-SNR curve. key_value_lines reads ladder files and the CLI's config files.
 """
 
 import os
@@ -68,17 +68,12 @@ def energy_efficiency(goodputs, avg_power):
 @dataclass(frozen=True)
 class ModulationEntry:
     name: str
-    bits: int
     rate: float
     sinr_min_db: float
 
-    @property
-    def sinr_min(self):
-        return 10.0 ** (self.sinr_min_db / 10.0)
 
-
-# nominal (name, bits) ladder; rates default to R(m) = m
-_LADDER = (("qpsk", 2), ("8qam", 3), ("16qam", 4), ("32qam", 5), ("64qam", 6))
+# the ladder's constellations; the analytic ladder's rates are theirs, R(m) = m
+_LADDER = ("qpsk", "8qam", "16qam", "32qam", "64qam")
 
 # the SINR range allocate supports: floor at the loosest useful QPSK operating
 # point, ceiling at a tight 64-QAM one
@@ -104,20 +99,13 @@ class ModulationTable:
     @classmethod
     def analytic(cls, reference_ser=1e-2):
         """Thresholds from the closed-form SER formula at one reference SER."""
-        rows = [ModulationEntry(n, m, float(m),
-                                10.0 * np.log10(sinr_from_ser(reference_ser, float(m))))
-                for n, m in _LADDER]
-        return cls(rows)
+        rates = [get_constellation(n).rate for n in _LADDER]
+        return cls(ModulationEntry(n, r, 10.0 * np.log10(sinr_from_ser(reference_ser, r)))
+                   for n, r in zip(_LADDER, rates))
 
     @property
     def max_rate(self):
         return self.entries[-1].rate
-
-    def by_name(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"unknown modulation {name!r}")
 
     def modulation_for_sinr(self, sinr_db):
         """Highest-rate entry whose threshold is met, None below the ladder."""
@@ -139,24 +127,27 @@ def select_modulation(table, target_rate):
         f"target rate {target_rate} exceeds the largest supported rate {table.max_rate}")
 
 
-def parse_table(text):
-    """Table from 'name = rate, threshold_db' lines; '#' starts a comment."""
-    rows = []
-    bits = dict(_LADDER)
+def key_value_lines(text):
+    """(line number, key, value) of each non-blank 'key = value  # comment' line."""
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected 'name = rate, threshold_db'")
-        name, _, rest = line.partition("=")
-        name = name.strip().lower()
-        parts = [p.strip() for p in rest.split(",")]
-        if name not in bits or len(parts) != 2:
-            raise ValueError(f"line {ln}: expected 'name = rate, threshold_db'")
-        rows.append(ModulationEntry(name, bits[name], float(parts[0]), float(parts[1])))
-    rows.sort(key=lambda e: e.rate)
-    return ModulationTable(rows)
+        if line := raw.split("#", 1)[0].strip():
+            key, eq, value = line.partition("=")
+            if not (eq and key.strip()):
+                raise ValueError(f"line {ln}: expected 'key = value'")
+            yield ln, key.strip(), value.strip()
+
+
+def parse_table(text):
+    """Table from 'name = rate, threshold_db' lines (key_value_lines' grammar)."""
+    rows = []
+    for ln, name, value in key_value_lines(text):
+        try:
+            rate, threshold = map(float, value.split(","))   # two numbers, else ValueError
+            _LADDER.index(name.lower())                      # a ladder name, else ValueError
+        except ValueError:
+            raise ValueError(f"line {ln}: expected 'name = rate, threshold_db'") from None
+        rows.append(ModulationEntry(name.lower(), rate, threshold))
+    return ModulationTable(sorted(rows, key=lambda e: e.rate))
 
 
 def load_table(path):
@@ -265,11 +256,10 @@ class EmpiricalBackend:
     runs skip the Monte-Carlo rebuild.
     """
 
-    def __init__(self, curves=None, cache_dir=None, symbols_per_point=1_000_000,
-                 seed=20_240_001):
+    def __init__(self, cache_dir=None, symbols_per_point=1_000_000, seed=20_240_001):
         if symbols_per_point < 1:
             raise ValueError(f"symbols_per_point must be >= 1, got {symbols_per_point}")
-        self.curves = dict(curves or {})
+        self.curves = {}
         self.cache_dir = cache_dir
         self.symbols_per_point = symbols_per_point
         self.seed = seed

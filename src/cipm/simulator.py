@@ -262,12 +262,19 @@ def aggregate(results, axis, value, precoder):
                     energy_efficiency(gp, lin), len(results))
 
 
+def _count(axis, v, *also):
+    """FrameConfig fields k_users and *also at the axis' grid value v, a whole number."""
+    if not float(v).is_integer():
+        raise ValueError(f"the {axis} axis takes whole numbers, got {v:g}")
+    return dict.fromkeys(("k_users", *also), int(v))
+
+
 # per sweep axis: its CSV column, and config(c, v), the frame config c at grid value v
 SweepAxis = namedtuple("SweepAxis", "column config")
 SWEEP_AXIS_TABLE = {
     "sinr": SweepAxis("target_sinr_db", lambda c, v: replace(c, zeta_db=float(v))),
-    "size": SweepAxis("system_size", lambda c, v: replace(c, k_users=int(v), n_antennas=int(v))),
-    "users": SweepAxis("k_users", lambda c, v: replace(c, k_users=int(v))),
+    "size": SweepAxis("system_size", lambda c, v: replace(c, **_count("size", v, "n_antennas"))),
+    "users": SweepAxis("k_users", lambda c, v: replace(c, **_count("users", v))),
 }
 SWEEP_AXES = tuple(SWEEP_AXIS_TABLE)
 
@@ -413,8 +420,6 @@ CURVE_POINTS = 200  # z-grid points of the exported density curves
 
 @dataclass(frozen=True)
 class DistributionReport:
-    samples: int
-    bins: int
     l1: float
     ks_phase: float
     raw_power_mean: float
@@ -483,7 +488,7 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
     centers = 0.5 * (curve_edges[:-1] + curve_edges[1:])
 
     return DistributionReport(
-        samples=samples, bins=bins, l1=l1, ks_phase=ks,
+        l1=l1, ks_phase=ks,
         raw_power_mean=float(np.mean(raw)),
         raw_power_expected=n_antennas / beta,
         eq_power_mean=float(np.mean(z)),

@@ -13,12 +13,12 @@ once per stack, so a lone slot pays little fixed cost per call); what those do
 not certify runs one NNLS each, which finds the active set, or a Farkas
 certificate of infeasibility, for any rank of the rows. The core and
 solve_cipm_stack return each failing problem's error; only lone entries raise
-it. solve_cipm (strict mode included) and the equivalent-channel form run the
-core on one problem, frames and the multicast SCA rounds on stacks. The KKT
-report keeps the multipliers and builds its residual, violation, active set and
+it. solve_cipm (strict mode included) runs the core on one problem, frames and
+the multicast SCA rounds on stacks; the equivalent-channel form is the strict
+problem on the effective channel, every user at QPSK's point 3. The KKT report
+keeps the multipliers and builds its residual, violation, active set and
 correlation matrix only on request. make_problem, like gather, rejects a symbol
-index that is not an integer in [0, order) of its user's constellation, naming
-the user.
+index that is not an integer in [0, order) of its user's constellation, naming the user.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _gesv
 from scipy.optimize import nnls
 
-from .channel import REFERENCE_SYMBOL, ChannelMatrix, as_entries, effective_channel
-from .constellation import ConstellationSpec, check_symbols, gather
+from .channel import ChannelMatrix, as_entries, effective_channel
+from .constellation import ConstellationSpec, check_symbols, gather, get_constellation
 
 _FEAS_TOL = 1e-9    # feasibility: times max|rhs| to certify a step, 1 + max|rhs| after NNLS
 _LDP_TOL = 1e-10    # NNLS residual (of a unit target) that proves infeasibility
@@ -357,11 +357,10 @@ def solve_strict_equivalent(channel, specs, symbols, targets: SinrTargets
                             ) -> tuple[PrecodedSignal, KktReport]:
     """Strict solve phrased on the effective channel with one common target.
 
-    All users share the unit-modulus reference point; the per-user symbol
-    amplitude and phase are absorbed into the channel rows. The optimal
+    All users share the unit-modulus reference point, QPSK's point 3; the per-user
+    symbol amplitude and phase are absorbed into the channel rows. The optimal
     power matches the direct strict solve exactly.
     """
     h = effective_channel(ChannelMatrix(as_entries(channel)), specs, symbols)
-    coeffs = np.tile([REFERENCE_SYMBOL.real, REFERENCE_SYMBOL.imag], (len(h), 1))
-    free = np.zeros(coeffs.shape, dtype=bool)
-    return solve_cipm(PrecodeProblem(h, *_assemble(h, coeffs, free, targets)))
+    qpsk = get_constellation("qpsk")
+    return solve_cipm(make_problem(h, [qpsk] * len(h), [3] * len(h), targets, "strict"))

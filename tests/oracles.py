@@ -12,11 +12,10 @@ uplink fixed point with an explicit inverse of the covariance per iteration,
 against which the Cholesky iteration of solve_ob is checked; after it comes
 solve_ob as it was before a stack of frames iterated in lock-step (one
 frame, its stop test on Python floats after every iteration), which every
-frame of solve_ob_stack must match bit for bit. The QP cores
-that the solver's least-distance core replaced, a scalar active-set loop
-(min_norm_qp) and its lock-step batched form (min_norm_qp_batch), are kept
-verbatim at the end as references for it, followed by that core as it was
-before it certified a stack's all-active points (min_norm_ldp: one NNLS per
+frame of solve_ob_stack must match bit for bit. The QP core that the
+solver's least-distance core replaced, a scalar active-set loop (min_norm_qp),
+is kept verbatim at the end as a reference for it, followed by that core as it
+was before it certified a stack's all-active points (min_norm_ldp: one NNLS per
 problem), the reference for the certify-first step, and that certify-first
 core as it was before primal-dual active-set steps on the Gram system
 replaced its guess (certify_first_ldp: one SVD polish of a guessed working
@@ -384,11 +383,11 @@ def solve_ob(channel, targets: SinrTargets) -> BeamformerSet:
 
 
 
-# The two active-set cores the least-distance core replaced, kept verbatim as
-# references: a scalar loop and its lock-step batched form. Both start from
-# the all-equality least-norm point, so they reject any problem whose
-# equality system (every row pinned) is inconsistent.
-_FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # both cores: feasibility (times 1 + max|rhs|), release
+# The active-set core the least-distance core replaced, kept verbatim as its
+# reference: a scalar loop. It starts from the all-equality least-norm point,
+# so it rejects any problem whose equality system (every row pinned) is
+# inconsistent.
+_FEAS_TOL, _MULT_TOL = 1e-9, 1e-10   # feasibility (times 1 + max|rhs|), release
 
 
 def _least_norm(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
@@ -461,73 +460,6 @@ def min_norm_qp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *, max_ite
         else:
             u = u + d
     raise ActiveSetLimitError(f"active-set loop did not converge within {max_iter} iterations")
-
-
-def min_norm_qp_batch(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray, *,
-                      max_iter: int, keys: np.ndarray):
-    """min_norm_qp run in lock-step on C stacked problems (C, m, n), (C, m), (C, m).
-
-    Each problem keeps its own working set, rules and pass count. A pass
-    factorizes the working sets that changed in one batched SVD (other rows
-    zeroed, _least_norm's rcond cut). Errors name problem c by keys[c].
-    Returns u (C, n) and nu (C, m) with u[c] = rows[c].T @ nu[c].
-    """
-    tol = _FEAS_TOL * (1.0 + np.max(np.abs(rhs), axis=1, initial=0.0))
-    work, nu = np.ones(rhs.shape, dtype=bool), np.zeros(rhs.shape)
-    u_star = np.zeros((len(rhs), rows.shape[2]))   # least-norm points of the working sets
-    live, stale = np.ones(len(rhs), dtype=bool), np.ones(len(rhs), dtype=bool)
-    for it in range(max_iter):
-        f = np.flatnonzero(stale)
-        if len(f):
-            w = work[f]
-            a, b = rows[f] * w[..., None], np.where(w, rhs[f], 0.0)
-            left, sv, vt = np.linalg.svd(a, full_matrices=False)
-            sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-12 * sv[:, :1])
-            c = np.einsum("cmr,cm->cr", left, b) * sv_inv
-            u_star[f] = np.einsum("crn,cr->cn", vt, c)
-            nu[f] = np.einsum("cmr,cr->cm", left, c * sv_inv) * w
-            gaps = np.abs(np.einsum("cmn,cn->cm", a, u_star[f]) - b)
-            for i in np.flatnonzero(np.linalg.norm(gaps, axis=1) > tol[f])[:1]:
-                bad = [_row_labels(rhs.shape[1])[j] for j in np.flatnonzero(gaps[i] > tol[f[i]])]
-                raise InfeasibleConstraintsError(
-                    f"combination {keys[f[i]].tolist()}: {'working-set' if it else 'equality'}"
-                    f" system inconsistent (residual {np.linalg.norm(gaps[i]):.3e});"
-                    f" conflicting rows: {bad}", conflicts=bad)
-            stale[:] = False
-        if it == 0:
-            u = u_star.copy()   # the all-equality start
-        act = np.flatnonzero(live)
-        at = (np.linalg.norm(u_star[act] - u[act], axis=1)
-              <= 1e-12 * (1.0 + np.linalg.norm(u[act], axis=1)))
-        # at the working set's optimum: finish, or release the most negative
-        # multiplier (ties to the lowest row)
-        r = act[at]
-        u[r] = u_star[r]
-        neg = ~is_eq[r] & work[r] & (nu[r] < -_MULT_TOL)
-        live[r[~neg.any(axis=1)]] = False
-        r, neg = r[neg.any(axis=1)], neg[neg.any(axis=1)]
-        work[r, np.argmin(np.where(neg, nu[r], np.inf), axis=1)] = False
-        stale[r] = True
-        # otherwise step toward it, blocked at the first inequality the move
-        # would cross (ratios clamped at 0; ties to the lowest row)
-        s = act[~at]
-        d = u_star[s] - u[s]
-        g = np.einsum("cmn,cn->cm", rows[s], d)
-        gap = rhs[s] - np.einsum("cmn,cn->cm", rows[s], u[s])
-        ratios = np.maximum(np.divide(gap, g, out=np.full_like(g, np.inf),
-                                      where=~is_eq[s] & ~work[s] & (g < -1e-14)), 0.0)
-        first = np.argmin(ratios, axis=1)
-        t = ratios[np.arange(len(s)), first]
-        u[s] += np.minimum(t, 1.0)[:, None] * d
-        work[s[t < 1.0], first[t < 1.0]] = stale[s[t < 1.0]] = True
-        if not live.any():
-            return u, nu
-    raise ActiveSetLimitError(f"combination {keys[np.flatnonzero(live)[0]].tolist()}: "
-                              f"active-set loop did not converge within {max_iter} iterations")
-
-
-def _pass_cap(k_users: int) -> int:
-    return 20 * k_users + 20   # release and block passes both count; a wide margin
 
 
 # The least-distance core as it was before it certified the all-active point

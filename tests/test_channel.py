@@ -16,6 +16,13 @@ def test_reference_symbol_is_unit_modulus_diagonal():
     assert abs(abs(REFERENCE_SYMBOL) - 1.0) < 1e-15
 
 
+def test_reference_symbol_is_qpsk_point_3_bit_for_bit():
+    # solve_strict_equivalent puts every user at QPSK's point 3 to target REFERENCE_SYMBOL
+    qpsk = get_constellation("qpsk")
+    assert qpsk.points[3] == REFERENCE_SYMBOL
+    assert qpsk.coeffs[3].tolist() == [REFERENCE_SYMBOL.real, REFERENCE_SYMBOL.imag]
+
+
 def test_fading_config_validation():
     with pytest.raises(ValueError):
         FadingConfig(beta=0.0, n_antennas=2, k_users=2)

@@ -31,6 +31,7 @@ from cipm.cli import (
     read_config,
     resolve_options,
 )
+from cipm.linkadapt import parse_table
 
 SWEEP_HEADER = ("target_sinr_db,precoder,avg_power_dbw,avg_power_watts,"
                 "ser_user1,ser_user2,goodput_user1,goodput_user2,eta")
@@ -57,6 +58,30 @@ def test_read_config_parses_flat_files(tmp_path):
     path.write_text("frames 7\n", encoding="ascii")
     with pytest.raises(ValueError):
         read_config(path)
+
+
+def _read_config_text(tmp_path, text):
+    (path := tmp_path / "run.cfg").write_text(text, encoding="ascii")
+    return read_config(path)
+
+
+def _read_ladder_text(tmp_path, text):
+    return [(e.name, e.rate, e.sinr_min_db) for e in parse_table(text).entries]
+
+
+@pytest.mark.parametrize("read,line,want,also_bad", [
+    # a config value is the text after the first '='; a ladder value must be two numbers
+    (_read_config_text, "zeta-db = 9.5 = 2", {"zeta_db": "9.5 = 2"}, []),
+    (_read_ladder_text, "8QAM = 3, 8.2", [("8qam", 3.0, 8.2)], ["qpsk = 2, 6.1 = 9"]),
+], ids=["config", "ladder"])
+def test_config_files_and_ladder_tables_read_one_line_grammar(tmp_path, read, line, want,
+                                                              also_bad):
+    # comments and blank lines are skipped and the first '=' splits; a line without '='
+    # or with an empty key raises naming its number, a config file's path in front
+    assert read(tmp_path, f"# header\n\n  {line}  # inline = comment\n\n") == want
+    for bad in ["frames 7", " = 7", "=", *also_bad]:
+        with pytest.raises(ValueError, match=r"^(.*run\.cfg: )?line 3: expected '"):
+            read(tmp_path, f"# header\n\n{bad}  # x = y\n8qam = 3, 8.2\n")
 
 
 def test_option_precedence(tmp_path):
@@ -587,6 +612,22 @@ def test_fixed_region_flags_need_region_preset(tmp_path, capsys):
         assert not (out / "combinations.csv").exists()
 
 
+@pytest.mark.parametrize("argv,config,flags", [
+    (["--preset", "regions", "--grid", "3", "--zeta-db", "20", "--modulations", "64qam"], "",
+     "--modulations and --zeta-db"),
+    (["--preset", "regions"], "zeta-db = 20\n", "--zeta-db"),
+    (["--preset", "combos"], "grid = 3\nmodulations = 16qam\n", "--grid"),
+], ids=["regions flags", "regions config", "combos config"])
+def test_fixed_rejects_options_its_study_ignores(tmp_path, argv, config, flags, capsys):
+    # a region map sets each point's targets and constellations from its grid and ladder,
+    # so a given --zeta-db or --modulations, from a flag or the config file, is an error
+    (cfg := tmp_path / "run.cfg").write_text(config, encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["fixed", *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {flags}: ")
+    assert not out.exists()
+
+
 def test_fixed_malformed_channel_file_exits_config(tmp_path, capsys):
     ch = tmp_path / "ch.txt"
     for row in ("1.0 0.5,0.2", "nan,0 1.0,0.0"):
@@ -600,9 +641,11 @@ def test_fixed_conflicting_users_exit_solver(tmp_path, capsys):
     ch = tmp_path / "ch.txt"
     ChannelMatrix(np.array([[1.0 + 0.0j, 0.5 + 0.0j],
                             [1.0 + 0.0j, 0.5 + 0.0j]])).save_text(ch)
-    code = main(["fixed", "--channel", str(ch), "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["fixed", "--channel", str(ch), "--out", str(out)])
     assert code == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+    assert not out.exists()        # made only once the table is computed
 
 
 def test_sweep_infeasible_slot_exits_solver_naming_frame_and_combination(tmp_path, capsys):
@@ -728,6 +771,7 @@ def test_modmap_requires_rates(capsys):
     (["sweep", "--axis", "users", "--grid", "2,3", "--modulations", "qpsk,16qam"],
      "--modulations"),        # K is 3 at grid value 3
     (["modmap", "--rates", "7", "--backend", "analytic"], "--rates"),
+    (["fixed", "--preset", "combos", "--modulations", "qpsk,qpsk,qpsk"], "--modulations"),
 ])
 def test_values_that_join_two_options_exit_config_naming_the_flag(tmp_path, argv, flag, capsys):
     # a modulation list that fits no user count, or a rate above the ladder, is

@@ -116,7 +116,6 @@ def test_analytic_table_thresholds_frozen():
         assert entry.sinr_min_db == pytest.approx(expect, rel=1e-12)
         assert entry.sinr_min_db == pytest.approx(
             10.0 * np.log10(sinr_from_ser_oracle(1e-2, entry.rate)), abs=1e-8)
-        assert entry.sinr_min == pytest.approx(10.0 ** (expect / 10.0), rel=1e-12)
     assert table.max_rate == 6.0
 
 
@@ -126,11 +125,9 @@ def test_table_validation():
         ModulationTable(())
     with pytest.raises(ValueError):
         ModulationTable([good[1], good[0]])  # rates must increase
-    bad_thr = [good[0], ModulationEntry("8qam", 3, 3.0, good[0].sinr_min_db - 1.0)]
+    bad_thr = [good[0], ModulationEntry("8qam", 3.0, good[0].sinr_min_db - 1.0)]
     with pytest.raises(ValueError):
         ModulationTable(bad_thr)
-    with pytest.raises(KeyError):
-        ModulationTable.analytic().by_name("256qam")
 
 
 def test_select_modulation_boundaries():
@@ -164,8 +161,7 @@ qpsk  = 2, 6.1
 """
     table = parse_table(text)
     assert [e.name for e in table.entries] == ["qpsk", "8qam", "16qam", "64qam"]
-    assert table.by_name("8qam").sinr_min_db == 8.2
-    assert table.by_name("8qam").bits == 3
+    assert table.entries[1] == ModulationEntry("8qam", 3.0, 8.2)
     path = tmp_path / "ladder.txt"
     path.write_text(text, encoding="ascii")
     loaded = load_table(path)
@@ -180,6 +176,8 @@ def test_parse_table_rejects_malformed():
         parse_table("bpsk = 1, 3.0")      # unknown name
     with pytest.raises(ValueError):
         parse_table("qpsk = 2, 6.1, 9")   # wrong arity
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_table("qpsk = 2, 6.1\n8qam = 3, x")   # not a number
     with pytest.raises(ValueError):
         parse_table("")                   # empty table
 
@@ -331,15 +329,18 @@ def test_ser_curve_rejects_bad_symbol_counts(symbols):
 def test_empirical_backend_prefers_injected_curve():
     snr = np.arange(0.0, 21.0, 1.0)
     fake = SerCurve("16qam", snr, 10.0 ** (-snr / 5.0))
-    backend = EmpiricalBackend(curves={"16qam": fake})
-    entry = ModulationTable.analytic().by_name("16qam")
+    backend = EmpiricalBackend()
+    backend.curves["16qam"] = fake
+    entry = ModulationTable.analytic().entries[2]
+    assert entry.name == "16qam"
     assert backend.sinr_db_for(entry, 1e-2) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_empirical_backend_disk_cache(tmp_path, monkeypatch):
     backend = EmpiricalBackend(cache_dir=str(tmp_path), symbols_per_point=2_000,
                                seed=11)
-    entry = ModulationTable.analytic().by_name("qpsk")
+    entry = ModulationTable.analytic().entries[0]
+    assert entry.name == "qpsk"
     first = backend.sinr_db_for(entry, 0.05)
     cache = tmp_path / "qpsk_ser.csv"
     assert cache.exists()

@@ -519,6 +519,15 @@ def test_run_sweep_size_axis_reshapes():
         run_sweep(cfg, [2], axis="taps")
 
 
+@pytest.mark.parametrize("axis", ["size", "users"])
+@pytest.mark.parametrize("value", [2.7, float("nan"), float("inf")])
+def test_count_axes_reject_a_grid_value_that_is_not_whole(axis, value):
+    # a truncated count would solve K = 2 and label the row 2.7
+    with pytest.raises(ValueError, match=f"^the {axis} axis takes whole numbers, got {value:g}$"):
+        run_sweep(FrameConfig(frames=1, n_symbols=5), [2.0, value], axis=axis,
+                  precoders=("cipm",))
+
+
 # ------------------------------------------------------------- fixed channel
 
 def test_single_user_gap_is_zero(tmp_path):
