@@ -1,4 +1,6 @@
-"""Constructive-interference symbol-level precoding for MISO downlinks."""
+"""Constructive-interference symbol-level precoding for MISO downlinks.
+
+Importing it loads numpy only: each scipy function is imported where it is called."""
 
 from .constellation import ConstellationSpec, build_qam, detect, get_constellation
 from .channel import (

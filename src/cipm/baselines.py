@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zposv
 
 from .channel import as_entries
 from .solver import (InfeasibleConstraintsError, PrecodedSignal, SinrTargets, SolverError,
@@ -114,6 +113,7 @@ def _uplink_powers(frames):
     with that row's q, and no iteration past it fails the frame; one that fails stops
     there. A diverging q goes inf, then nan, and runs to the cap as alone (warnings off).
     """
+    from scipy.linalg.lapack import zposv
     n, kmax = len(frames), max(len(f[0]) for f in frames)
     h, x = np.zeros((2, n, kmax, max(len(f[4]) for f in frames)), dtype=complex)
     gain, qs = np.zeros((n, kmax)), np.zeros((_OB_BLOCK + 1, n, kmax), dtype=complex)
@@ -155,6 +155,7 @@ def _uplink_powers(frames):
 def _downlink(h, targets, outer, noise, hh, q, it):
     """Beams along the MMSE directions at uplink powers q, scaled to meet every target; or
     the error that keeps them from it."""
+    from scipy.linalg.lapack import zposv
     zeta, (k, nt) = targets.zeta, h.shape
     _, x, info = zposv((q @ outer + noise).reshape(nt, nt), hh)
     if info:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .constellation import ConstellationSpec, gather
 
@@ -146,6 +145,7 @@ def symbol_stats(spec: ConstellationSpec) -> SymbolStats:
 
 
 def _gamma_pdf(z: np.ndarray, shape: int, rate: float) -> np.ndarray:
+    from scipy.special import gammaln
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     pos = z > 0
@@ -166,6 +166,7 @@ def eq_power_pdf(z, cfg: FadingConfig, stats: SymbolStats) -> np.ndarray:
 
 def eq_power_cdf(z, cfg: FadingConfig, stats: SymbolStats) -> np.ndarray:
     """Mixture CDF via the regularized lower incomplete gamma function."""
+    from scipy.special import gammainc
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     zc = np.clip(z, 0.0, None)

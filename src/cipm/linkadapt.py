@@ -11,8 +11,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
-from scipy.special import erfc, erfcinv
 
 from .channel import write_csv
 from .constellation import _decide, get_constellation
@@ -20,11 +18,13 @@ from .constellation import _decide, get_constellation
 
 def qfunc(x):
     """Gaussian tail function Q."""
+    from scipy.special import erfc
     return float(0.5 * erfc(x / np.sqrt(2.0)))
 
 
 def qfunc_inv(p):
     """Inverse of the Gaussian tail function Q."""
+    from scipy.special import erfcinv
     if not 0.0 < p < 1.0:
         raise ValueError(f"Q^-1 argument must lie in (0, 1), got {p}")
     return float(np.sqrt(2.0) * erfcinv(2.0 * p))
@@ -75,10 +75,10 @@ class ModulationEntry:
 # the ladder's constellations; the analytic ladder's rates are theirs, R(m) = m
 _LADDER = ("qpsk", "8qam", "16qam", "32qam", "64qam")
 
-# the SINR range allocate supports: floor at the loosest useful QPSK operating
-# point, ceiling at a tight 64-QAM one
-ZETA0_DEFAULT = sinr_from_ser(0.1, 2.0)
-ZETA_MAX_DEFAULT = sinr_from_ser(1e-4, 6.0)
+# the SINR range allocate supports, as literals so that importing loads no scipy: floor at
+# the loosest useful QPSK point, sinr_from_ser(0.1, 2.0), ceiling at sinr_from_ser(1e-4, 6.0)
+ZETA0_DEFAULT = 1.920729410347064
+ZETA_MAX_DEFAULT = 57.568385735028016
 
 
 class ModulationTable:
@@ -88,6 +88,8 @@ class ModulationTable:
         entries = tuple(entries)
         if not entries:
             raise ValueError("modulation table is empty")
+        if bad := [e.name for e in entries if not np.isfinite([e.rate, e.sinr_min_db]).all()]:
+            raise ValueError(f"entry {bad[0]}: rate and threshold must be finite")
         rates = [e.rate for e in entries]
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValueError("entries must have strictly increasing rates")
@@ -144,6 +146,7 @@ def parse_table(text):
         try:
             rate, threshold = map(float, value.split(","))   # two numbers, else ValueError
             _LADDER.index(name.lower())                      # a ladder name, else ValueError
+            ModulationTable([ModulationEntry(name, rate, threshold)])   # finite, else ValueError
         except ValueError:
             raise ValueError(f"line {ln}: expected 'name = rate, threshold_db'") from None
         rows.append(ModulationEntry(name.lower(), rate, threshold))
@@ -152,7 +155,10 @@ def parse_table(text):
 
 def load_table(path):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_table(fh.read())
+        try:
+            return parse_table(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,7 @@ class SerCurve:
 
     def monotonized(self):
         """Least-squares nonincreasing fit (pool adjacent violators)."""
+        from scipy.optimize import isotonic_regression
         return SerCurve(self.name, self.snr_db,
                         isotonic_regression(self.ser, increasing=False).x)
 

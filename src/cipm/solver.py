@@ -32,7 +32,6 @@ import numpy as np
 # np.linalg.solve's gufunc (LAPACK gesv) without its wrapper, two thirds of a small solve's
 # time: the same bits, and a singular slice is nan in its own row, not a stack-wide raise
 from numpy.linalg._umath_linalg import solve1 as _gesv
-from scipy.optimize import nnls
 
 from .channel import ChannelMatrix, as_entries, effective_channel
 from .constellation import ConstellationSpec, check_symbols, gather, get_constellation
@@ -285,6 +284,7 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray):
     and those with y > 0 are the active set, whose point _polish recomputes
     (-r[:n] / r[n] loses digits to cancellation).
     """
+    from scipy.optimize import nnls
     m, n = rows.shape[1:]
     b_max = np.abs(rhs).max(axis=1, keepdims=True)
     b = rhs * (np.abs(rows).max(axis=(1, 2))[:, None] / np.maximum(b_max, np.finfo(float).tiny))

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import scipy.linalg.lapack
 from scipy.optimize import minimize
 
 from cipm import baselines, solver
@@ -471,7 +472,7 @@ def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
     want = [solve_ob_oracle(h, t) for h, t in zip(hs, targets)]
     stop = want[0].iterations
     assert stop % 16 not in (0, 15) and stop < want[1].iterations
-    hh, calls, real = np.asfortranarray(hs[0].conj().T), [0], baselines.zposv
+    hh, calls, real = np.asfortranarray(hs[0].conj().T), [0], scipy.linalg.lapack.zposv
 
     def failing_zposv(a, b):
         out = real(a, b)
@@ -482,7 +483,7 @@ def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
         return out
 
     edge = -(-stop // 16) * 16
-    monkeypatch.setattr(baselines, "zposv", failing_zposv)
+    monkeypatch.setattr(scipy.linalg.lapack, "zposv", failing_zposv)   # imported per call
     got = solve_ob_stack(hs, targets)
     assert calls[0] == edge + 1             # the block's rows, then the beams
     for beams, ref in zip(got, want):

@@ -481,10 +481,12 @@ def test_fixed_out_of_range_targets_exit_config_naming_the_option(tmp_path, argv
     assert not out.exists()
 
 
-def test_import_loads_no_scipy_stats():
-    # importing scipy.stats costs about half a second, which every CLI run would pay
+def test_import_loads_no_scipy():
+    # scipy.special and scipy.optimize cost about 0.4 s to import, which every process would
+    # pay before its first slot; each scipy function is imported where it is called
     env = _child_env()
-    code = "import sys, cipm; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    code = ("import sys, cipm, cipm.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
@@ -706,6 +708,24 @@ def test_modmap_analytic_output(capsys):
     assert "[analytic]" in out
     assert "16qam" in out and "qpsk" in out
     assert "SER 0.1," in out
+
+
+@pytest.mark.parametrize("ladder,line", [
+    ("qpsk = 2, x\n", 1),
+    ("qpsk = 2, 6\n16qam = 4, nan\n64qam = 6, 14\n", 2),   # a nan threshold, never chosen
+], ids=["not a number", "not finite"])
+@pytest.mark.parametrize("argv", [
+    ["modmap", "--rates", "1.9", "--backend", "analytic"],
+    ["fixed", "--preset", "regions", "--grid", "4,10,16"],
+], ids=["modmap", "fixed"])
+def test_ladder_file_errors_name_the_file(tmp_path, ladder, line, argv, capsys):
+    # as a config file's errors do: '<path>: line N: ...'
+    (table := tmp_path / "t.txt").write_text(ladder, encoding="ascii")
+    out = tmp_path / "out"
+    assert main([*argv, "--table", str(table), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: {table}: line {line}: expected 'name = rate, threshold_db'\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_negative_restarts(tmp_path, capsys):

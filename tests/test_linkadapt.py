@@ -99,8 +99,9 @@ def test_effective_goodput_and_efficiency():
 # ------------------------------------------------------------ ladder / table
 
 def test_default_sinr_range_frozen():
-    assert ZETA0_DEFAULT == pytest.approx(1.920729410347064, rel=1e-12)
-    assert ZETA_MAX_DEFAULT == pytest.approx(57.568385735028016, rel=1e-12)
+    # the literals are the closed form's values, bit for bit
+    assert ZETA0_DEFAULT == sinr_from_ser(0.1, 2.0)
+    assert ZETA_MAX_DEFAULT == sinr_from_ser(1e-4, 6.0)
     assert ZETA0_DEFAULT == pytest.approx(sinr_from_ser_oracle(0.1, 2.0), rel=1e-9)
     assert ZETA_MAX_DEFAULT == pytest.approx(sinr_from_ser_oracle(1e-4, 6.0), rel=1e-9)
 
@@ -128,6 +129,10 @@ def test_table_validation():
     bad_thr = [good[0], ModulationEntry("8qam", 3.0, good[0].sinr_min_db - 1.0)]
     with pytest.raises(ValueError):
         ModulationTable(bad_thr)
+    for rate, thr in ((3.0, float("nan")), (float("nan"), 8.0), (3.0, float("inf"))):
+        # a nan compares false in the order checks, so it would pass them
+        with pytest.raises(ValueError, match="^entry 8qam: "):
+            ModulationTable([good[0], ModulationEntry("8qam", rate, thr), good[2]])
 
 
 def test_select_modulation_boundaries():
@@ -178,6 +183,8 @@ def test_parse_table_rejects_malformed():
         parse_table("qpsk = 2, 6.1, 9")   # wrong arity
     with pytest.raises(ValueError, match="^line 2: "):
         parse_table("qpsk = 2, 6.1\n8qam = 3, x")   # not a number
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_table("qpsk = 2, 6\n16qam = 4, nan\n64qam = 6, 14")   # not finite
     with pytest.raises(ValueError):
         parse_table("")                   # empty table
 

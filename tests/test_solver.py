@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.optimize
 from scipy.optimize import linprog
 
 import oracles
@@ -207,7 +208,7 @@ def test_iteration_budget_error_is_raised_when_capped(monkeypatch):
     # NNLS, alone or in a stack
     with pytest.raises(InfeasibleConstraintsError):
         solve_cipm(make_problem(h[1], [spec, spec], combos[1], targets))
-    monkeypatch.setattr(solver, "nnls", capped)
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)     # _ldp_nnls imports it per call
     x, power, errors = solve_cipm_stack(h, [spec, spec], combos, targets, "relaxed")
     assert list(errors) == [1] and type(errors[1]) is ActiveSetLimitError
     assert str(errors[1]).startswith("NNLS stopped: Maximum number of iterations")
@@ -807,7 +808,7 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
     # (CIPM warm start and SCA rounds) and the 99 4x4 16QAM rows (the
     # certify-first core sent 8 and 70 of them to NNLS, and every lone problem)
     counts = {"nnls": 0, "stacked": 0, "stacked_nnls": 0}
-    core, ldp = solver.nnls, solver.min_norm_ldp
+    core, ldp = scipy.optimize.nnls, solver.min_norm_ldp
 
     def counting_nnls(a, b):
         counts["nnls"] += 1
@@ -821,7 +822,7 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
             counts["stacked_nnls"] += counts["nnls"] - before
         return out
 
-    monkeypatch.setattr(solver, "nnls", counting_nnls)
+    monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
     monkeypatch.setattr(solver, "min_norm_ldp", counting_ldp)
     monkeypatch.setattr(baselines, "min_norm_ldp", counting_ldp)
     for cfg in (FrameConfig(n_symbols=100, frames=1, modulations="qpsk", precoder="multicast",
@@ -834,4 +835,9 @@ def test_certified_stack_rows_skip_nnls(monkeypatch):
     h, spec, symbols, targets = _random_instance(11, k=2, nt=2)
     solve_cipm(make_problem(h, [spec, spec], symbols, targets))
     assert counts["nnls"] == 0
+    # the count sees NNLS: twin users at [3, 7] are infeasible, which no step certifies
+    h, spec, _, targets = _random_instance(14, k=2, nt=2)
+    with pytest.raises(InfeasibleConstraintsError):
+        solve_cipm(make_problem(h[[0, 0]], [spec, spec], [3, 7], targets))
+    assert counts["nnls"] == 1
 
