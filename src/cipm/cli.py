@@ -50,7 +50,7 @@ EXIT_VALIDATION = 4
 # every count sizes an allocation or a process pool, so each has a maximum
 MAX_SIZE = 64   # users and antennas: a 100-slot frame's row and Gram stacks are ~13 MB each
 MAX_REGION_POINTS = 100   # per target axis: a region map solves the square of this
-MAX_FRAMES = MAX_SLOTS = MAX_BINS = 10_000   # a sweep draws every frame's slots up front
+MAX_FRAMES = MAX_SLOTS = MAX_BINS = 10_000   # slots are drawn per batch of frames (_BATCH_SLOTS)
 MAX_SYMBOLS = 10_000_000   # modmap, per SER point: about 0.7 GB of draws at the maximum
 MAX_SAMPLES = 1_000_000    # pdfcheck: (samples, antennas) complex channel draws
 MAX_RESTARTS = MAX_THREADS = 64   # multicast starts per combination; worker processes

@@ -6,16 +6,17 @@ of the frame, shared by the slots that carry it, or per-frame beams applied
 to the slot's symbols), adds receiver noise, detects, and aggregates
 power/SER/goodput statistics. Sweeps repeat frames over a grid of targets or
 system sizes with per-frame derived seeds, so runs are reproducible. A
-sweep, run_frames and run_frame share one stacked runner: a (grid value,
-frame) job draws once for every precoder, the jobs of one shape share one CIPM
-stack solve and one multicast SCA loop, the jobs still alive one lock-step OB
-loop, and each of n worker processes runs every n-th job (its own stacks).
+sweep, run_frames and run_frame share one stacked runner: a (grid value, frame)
+job draws once for every precoder; batches of about _BATCH_SLOTS slots run in
+turn or on worker processes, and in each the jobs of one shape share one CIPM
+stack solve and one multicast SCA loop, the jobs still alive one OB loop.
 From the stacks' per-row errors, one pass finds the first failing job. Both
 fixed-channel studies take a FrameConfig; a region map sets its targets and
 constellations per grid point.
 """
 
 import concurrent.futures
+import contextlib
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +33,7 @@ from .solver import SinrTargets, SolverError, _check_mode, _in_combination, solv
 PRECODERS = ("cipm", "ob", "multicast")
 
 DEFAULT_ZETA_DB = 4.712  # per-user target used by the fixed-channel runs
+_BATCH_SLOTS = 2 ** 16   # slots per batch of jobs: its draws and stacks live at once
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class FrameResult:
-    powers: np.ndarray            # per-slot transmit power, Watts
-    avg_power: float
+    avg_power: float              # mean per-slot transmit power, Watts
     ser: tuple                    # per-user measured symbol error rate
     goodputs: tuple               # per-user R(m) * (1 - ser)
     eta: float
@@ -123,15 +124,14 @@ _Frame = namedtuple("_Frame", "cfg channel targets symbols mc_seed noise results
 
 def _result(d: _Frame, x, det_scale, hits, entries) -> FrameResult:
     """Slot vectors x (N, Nt) detected at det_scale, or a power bound only if None."""
-    powers = np.sum(np.abs(x) ** 2, axis=1)
-    avg_power, specs = float(np.mean(powers)), d.cfg.constellations()
+    avg_power, specs = float(np.mean(np.sum(np.abs(x) ** 2, axis=1))), d.cfg.constellations()
     sers = goodputs = (float("nan"),) * d.cfg.k_users
     if det_scale is not None:
         received = x @ d.channel.entries.T + d.noise  # received[i, j] = h_j x_i + noise
         sers = tuple(float(np.mean(detect(s, received[:, j] / det_scale[j]) != d.symbols[:, j]))
                      for j, s in enumerate(specs))
         goodputs = tuple(effective_goodput(s.rate, ser) for s, ser in zip(specs, sers))
-    return FrameResult(powers, avg_power, sers, goodputs,
+    return FrameResult(avg_power, sers, goodputs,
                        energy_efficiency(goodputs, avg_power), hits, entries)
 
 
@@ -208,23 +208,23 @@ def _solve_jobs(jobs, precoders):
 def _run_jobs(jobs, precoders, threads: int = 1):
     """_solve_jobs' results; raises the first failing job's error as 'frame f: <error>'.
 
-    With threads > 1, worker w of n = min(threads, jobs) solves jobs w, w + n, ...
+    Batch b of m >= n = min(threads, jobs), of about _BATCH_SLOTS slots, is jobs b, b + m, ...
     """
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     n = min(threads, len(jobs))
-    if n > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_solve_jobs, [jobs[w::n] for w in range(n)], [precoders] * n))
-    else:
-        parts = [_solve_jobs(jobs, precoders)]
-    out = [parts[i % n][i // n] for i in range(len(jobs))]
+    m = min(len(jobs), max(n, -(-sum(cfg.n_symbols for cfg, _, _ in jobs) // _BATCH_SLOTS)))
+    with concurrent.futures.ProcessPoolExecutor(n) if n > 1 else contextlib.nullcontext() as pool:
+        parts = list((pool.map if pool else map)(_solve_jobs, [jobs[b::m] for b in range(m)],
+                                                  [precoders] * m))
+    out = [parts[i % m][i // m] for i in range(len(jobs))]
     for (_, f, _), o in zip(jobs, out):
         if isinstance(o, SolverError):
             raise SolverError(f"frame {f}: {o}") from o
     return out
 
 
-def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
-              ) -> FrameResult:
+def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0) -> FrameResult:
     """Simulate one frame on the given channel: the stacked runner's one-job case.
 
     Randomness (symbols, noise) comes from a stream derived from (cfg.seed,

@@ -875,7 +875,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
     if det_scale is None:
         # power bound only: no per-user symbol mapping to detect
         nan = float("nan")
-        return FrameResult(powers, avg_power, (nan,) * k, (nan,) * k, nan,
+        return FrameResult(avg_power, (nan,) * k, (nan,) * k, nan,
                            hits, entries)
 
     received = x @ h.T  # received[i, j] = h_j x_i, noiseless
@@ -890,7 +890,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
         sers.append(ser)
         goodputs.append(effective_goodput(specs[j].rate, ser))
     eta = energy_efficiency(goodputs, avg_power)
-    return FrameResult(powers, avg_power, tuple(sers), tuple(goodputs), eta,
+    return FrameResult(avg_power, tuple(sers), tuple(goodputs), eta,
                        hits, entries)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -45,6 +46,22 @@ from oracles import brentq_edges_oracle, validate_distribution_oracle
 
 # ----------------------------------------------------- distinct combinations
 
+def _slot_vectors(monkeypatch):
+    """The list that gets the (N, Nt) slot vectors of each FrameResult the runner builds."""
+    seen, result = [], simulator._result
+
+    def spy(d, x, *rest):
+        seen.append(x.copy())
+        return result(d, x, *rest)
+
+    monkeypatch.setattr(simulator, "_result", spy)
+    return seen
+
+
+def _slot_powers(x):
+    return np.sum(np.abs(x) ** 2, axis=1)
+
+
 def _frame_symbols(cfg, specs):
     """The symbol rows and multicast seed run_frame draws for frame 0."""
     rng = _frame_rng(cfg.seed, 0, 1)
@@ -59,14 +76,14 @@ def _frame_symbols(cfg, specs):
     ("cipm", "relaxed", ("qpsk", "16qam")),
     ("multicast", "relaxed", "qpsk"),
 ])
-def test_frame_slots_map_to_their_combination(precoder, mode, mods):
+def test_frame_slots_map_to_their_combination(precoder, mode, mods, monkeypatch):
     # bit-exact: every slot carries the batched solution of its own row; the
     # multicast bound is one stacked call on the frame's combinations, warm
     # started at their CIPM points, with the frame's one seed for every row
     cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
                       modulations=mods, zeta_db=8.0, seed=6,
                       multicast_restarts=1)
-    ch = draw_channel(cfg, 0)
+    ch, slots = draw_channel(cfg, 0), _slot_vectors(monkeypatch)
     r = run_frame(cfg, ch, 0)
     specs, targets = cfg.constellations(), cfg.targets()
     symbols, mc_seed = _frame_symbols(cfg, specs)
@@ -81,8 +98,9 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     assert len(combos) < cfg.n_symbols
     assert r.cache_entries == len(combos)
     assert r.cache_hits == cfg.n_symbols - len(combos)
-    assert np.array_equal(r.powers,
-                          np.sum(np.abs(xs[inverse.ravel()]) ** 2, axis=1))
+    (x,) = slots
+    assert np.array_equal(x, xs[inverse.ravel()])
+    assert r.avg_power == float(np.mean(_slot_powers(x)))
 
 
 @pytest.mark.parametrize("precoder,mode,mods", [
@@ -92,13 +110,13 @@ def test_frame_slots_map_to_their_combination(precoder, mode, mods):
     ("multicast", "relaxed", "qpsk"),
     ("ob", "relaxed", ("qpsk", "16qam")),
 ])
-def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods):
+def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods, monkeypatch):
     # the batched frame path against one scalar solve per slot; the two
     # arithmetic paths agree to the 1e-12 output contract, not bit for bit
     cfg = FrameConfig(n_symbols=40, frames=1, precoder=precoder, mode=mode,
                       modulations=mods, zeta_db=8.0, seed=6,
                       multicast_restarts=1)
-    ch = draw_channel(cfg, 0)
+    ch, slots = draw_channel(cfg, 0), _slot_vectors(monkeypatch)
     r = run_frame(cfg, ch, 0)
     specs, targets = cfg.constellations(), cfg.targets()
     symbols, mc_seed = _frame_symbols(cfg, specs)
@@ -117,8 +135,9 @@ def test_frame_slots_match_direct_per_slot_solves(precoder, mode, mods):
                 sig = solve_multicast_bound(eff, targets, restarts=1,
                                             seed=mc_seed, warm_start=sig.x)
             x.append(sig.x)
-    assert np.allclose(r.powers, np.sum(np.abs(np.array(x)) ** 2, axis=1),
-                       rtol=1e-12, atol=0.0)
+    (got,) = slots
+    assert r.avg_power == float(np.mean(_slot_powers(got)))
+    assert np.allclose(_slot_powers(got), _slot_powers(np.array(x)), rtol=1e-12, atol=0.0)
 
 
 def test_frame_solver_error_names_a_replayable_symbol_row():
@@ -210,14 +229,14 @@ def test_draw_channel_streams():
 
 # -------------------------------------------------------------------- frames
 
-def test_run_frame_deterministic():
+def test_run_frame_deterministic(monkeypatch):
     cfg = FrameConfig(n_symbols=40, frames=1, seed=3)
-    ch = draw_channel(cfg, 0)
+    ch, slots = draw_channel(cfg, 0), _slot_vectors(monkeypatch)
     r1 = run_frame(cfg, ch, 0)
     r2 = run_frame(cfg, ch, 0)
-    assert np.array_equal(r1.powers, r2.powers)
-    assert r1.ser == r2.ser and r1.eta == r2.eta
-    assert r1.avg_power == pytest.approx(float(np.mean(r1.powers)), rel=1e-15)
+    assert np.array_equal(slots[0], slots[1])
+    assert r1 == r2
+    assert r1.avg_power == float(np.mean(_slot_powers(slots[0])))
     assert r1.avg_power_dbw == pytest.approx(10 * np.log10(r1.avg_power), rel=1e-12)
 
 
@@ -246,24 +265,24 @@ def test_ser_falls_with_target():
     assert ser_high <= 0.005
 
 
-def test_ob_frame_uses_one_beam_solve():
+def test_ob_frame_uses_one_beam_solve(monkeypatch):
     cfg = FrameConfig(n_symbols=50, frames=1, precoder="ob",
                       modulations="16qam", zeta_db=10.0, seed=2)
+    slots = _slot_vectors(monkeypatch)
     r = run_frame(cfg, draw_channel(cfg, 0), 0)
     assert r.cache_entries == 1 and r.cache_hits == 0
     # symbol-dependent superposition: slot powers are not all equal
-    assert np.std(r.powers) > 1e-6
+    assert np.std(_slot_powers(slots[0])) > 1e-6
     assert np.all(np.isfinite(r.ser))
 
 
-def test_multicast_bound_below_cipm_on_same_frame():
-    from dataclasses import replace
+def test_multicast_bound_below_cipm_on_same_frame(monkeypatch):
     cfg = FrameConfig(n_symbols=40, frames=1, seed=4, multicast_restarts=1)
-    ch = draw_channel(cfg, 0)
-    cip = run_frame(cfg, ch, 0)
+    ch, slots = draw_channel(cfg, 0), _slot_vectors(monkeypatch)
+    run_frame(cfg, ch, 0)
     mc = run_frame(replace(cfg, precoder="multicast"), ch, 0)
     # identical symbol stream, so the bound holds slot by slot
-    assert np.all(mc.powers <= cip.powers + 1e-9)
+    assert np.all(_slot_powers(slots[1]) <= _slot_powers(slots[0]) + 1e-9)
     assert all(np.isnan(s) for s in mc.ser)
     assert np.isnan(mc.eta)
 
@@ -273,16 +292,13 @@ def test_run_frames_parallel_matches_serial():
     serial = run_frames(cfg, threads=1)
     parallel = run_frames(cfg, threads=2)
     assert len(serial) == len(parallel) == 4
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.powers, b.powers)
-        assert a.ser == b.ser
+    assert parallel == serial       # every field bit for bit
 
 
 # ------------------------------------------------------------ stacked runner
 
 def _assert_same_result(got, want):
     """Bit-equal FrameResults (NaN equal to NaN, as for multicast rows)."""
-    assert np.array_equal(got.powers, want.powers)
     for a, b in ((got.avg_power, want.avg_power), (got.eta, want.eta),
                  *zip(got.ser + got.goodputs, want.ser + want.goodputs)):
         assert a == b or (np.isnan(a) and np.isnan(b)), (a, b)
@@ -333,17 +349,26 @@ def test_sweep_rows_match_the_per_frame_oracle():
     assert [repr(r) for r in got] == [repr(r) for r in want]
 
 
-def test_sweep_csv_is_the_same_on_two_workers(tmp_path):
+@pytest.mark.parametrize("batch_slots", [1, simulator._BATCH_SLOTS],
+                         ids=["job_batches", "default_batches"])
+def test_sweep_csv_is_the_same_on_two_workers(tmp_path, monkeypatch, batch_slots):
+    # one job per batch, or every job in one batch per worker: the per-frame oracle's bytes
+    monkeypatch.setattr(simulator, "_BATCH_SLOTS", batch_slots)
     cfg = FrameConfig(n_symbols=20, frames=3, seed=2, multicast_restarts=1)
+    want = tmp_path / "want.csv"
+    write_sweep_csv(oracles.run_sweep(cfg, [4.0, 10.0], precoders=PRECODERS), want)
     for threads in (1, 2):
         rows = run_sweep(cfg, [4.0, 10.0], axis="sinr", precoders=PRECODERS, threads=threads)
         write_sweep_csv(rows, tmp_path / f"{threads}.csv")
-    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+        assert (tmp_path / f"{threads}.csv").read_bytes() == want.read_bytes()
 
 
-def test_size_sweep_csv_is_the_same_on_two_workers(tmp_path):
-    # OB frames of sizes 2, 3 and 4 share one lock-step stack per worker: the
-    # rows are the per-frame oracle's on one worker and on two
+@pytest.mark.parametrize("batch_slots", [1, simulator._BATCH_SLOTS],
+                         ids=["job_batches", "default_batches"])
+def test_size_sweep_csv_is_the_same_on_two_workers(tmp_path, monkeypatch, batch_slots):
+    # OB frames of sizes 2, 3 and 4 share one lock-step stack per batch: the rows
+    # are the per-frame oracle's on one worker and on two, one job per batch or all
+    monkeypatch.setattr(simulator, "_BATCH_SLOTS", batch_slots)
     cfg = FrameConfig(n_symbols=20, frames=3, seed=5, modulations="16qam", zeta_db=12.0)
     want = oracles.run_sweep(cfg, [2, 3, 4], axis="size", precoders=("cipm", "ob"))
     for threads in (1, 2):
@@ -351,6 +376,32 @@ def test_size_sweep_csv_is_the_same_on_two_workers(tmp_path):
         assert [repr(r) for r in rows] == [repr(r) for r in want]
         write_sweep_csv(rows, tmp_path / f"{threads}.csv")
     assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_runner_needs_at_least_one_thread(threads):
+    # -1 once read the jobs back to front, and 0 divided by zero
+    cfg = FrameConfig(n_symbols=20, frames=2, seed=1)
+    with pytest.raises(ValueError, match=f"^need threads >= 1, got {threads}$"):
+        run_sweep(cfg, [4.0, 12.0], precoders=("cipm",), threads=threads)
+    with pytest.raises(ValueError, match=f"^need threads >= 1, got {threads}$"):
+        run_frames(cfg, threads=threads)
+
+
+def test_sweep_memory_is_bounded_by_a_batch(monkeypatch):
+    # batches of five 2000-slot frames: 8x the frames keep 8x the small FrameResults,
+    # not 8x the slots' draws and vectors
+    monkeypatch.setattr(simulator, "_BATCH_SLOTS", 10_000)
+    run_sweep(FrameConfig(n_symbols=10, frames=1), [4.0])     # lazy imports, untraced
+    peaks = []
+    for frames in (5, 40):
+        tracemalloc.start()
+        try:
+            run_sweep(FrameConfig(n_symbols=2000, frames=frames, seed=0), [4.0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_infeasible_ob_frame_names_its_frame():
@@ -468,9 +519,9 @@ def test_ob_run_of_infeasible_frames_raises_with_no_warning():
 # -------------------------------------------------------------------- sweeps
 
 def _fake_result(power, ser):
-    powers = np.full(3, power)
     gp = tuple(2.0 * (1.0 - s) for s in ser)
-    return FrameResult(powers, power, ser, gp, sum(gp) / power, 0, 1)
+    return FrameResult(avg_power=power, ser=ser, goodputs=gp, eta=sum(gp) / power,
+                       cache_hits=0, cache_entries=1)
 
 
 def test_aggregate_db_mean_convention():
