@@ -190,7 +190,7 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
                           seed, warm: np.ndarray | None):
     """Best local minima of ||x||^2 s.t. |h_cj x|^2 >= zeta_cj sigma_z^2, h (C, K, Nt).
 
-    targets.zeta is (K,) or (C, K), seed one (or None) or one per row (C,). Row c
+    targets.zeta is (K,) or (C, K), seed one (or None, for one row) or one per row (C,). Row c
     starts from warm[c] (if given), then from `restarts` complex Gaussian draws
     of its seed, scaled onto the feasible set (a warm start only if infeasible;
     starts with some h_cj x0 = 0 are skipped). All starts take up to 200 SCA
@@ -210,10 +210,9 @@ def solve_multicast_stack(h: np.ndarray, targets: SinrTargets, restarts: int,
     if err := _reject_zero_rows(h):
         raise err
     nt, rhs_abs2 = h.shape[2], np.broadcast_to(targets.zeta * targets.sigma_z ** 2, h.shape[:2])
-    seeds, row_seed = (([seed], np.zeros(len(h), dtype=int)) if np.ndim(seed) == 0
-                       else np.unique(seed, return_inverse=True))
+    seeds, row_seed = np.unique(np.broadcast_to(seed, len(h)), return_inverse=True)
     draws = np.stack([np.random.default_rng(s).standard_normal((restarts, 2, nt)) for s in seeds])
-    starts = (draws[:, :, 0] + 1j * draws[:, :, 1])[row_seed.ravel()]
+    starts = (draws[:, :, 0] + 1j * draws[:, :, 1])[row_seed]
     if warm is not None:
         starts = np.concatenate([np.asarray(warm, dtype=complex)[:, None], starts], axis=1)
     y2 = np.abs(np.einsum("ckn,csn->csk", h, starts)) ** 2

@@ -175,7 +175,7 @@ _SCHEMAS = {
     }),
     "pdfcheck": dict(_SEEDED, **{
         "constellation": _Opt(_CONSTELLATION, "16qam", "constellation name (default 16qam)"),
-        "samples": _Opt(_whole(1, MAX_SAMPLES), 100_000, "Monte-Carlo draws"),
+        "samples": _Opt(_whole(1, MAX_SAMPLES), 400_000, "Monte-Carlo draws (default 400000)"),
         "bins": _Opt(_whole(1, MAX_BINS), None, "equal-probability bins (default 24, qpsk 12)"),
         "antennas": _Opt(_whole(1, MAX_SIZE), 2, "transmit antennas"),
         "beta": _Opt(_POSITIVE, 1.0, "fading rate parameter"),

@@ -28,7 +28,7 @@ from .channel import (ChannelMatrix, FadingConfig, as_entries, effective_channel
                       sample_rayleigh, symbol_stats, write_csv)
 from .constellation import detect, gather, get_constellation
 from .linkadapt import effective_goodput, energy_efficiency, ser_from_sinr
-from .solver import SinrTargets, SolverError, _check_mode, _in_combination, solve_cipm_stack
+from .solver import SinrTargets, SolverError, _check_mode, _named, solve_cipm_stack
 
 PRECODERS = ("cipm", "ob", "multicast")
 
@@ -49,7 +49,6 @@ class FrameConfig:
     mode: str = "relaxed"
     precoder: str = "cipm"
     seed: int = 0
-    noiseless: bool = False               # skip receiver noise, keep targets
     multicast_restarts: int = 2
 
     def __post_init__(self):
@@ -156,7 +155,8 @@ def _solve_shape(frames, precoders):
             np.array([d.mc_seed for d in frames])[row[ok]], x[ok])
         errors.update({np.flatnonzero(ok)[i]: err for i, err in mc.items()})
     # each frame's first failing row: rows in reverse, so the first one is written last
-    failed = {row[c]: _in_combination(errors[c], stacked[c]) for c in sorted(errors)[::-1]}
+    failed = {row[c]: _named(errors[c], f"combination {stacked[c].tolist()}")
+              for c in sorted(errors)[::-1]}
     for i, d in enumerate(frames):
         if i in failed:
             continue
@@ -185,9 +185,8 @@ def _solve_jobs(jobs, precoders):
         symbols = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols)
                                    for s in cfg.constellations()])
         mc_seed = int(rng.integers(0, 2 ** 31))
-        noise = 0.0 if cfg.noiseless else cfg.sigma_z * (
-            (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
-            / np.sqrt(2.0))
+        noise = cfg.sigma_z * ((rng.standard_normal(symbols.shape)
+                                + 1j * rng.standard_normal(symbols.shape)) / np.sqrt(2.0))
         shapes.setdefault((cfg.k_users, cfg.n_antennas, tuple(cfg.modulation_names()),
                            cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(len(frames))
         frames.append(_Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise, {}))
@@ -206,7 +205,7 @@ def _solve_jobs(jobs, precoders):
 
 
 def _run_jobs(jobs, precoders, threads: int = 1):
-    """_solve_jobs' results; raises the first failing job's error as 'frame f: <error>'.
+    """_solve_jobs' results; raises the first failing job's error, named 'frame f: <error>'.
 
     Batch b of m >= n = min(threads, jobs), of about _BATCH_SLOTS slots, is jobs b, b + m, ...
     """
@@ -220,7 +219,7 @@ def _run_jobs(jobs, precoders, threads: int = 1):
     out = [parts[i % m][i // m] for i in range(len(jobs))]
     for (_, f, _), o in zip(jobs, out):
         if isinstance(o, SolverError):
-            raise SolverError(f"frame {f}: {o}") from o
+            raise _named(o, f"frame {f}")
     return out
 
 
@@ -347,7 +346,7 @@ def _combination_powers(h, cfg: FrameConfig):
     _, power, errors = solve_cipm_stack(h, specs, combos, cfg.targets(), cfg.mode)
     if errors:
         c = min(errors)
-        raise _in_combination(errors[c], combos[c])
+        raise _named(errors[c], f"combination {combos[c].tolist()}")
     return combos, power
 
 

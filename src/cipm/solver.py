@@ -207,12 +207,6 @@ def _eye(m: int) -> np.ndarray:
     return np.broadcast_to(np.eye(m), (m, m))       # read only: every caller shares it
 
 
-@np.errstate(invalid="ignore")         # gesv flags a singular slice invalid
-def _gram_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (C, m) of g x = b by LAPACK gesv; a singular slice gives nan in its own row."""
-    return _gesv(g, b)
-
-
 def _invariants(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray) -> tuple:
     """What _pdas_step reads of a stack and never changes: the Gram stack, rows, rhs, is_eq,
     ~is_eq, max_i ||a_i||^2 and the feasibility tolerance _FEAS_TOL max|b|, each (C, ...)."""
@@ -221,21 +215,22 @@ def _invariants(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray) -> tuple:
             _FEAS_TOL * np.abs(rhs).max(axis=1, keepdims=True))
 
 
+@np.errstate(invalid="ignore")         # gesv flags a singular slice invalid
 def _pdas_step(stack, w: np.ndarray):
     """One primal-dual active-set step on a stack's _invariants: solve (A_w A_w^T) nu = b_w
-    (identity rows off w), u = A^T nu. Returns u, nu, the next w = is_eq | (nu + (b - A u) /
-    max_i ||a_i||^2 > 0) and done: u keeps w, meets its rows within _FEAS_TOL max|b| and the
-    rest exactly, has nu >= 0 on inequality rows, and a refinement step moves it by at most
-    _REFINE_TOL ||u||."""
+    (identity rows off w; LAPACK gesv, a singular slice nan in its own row), u = A^T nu.
+    Returns u, nu, the next w = is_eq | (nu + (b - A u) / max_i ||a_i||^2 > 0) and done: u
+    keeps w, meets its rows within _FEAS_TOL max|b| and the rest exactly, has nu >= 0 on
+    inequality rows, and a refinement step moves it by at most _REFINE_TOL ||u||."""
     gram, rows, rhs, is_eq, ineq, scale, tol = stack
     g = np.where(w[:, :, None] & w[:, None, :], gram, _eye(w.shape[1]))
-    nu = _gram_solve(g, np.where(w, rhs, 0.0))
+    nu = _gesv(g, np.where(w, rhs, 0.0))
     u = (nu[:, None] @ rows)[:, 0]
     gaps = rhs - (rows @ u[..., None])[..., 0]
     w_next = is_eq | (nu * scale + gaps > 0.0)
     done = ~((w_next != w) | (np.abs(gaps) > tol) & w | (nu < 0.0) & ineq).any(axis=1)
     if np.count_nonzero(done):
-        du = (_gram_solve(g, np.where(w, gaps, 0.0))[:, None] @ rows)[:, 0]
+        du = (_gesv(g, np.where(w, gaps, 0.0))[:, None] @ rows)[:, 0]
         done &= np.abs(du).max(axis=1) <= _REFINE_TOL * np.abs(u).max(axis=1)
     return u, nu, w_next, done
 
@@ -253,16 +248,15 @@ def min_norm_ldp(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
     SolverError problem c raises alone}, in index order, with u[c] and nu[c] nan.
     """
     w = np.ones(rhs.shape, dtype=bool) if work is None else work | is_eq
-    stack = _invariants(rows, rhs, is_eq)
-    u, nu, w, done = _pdas_step(stack, w)
-    for _ in range(_STEPS - 1):
-        if (n_done := np.count_nonzero(done)) == len(done):
+    stack, done = _invariants(rows, rhs, is_eq), np.zeros(len(rhs), dtype=bool)
+    for _ in range(_STEPS):
+        if not (n_done := np.count_nonzero(done)):
+            u, nu, w, done = _pdas_step(stack, w)
+        elif n_done == len(done):
             return u, nu, {}
-        if n_done:                      # a later step takes only the open problems
+        else:                           # a step past a certified problem takes the open ones
             o = ~done
             u[o], nu[o], w[o], done[o] = _pdas_step([a[o] for a in stack], w[o])
-        else:
-            u, nu, w, done = _pdas_step(stack, w)
     if done.all():
         return u, nu, {}
     rest = np.flatnonzero(~done)
@@ -312,9 +306,9 @@ def _ldp_nnls(rows: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray):
     return u, nu, errors
 
 
-def _in_combination(err: SolverError, combo) -> SolverError:
-    """err as the row of symbol combination combo raises it: same type and fields."""
-    (named := copy.copy(err)).args = (f"combination {np.asarray(combo).tolist()}: {err}",)
+def _named(err: SolverError, where: str) -> SolverError:
+    """err renamed `where: err`, as a failed row or frame reports it: same type and fields."""
+    (named := copy.copy(err)).args = (f"{where}: {err}",)
     return named
 
 

@@ -61,7 +61,7 @@ from cipm.simulator import (SWEEP_AXIS_TABLE, FrameConfig, FrameResult, _frame_r
                             aggregate, draw_channel)
 from cipm.solver import (_LDP_TOL, _REFINE_TOL, _STEPS, ActiveSetLimitError,
                          InfeasibleConstraintsError, SinrTargets, SolverError, _polish,
-                         _in_combination, _row_labels, solve_cipm_stack)
+                         _named, _row_labels, solve_cipm_stack)
 
 
 def free_axes(spec, index):
@@ -849,7 +849,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
             xs, _, errors = solve_cipm_stack(h, specs, combos, targets, cfg.mode)
             if errors:
                 c = min(errors)
-                raise _in_combination(errors[c], combos[c])
+                raise _named(errors[c], f"combination {combos[c].tolist()}")
             # receiver rescales by the constraint scaling before the slicer
             det_scale = np.sqrt(targets.zeta) * targets.sigma_z
             if cfg.precoder == "multicast":
@@ -861,7 +861,7 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
                     eff, targets, cfg.multicast_restarts, mc_seed, xs)
                 if errors:
                     c = min(errors)
-                    raise _in_combination(errors[c], combos[c])
+                    raise _named(errors[c], f"combination {combos[c].tolist()}")
                 det_scale = None
             # the inverse's shape changed across numpy 2.0.x; flatten it
             x = xs[inverse.ravel()]
@@ -878,11 +878,10 @@ def run_frame(cfg: FrameConfig, channel: ChannelMatrix, frame_index: int = 0
         return FrameResult(avg_power, (nan,) * k, (nan,) * k, nan,
                            hits, entries)
 
-    received = x @ h.T  # received[i, j] = h_j x_i, noiseless
-    if not cfg.noiseless:
-        noise = (rng.standard_normal(received.shape)
-                 + 1j * rng.standard_normal(received.shape)) / np.sqrt(2.0)
-        received = received + cfg.sigma_z * noise
+    received = x @ h.T  # received[i, j] = h_j x_i, before noise
+    noise = (rng.standard_normal(received.shape)
+             + 1j * rng.standard_normal(received.shape)) / np.sqrt(2.0)
+    received = received + cfg.sigma_z * noise
     sers, goodputs = [], []
     for j in range(k):
         decided = detect(specs[j], received[:, j] / det_scale[j])

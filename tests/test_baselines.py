@@ -491,14 +491,16 @@ def test_ob_stack_ignores_a_failure_past_a_frames_own_stop(monkeypatch):
 
 
 def test_solver_errors_survive_pickling_and_naming():
-    # pool workers return raw errors, and a failing row's error is renamed with its
-    # combination: each comes back with its type, message and every field
+    # pool workers return raw errors, and a failing row's or frame's error is renamed
+    # with its combination or frame: each comes back with its type, message and fields
     errors = [InfeasibleConstraintsError("m1", ["user1/I"], np.array([1.0, 0.5])),
               ActiveSetLimitError("m2"), BeamformingConvergenceError("m3", 3)]
     for err in errors:
         for back, message in ((pickle.loads(pickle.dumps(err)), str(err)),
-                              (solver._in_combination(err, np.array([1, 2])),
-                               f"combination [1, 2]: {err}")):
+                              (solver._named(err, "combination [1, 2]"),
+                               f"combination [1, 2]: {err}"),
+                              (solver._named(solver._named(err, "combination [1, 2]"),
+                                             "frame 3"), f"frame 3: combination [1, 2]: {err}")):
             assert type(back) is type(err) and str(back) == message
             assert vars(back).keys() == vars(err).keys()
             for key, value in vars(err).items():

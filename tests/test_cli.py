@@ -571,13 +571,18 @@ def test_fixed_preset_combination_table(tmp_path, capsys):
     assert "gap" in capsys.readouterr().out
 
 
-def test_fixed_region_map(tmp_path):
+def test_fixed_region_map(tmp_path, capsys):
     code = main(["fixed", "--preset", "regions", "--grid", "4,10",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     lines = _read(tmp_path / "regions.csv")
     assert lines[0] == "zeta1_db,zeta2_db,modulation1,modulation2,avg_power_dbw,eta"
     assert len(lines) == 5
+    capsys.readouterr()
+    code = main(["fixed", "--preset", "regions", "--grid", "3", "--summary",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "  power range -2.688 .. 7.396 dBW"
 
 
 def test_fixed_channel_file_single_user(tmp_path):
@@ -663,14 +668,17 @@ def test_sweep_infeasible_slot_exits_solver_naming_frame_and_combination(tmp_pat
 # ------------------------------------------------------------------ pdfcheck
 
 def test_pdfcheck_passes_at_scale(tmp_path, capsys):
-    code = main(["pdfcheck", "--constellation", "qpsk",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    lines = _read(tmp_path / "distribution.csv")
-    assert lines[0] == "z,analytic_pdf,empirical_pdf"
-    assert len(lines) == 201
+    # the default sample count puts QPSK's 0.01 bound about 6 sd above the L1
+    # statistic's mean, so the true law passes at seeds 1, 2 and 5 too
+    for seed in ("0", "1", "2", "5"):
+        code = main(["pdfcheck", "--constellation", "qpsk", "--seed", seed,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK, seed
+        out = capsys.readouterr().out
+        assert "PASS" in out, seed
+        lines = _read(tmp_path / "distribution.csv")
+        assert lines[0] == "z,analytic_pdf,empirical_pdf"
+        assert len(lines) == 201
 
 
 def test_pdfcheck_defaults_follow_aliases(tmp_path, capsys):

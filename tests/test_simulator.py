@@ -37,7 +37,7 @@ from cipm.simulator import (
 )
 from cipm.baselines import solve_multicast_bound, solve_multicast_stack, solve_ob
 from cipm.channel import ChannelMatrix, FadingConfig, effective_channel, symbol_stats
-from cipm.constellation import get_constellation
+from cipm.constellation import detect, get_constellation
 from cipm.linkadapt import ModulationTable
 from cipm.solver import (InfeasibleConstraintsError, SolverError, make_problem,
                          solve_cipm, solve_cipm_stack)
@@ -194,7 +194,8 @@ def test_enumerate_combinations_order():
 def test_frame_config_validation():
     for kw in ({"n_symbols": 0}, {"frames": 0}, {"k_users": 0},
                {"n_antennas": 0}, {"mode": "loose"}, {"precoder": "zf"},
-               {"multicast_restarts": -1}):
+               {"multicast_restarts": -1}, {"sigma_z2_db": float("nan")},
+               {"sigma_h2_db": 4000.0}):
         with pytest.raises(ValueError):
             FrameConfig(**kw)
 
@@ -247,13 +248,17 @@ def test_cache_accounting_inside_frame():
     assert r.cache_hits == cfg.n_symbols - r.cache_entries
 
 
-def test_noiseless_frame_decodes_clean():
-    cfg = FrameConfig(n_symbols=60, frames=1, noiseless=True,
-                      modulations=("qpsk", "16qam"), zeta_db=8.0, seed=1)
-    r = run_frame(cfg, draw_channel(cfg, 0), 0)
-    assert r.ser == (0.0, 0.0)
-    assert r.goodputs == (2.0, 4.0)
-    assert r.eta == pytest.approx(6.0 / r.avg_power, rel=1e-12)
+def test_noiseless_frame_decodes_clean(monkeypatch):
+    # without the receiver noise, each cipm slot vector, rescaled by the constraint
+    # scaling, decodes to the symbols the frame sent
+    cfg = FrameConfig(n_symbols=60, frames=1, modulations=("qpsk", "16qam"), zeta_db=8.0, seed=1)
+    ch, slots = draw_channel(cfg, 0), _slot_vectors(monkeypatch)
+    run_frame(cfg, ch, 0)
+    rng, specs, targets = _frame_rng(cfg.seed, 0, 1), cfg.constellations(), cfg.targets()
+    sent = np.column_stack([rng.integers(0, s.order, size=cfg.n_symbols) for s in specs])
+    received = slots[0] @ ch.entries.T / (np.sqrt(targets.zeta) * targets.sigma_z)
+    for j, spec in enumerate(specs):
+        assert np.array_equal(detect(spec, received[:, j]), sent[:, j]), j
 
 
 def test_ser_falls_with_target():
@@ -308,10 +313,10 @@ def _assert_same_result(got, want):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 31), mode=st.sampled_from(["relaxed", "strict"]),
        precoders=st.lists(st.sampled_from(PRECODERS), min_size=1, max_size=3, unique=True),
-       restarts=st.integers(0, 2), frames=st.integers(1, 4), noiseless=st.booleans(),
+       restarts=st.integers(0, 2), frames=st.integers(1, 4),
        grid=st.lists(st.floats(0.0, 14.0), min_size=1, max_size=3))
 def test_stacked_runner_matches_the_per_frame_oracle(data, seed, mode, precoders, restarts,
-                                                     frames, noiseless, grid):
+                                                     frames, grid):
     # jobs of one or two shapes, interleaved, over 1-3 targets each: every
     # frame of every precoder is what the per-frame path gives it, bit for bit
     cfgs = []
@@ -323,7 +328,7 @@ def test_stacked_runner_matches_the_per_frame_oracle(data, seed, mode, precoders
         cfgs += [FrameConfig(n_symbols=data.draw(st.integers(1, 12), label="symbols"),
                              frames=frames, n_antennas=nt, k_users=k, zeta_db=z,
                              modulations=tuple(mods), mode=mode, seed=seed + g,
-                             noiseless=noiseless, multicast_restarts=restarts)
+                             multicast_restarts=restarts)
                  for g, z in enumerate(grid)]
     jobs = [(cfg, f, None) for f in range(frames) for cfg in cfgs]
     try:
@@ -446,6 +451,23 @@ def test_pooled_run_names_the_same_failing_frame():
         with pytest.raises(SolverError) as got:
             run_frames(cfg, threads=threads)
         assert str(got.value) == str(want.value), threads
+
+
+def test_a_failing_run_raises_its_jobs_own_error():
+    # the frame's name goes in front of the failing job's error, which keeps its type
+    # and fields: here the Farkas vector that combination [2, 2, 1] of frame 1 raises alone
+    cfg = FrameConfig(n_symbols=6, frames=6, n_antennas=2, k_users=3, seed=1, zeta_db=2.0)
+    with pytest.raises(InfeasibleConstraintsError) as err:
+        run_frames(cfg)
+    assert str(err.value) == ("frame 1: combination [2, 2, 1]: infeasible; Farkas certificate"
+                              " on conflicting rows ['user1/I', 'user1/Q', 'user2/I',"
+                              " 'user2/Q', 'user3/I']")
+    problem = make_problem(draw_channel(cfg, 1), cfg.constellations(), [2, 2, 1],
+                           cfg.targets())
+    with pytest.raises(InfeasibleConstraintsError) as lone:
+        solve_cipm(problem)
+    assert err.value.conflicts == lone.value.conflicts
+    assert np.array_equal(err.value.farkas, lone.value.farkas)
 
 
 def test_failing_runs_solve_each_job_once(monkeypatch):

@@ -598,23 +598,26 @@ def test_certify_first_stack_matches_nnls_core(load, stack, nt, data, log_channe
 
 
 def test_gram_solve_keeps_a_singular_slice_to_its_own_row():
-    # np.linalg.solve raises for a whole stack when one slice is singular; the
-    # core calls its LAPACK gufunc directly, which gives that row nan, with no
+    # np.linalg.solve raises for a whole stack when one slice is singular; a step
+    # calls its LAPACK gufunc directly, which gives that problem nan, with no
     # warning even where the caller raises on every floating-point error, and
-    # every other row the bits of np.linalg.solve, on its own and in a stack (the
-    # guard on the private gufunc: a numpy that changes it fails here)
+    # every other problem the bits of np.linalg.solve, on its own and in a stack
+    # (the guard on the private gufunc: a numpy that changes it fails here)
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((9, 4, 6))
-    g, b = a @ a.transpose(0, 2, 1), rng.standard_normal((9, 4))
-    g[3], g[7] = np.ones((4, 4)), 0.0
+    rows, rhs = rng.standard_normal((9, 4, 6)), rng.standard_normal((9, 4))
+    rows[3], rows[7] = rows[3, 0], 0.0          # Gram systems of rank 1 and 0
+    is_eq = np.ones(rhs.shape, dtype=bool)      # every row stays in the working set
+    stack = solver._invariants(rows, rhs, is_eq)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        x = solver._gram_solve(g, b)
-    assert np.isnan(x[[3, 7]]).all()
+        u, nu, _, done = solver._pdas_step(stack, is_eq)
+    assert np.isnan(nu[[3, 7]]).all() and np.isnan(u[[3, 7]]).all()
     ok = np.array([c not in (3, 7) for c in range(9)])
-    assert np.array_equal(x[ok], np.linalg.solve(g[ok], b[ok][..., None])[..., 0])
+    assert done[ok].all()                       # so the refinement solve ran too
+    gram = stack[0]
+    assert np.array_equal(nu[ok], np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0])
     for c in np.flatnonzero(ok):
-        assert np.array_equal(x[c], np.linalg.solve(g[c], b[c]))
+        assert np.array_equal(nu[c], np.linalg.solve(gram[c], rhs[c]))
 
 
 def _mixed_stack(stack, nt, data, log_channel, log_target, seed, n_combos):
