@@ -22,17 +22,16 @@ _STATS_DECIMALS = 9     # levels closer than this are one amplitude level
 
 @dataclass(frozen=True)
 class FadingConfig:
-    """I.i.d. Rayleigh fading; each entry is CN(0, 1/beta)."""
+    """I.i.d. Rayleigh fading law of an Nt-antenna row; each entry is CN(0, 1/beta)."""
 
     beta: float
     n_antennas: int
-    k_users: int
 
     def __post_init__(self):
         if not 0 < self.beta < float("inf"):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        if self.n_antennas < 1 or self.k_users < 1:
-            raise ValueError("n_antennas and k_users must be >= 1")
+        if self.n_antennas < 1:
+            raise ValueError("n_antennas must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,11 @@ def write_csv(path, header, rows) -> None:
                               for v in row) + "\n")
 
 
-def sample_rayleigh(cfg: FadingConfig, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw one channel realization with per-entry power 1/beta."""
+def sample_rayleigh(cfg: FadingConfig, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw rows independent channel rows (rows, Nt) with per-entry power 1/beta."""
     scale = np.sqrt(1.0 / (2.0 * cfg.beta))
-    shape = (cfg.k_users, cfg.n_antennas)
-    h = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ChannelMatrix(entries=h)
+    shape = (rows, cfg.n_antennas)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def as_entries(channel) -> np.ndarray:

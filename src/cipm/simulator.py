@@ -10,9 +10,10 @@ sweep, run_frames and run_frame share one stacked runner: a (grid value, frame)
 job draws once for every precoder; batches of about _BATCH_SLOTS slots run in
 turn or on worker processes, and in each the jobs of one shape share one CIPM
 stack solve and one multicast SCA loop, the jobs still alive one OB loop.
-From the stacks' per-row errors, one pass finds the first failing job. Both
-fixed-channel studies take a FrameConfig; a region map sets its targets and
-constellations per grid point.
+A job's outcome is its results or the error it raises alone; batches are read
+in order, and the first failing job is raised once every job before it is
+solved. Both fixed-channel studies take a FrameConfig; a region map sets its
+targets and constellations per grid point.
 """
 
 import concurrent.futures
@@ -113,12 +114,12 @@ def _frame_rng(seed, frame_index, stream):
 
 
 def draw_channel(cfg: FrameConfig, frame_index: int) -> ChannelMatrix:
-    return sample_rayleigh(FadingConfig(cfg.beta, cfg.n_antennas, cfg.k_users),
-                           _frame_rng(cfg.seed, frame_index, 0))
+    return ChannelMatrix(sample_rayleigh(FadingConfig(cfg.beta, cfg.n_antennas), cfg.k_users,
+                                         _frame_rng(cfg.seed, frame_index, 0)))
 
 
-# one frame's draws, shared by every precoder, and its results by precoder name
-_Frame = namedtuple("_Frame", "cfg channel targets symbols mc_seed noise results")
+# one frame's draws, shared by every precoder
+_Frame = namedtuple("_Frame", "cfg channel targets symbols mc_seed noise")
 
 
 def _result(d: _Frame, x, det_scale, hits, entries) -> FrameResult:
@@ -135,8 +136,8 @@ def _result(d: _Frame, x, det_scale, hits, entries) -> FrameResult:
 
 
 def _solve_shape(frames, precoders):
-    """cipm and multicast results of same-shaped frames: one CIPM stack, then one SCA loop on
-    the frames whose CIPM rows all solved. Returns {i: the error frames[i] raises alone}."""
+    """Per frame of a shape, {precoder: FrameResult} of cipm and multicast, or the error the
+    frame raises alone: one CIPM stack, then one SCA loop on the frames whose rows all solved."""
     cfg, specs = frames[0].cfg, frames[0].cfg.constellations()
     combos, inverse = zip(*(np.unique(d.symbols, axis=0, return_inverse=True) for d in frames))
     row = np.repeat(np.arange(len(frames)), [len(c) for c in combos])    # frame of each row
@@ -154,19 +155,18 @@ def _solve_shape(frames, precoders):
             eff[ok], SinrTargets(targets.zeta[ok], cfg.sigma_z), cfg.multicast_restarts,
             np.array([d.mc_seed for d in frames])[row[ok]], x[ok])
         errors.update({np.flatnonzero(ok)[i]: err for i, err in mc.items()})
-    # each frame's first failing row: rows in reverse, so the first one is written last
-    failed = {row[c]: _named(errors[c], f"combination {stacked[c].tolist()}")
-              for c in sorted(errors)[::-1]}
+    out = [None] * len(frames)
+    for c in sorted(errors)[::-1]:      # rows in reverse: a frame's first failing row is last
+        out[row[c]] = _named(errors[c], f"combination {stacked[c].tolist()}")
     for i, d in enumerate(frames):
-        if i in failed:
-            continue
-        # the inverse's shape changed across numpy 2.0.x; flatten it
-        take, c = np.flatnonzero(row == i)[inverse[i].ravel()], len(combos[i])
-        # cipm receivers rescale by the constraint scaling before the slicer
-        scale = {"cipm": np.sqrt(d.targets.zeta) * d.targets.sigma_z, "multicast": None}
-        d.results.update({p: _result(d, xs[p][take], scale[p], d.cfg.n_symbols - c, c)
-                          for p in xs if p in precoders})
-    return failed
+        if out[i] is None:
+            # the inverse's shape changed across numpy 2.0.x; flatten it
+            take, c = np.flatnonzero(row == i)[inverse[i].ravel()], len(combos[i])
+            # cipm receivers rescale by the constraint scaling before the slicer
+            scale = {"cipm": np.sqrt(d.targets.zeta) * d.targets.sigma_z, "multicast": None}
+            out[i] = {p: _result(d, xs[p][take], scale[p], d.cfg.n_symbols - c, c)
+                      for p in xs if p in precoders}
+    return out
 
 
 def _solve_jobs(jobs, precoders):
@@ -189,18 +189,19 @@ def _solve_jobs(jobs, precoders):
                                 + 1j * rng.standard_normal(symbols.shape)) / np.sqrt(2.0))
         shapes.setdefault((cfg.k_users, cfg.n_antennas, tuple(cfg.modulation_names()),
                            cfg.mode, cfg.sigma_z, cfg.multicast_restarts), []).append(len(frames))
-        frames.append(_Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise, {}))
-    out = [d.results for d in frames]
+        frames.append(_Frame(cfg, channel, cfg.targets(), symbols, mc_seed, noise))
+    out = [{} for _ in frames]
     for idx in shapes.values() if {"cipm", "multicast"} & set(precoders) else ():
-        for i, err in _solve_shape([frames[j] for j in idx], precoders).items():
-            out[idx[i]] = err
+        for i, o in zip(idx, _solve_shape([frames[j] for j in idx], precoders)):
+            out[i] = o
     ob = [i for i, o in enumerate(out) if "ob" in precoders and isinstance(o, dict)]
     beams = solve_ob_stack([frames[i].channel for i in ob], [frames[i].targets for i in ob])
     for i, d, b in zip(ob, [frames[i] for i in ob], beams):
-        # user j detects against its own beam gain h_j w_j
-        out[i] = b if isinstance(b, SolverError) else dict(d.results, ob=_result(
-            d, gather(d.cfg.constellations(), d.symbols) @ b.w,
-            np.diag(d.channel.entries @ b.w.T), 0, 1))
+        if isinstance(b, SolverError):
+            out[i] = b
+        else:           # user j detects against its own beam gain h_j w_j
+            out[i]["ob"] = _result(d, gather(d.cfg.constellations(), d.symbols) @ b.w,
+                                   np.diag(d.channel.entries @ b.w.T), 0, 1)
     return out
 
 
@@ -208,18 +209,22 @@ def _run_jobs(jobs, precoders, threads: int = 1):
     """_solve_jobs' results; raises the first failing job's error, named 'frame f: <error>'.
 
     Batch b of m >= n = min(threads, jobs), of about _BATCH_SLOTS slots, is jobs b, b + m, ...
+    Batches arrive in order: once b has, jobs 0..b are solved, so the first failing one among
+    them is raised before any later batch is read (with one process, before it is solved).
     """
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     n = min(threads, len(jobs))
     m = min(len(jobs), max(n, -(-sum(cfg.n_symbols for cfg, _, _ in jobs) // _BATCH_SLOTS)))
+    out = [None] * len(jobs)
     with concurrent.futures.ProcessPoolExecutor(n) if n > 1 else contextlib.nullcontext() as pool:
-        parts = list((pool.map if pool else map)(_solve_jobs, [jobs[b::m] for b in range(m)],
-                                                  [precoders] * m))
-    out = [parts[i % m][i // m] for i in range(len(jobs))]
-    for (_, f, _), o in zip(jobs, out):
-        if isinstance(o, SolverError):
-            raise _named(o, f"frame {f}")
+        batches = (pool.map if pool else map)(_solve_jobs, [jobs[b::m] for b in range(m)],
+                                              [precoders] * m)
+        for b, part in enumerate(batches):
+            out[b::m] = part
+            for i in range(b, b + 1 if b < m - 1 else len(jobs)):  # the last batch: every job
+                if isinstance(out[i], SolverError):
+                    raise _named(out[i], f"frame {jobs[i][1]}")
     return out
 
 
@@ -280,8 +285,9 @@ SWEEP_AXES = tuple(SWEEP_AXIS_TABLE)
 
 def run_sweep(base_cfg: FrameConfig, grid, axis: str = "sinr",
               precoders=("cipm", "ob"), threads: int = 1):
-    """Average frame results per (grid value, precoder).
+    """Average frame results per (grid value, precoder), for each of precoders.
 
+    precoders picks the compared precoders; base_cfg.precoder is not read.
     Channels and symbol draws depend only on (seed, frame index, grid value),
     never on the precoder, so precoders are compared on identical frames.
     """
@@ -459,9 +465,9 @@ def validate_distribution(constellation: str = "16qam", n_antennas: int = 2,
         raise ValueError(f"samples and bins must be >= 1, got samples={samples}, bins={bins}")
     spec = get_constellation(constellation)
     stats = symbol_stats(spec)
-    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1)
+    cfg = FadingConfig(beta=beta, n_antennas=n_antennas)
     rng = np.random.default_rng(seed)
-    rows = sample_rayleigh(replace(cfg, k_users=samples), rng).entries
+    rows = sample_rayleigh(cfg, samples, rng)
     raw = np.sum(np.abs(rows) ** 2, axis=1)
     sym = rng.integers(0, spec.order, size=samples)
     pts = np.asarray(spec.points)[sym]

@@ -16,8 +16,8 @@ solve_cipm_stack return each failing problem's error; only lone entries raise
 it. solve_cipm (strict mode included) runs the core on one problem, frames and
 the multicast SCA rounds on stacks; the equivalent-channel form is the strict
 problem on the effective channel, every user at QPSK's point 3. The KKT report
-keeps the multipliers and builds its residual, violation, active set and
-correlation matrix only on request. make_problem, like gather, rejects a symbol
+keeps the multipliers and builds its stationarity residual and constraint
+violation only on request. make_problem, like gather, rejects a symbol
 index that is not an integer in [0, order) of its user's constellation, naming the user.
 """
 
@@ -102,10 +102,6 @@ class PrecodeProblem:
     flips: np.ndarray
 
     @property
-    def k_users(self) -> int:
-        return self.channel.shape[0]
-
-    @property
     def n_antennas(self) -> int:
         return self.channel.shape[1]
 
@@ -129,30 +125,14 @@ class KktReport:
     u: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
-    def _slack(self) -> np.ndarray:
-        return self.problem.rows @ self.u - self.problem.rhs
-
-    @cached_property
     def stationarity_residual(self) -> float:
         nt = self.problem.n_antennas
         return kkt_residual(self.problem, self.u[:nt] + 1j * self.u[nt:], self.lam, self.mu)
 
     @cached_property
     def max_constraint_violation(self) -> float:
-        slack, is_eq = self._slack, self.problem.is_eq
+        slack, is_eq = self.problem.rows @ self.u - self.problem.rhs, self.problem.is_eq
         return float(np.max(np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
-
-    @cached_property
-    def active_set(self) -> tuple:
-        """Indices 2j (I) / 2j+1 (Q) of binding inequalities."""
-        return tuple(np.flatnonzero(~self.problem.is_eq & (np.abs(self._slack) < 1e-9)).tolist())
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        """Normalized channel correlation matrix."""
-        h = self.problem.channel
-        norms = np.linalg.norm(h, axis=1)
-        return (h @ h.conj().T) / np.outer(norms, norms)
 
 
 def _embed_rows(h: np.ndarray) -> np.ndarray:

@@ -729,9 +729,9 @@ def validate_distribution_oracle(constellation="16qam", n_antennas=2, beta=1.0,
     """(l1, ks_phase, curves) of the equivalent-channel fit, as computed before."""
     spec = get_constellation(constellation)
     stats = symbol_stats(spec)
-    cfg = FadingConfig(beta=beta, n_antennas=n_antennas, k_users=1)
+    cfg = FadingConfig(beta=beta, n_antennas=n_antennas)
     rng = np.random.default_rng(seed)
-    rows = sample_rayleigh(replace(cfg, k_users=samples), rng).entries
+    rows = sample_rayleigh(cfg, samples, rng)
     raw = np.sum(np.abs(rows) ** 2, axis=1)
     sym = rng.integers(0, spec.order, size=samples)
     pts = np.asarray(spec.points)[sym]

@@ -25,12 +25,12 @@ def test_reference_symbol_is_qpsk_point_3_bit_for_bit():
 
 def test_fading_config_validation():
     with pytest.raises(ValueError):
-        FadingConfig(beta=0.0, n_antennas=2, k_users=2)
-    with pytest.raises(ValueError):
-        FadingConfig(beta=1.0, n_antennas=0, k_users=2)
+        FadingConfig(beta=0.0, n_antennas=2)
+    with pytest.raises(ValueError, match="n_antennas must be >= 1"):
+        FadingConfig(beta=1.0, n_antennas=0)
     for beta in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            FadingConfig(beta=beta, n_antennas=2, k_users=2)
+            FadingConfig(beta=beta, n_antennas=2)
 
 
 def test_channel_matrix_shape_properties():
@@ -92,10 +92,10 @@ def test_load_rejects_malformed_files(tmp_path):
 
 
 def test_sample_rayleigh_statistics():
-    cfg = FadingConfig(beta=4.0, n_antennas=3, k_users=2)
+    cfg = FadingConfig(beta=4.0, n_antennas=3)
     rng = np.random.default_rng(0)
-    draws = np.stack([sample_rayleigh(cfg, rng=rng).entries
-                      for _ in range(20_000)])
+    draws = np.stack([sample_rayleigh(cfg, 2, rng=rng) for _ in range(20_000)])
+    assert draws.shape == (20_000, 2, 3) and draws.dtype == complex
     # per-entry power 1/beta, zero mean, circular symmetry
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0 / cfg.beta, rel=0.02)
     assert abs(np.mean(draws)) < 0.01
@@ -104,9 +104,9 @@ def test_sample_rayleigh_statistics():
 
 
 def test_sample_rayleigh_seed_determinism():
-    cfg = FadingConfig(beta=1.0, n_antennas=2, k_users=2)
-    a = sample_rayleigh(cfg, np.random.default_rng(7)).entries
-    b = sample_rayleigh(cfg, np.random.default_rng(7)).entries
+    cfg = FadingConfig(beta=1.0, n_antennas=2)
+    a = sample_rayleigh(cfg, 2, np.random.default_rng(7))
+    b = sample_rayleigh(cfg, 2, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -159,7 +159,7 @@ def test_symbol_stats_qpsk_single_level():
 
 @pytest.mark.parametrize("name", ["qpsk", "16qam", "64qam"])
 def test_eq_power_pdf_integrates_to_one(name):
-    cfg = FadingConfig(beta=1.0, n_antennas=2, k_users=1)
+    cfg = FadingConfig(beta=1.0, n_antennas=2)
     stats = symbol_stats(get_constellation(name))
     total, _ = quad(lambda z: float(eq_power_pdf(z, cfg, stats)), 0, np.inf,
                     limit=200)
@@ -167,7 +167,7 @@ def test_eq_power_pdf_integrates_to_one(name):
 
 
 def test_eq_power_cdf_matches_pdf_integral():
-    cfg = FadingConfig(beta=2.0, n_antennas=3, k_users=1)
+    cfg = FadingConfig(beta=2.0, n_antennas=3)
     stats = symbol_stats(get_constellation("16qam"))
     for z in (0.3, 1.0, 2.5, 6.0):
         num, _ = quad(lambda t: float(eq_power_pdf(t, cfg, stats)), 0, z,
@@ -176,7 +176,7 @@ def test_eq_power_cdf_matches_pdf_integral():
 
 
 def test_eq_power_mean_matches_quadrature():
-    cfg = FadingConfig(beta=1.5, n_antennas=2, k_users=1)
+    cfg = FadingConfig(beta=1.5, n_antennas=2)
     stats = symbol_stats(get_constellation("16qam"))
     num, _ = quad(lambda z: z * float(eq_power_pdf(z, cfg, stats)), 0, np.inf,
                   limit=300)
@@ -187,7 +187,7 @@ def test_eq_power_mean_matches_quadrature():
 
 
 def test_qpsk_power_collapses_to_plain_gamma():
-    cfg = FadingConfig(beta=2.0, n_antennas=3, k_users=1)
+    cfg = FadingConfig(beta=2.0, n_antennas=3)
     stats = symbol_stats(get_constellation("qpsk"))
     z = np.linspace(0.01, 8.0, 50)
     expected = gamma_dist.pdf(z, a=cfg.n_antennas, scale=1.0 / cfg.beta)
@@ -195,7 +195,7 @@ def test_qpsk_power_collapses_to_plain_gamma():
 
 
 def test_eq_power_pdf_matches_monte_carlo_histogram():
-    cfg = FadingConfig(beta=1.0, n_antennas=2, k_users=1)
+    cfg = FadingConfig(beta=1.0, n_antennas=2)
     spec = get_constellation("16qam")
     stats = symbol_stats(spec)
     rng = np.random.default_rng(11)

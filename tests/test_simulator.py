@@ -499,6 +499,30 @@ def test_failing_runs_solve_each_job_once(monkeypatch):
     assert uplinks == [2]
 
 
+@pytest.mark.parametrize("batch_slots, batches", [(6, [[0], [1]]), (18, [[0, 2, 4], [1, 3, 5]])],
+                         ids=["stop_after_two_of_six", "frame_2_waits_for_frame_1"])
+def test_a_one_process_run_stops_at_the_batch_that_names_its_failure(monkeypatch, batch_slots,
+                                                                      batches):
+    # frames 1, 2, 3 and 5 fail alone. Batches are read in order, and once batch b is in,
+    # jobs 0..b are solved: with six batches of one job, batch 1 names frame 1 and no
+    # later batch is solved; with two, frame 2 fails in batch 0 but frame 1 precedes it
+    solved, solve_jobs = [], simulator._solve_jobs
+
+    def spy(jobs, precoders):
+        solved.append([f for _, f, _ in jobs])
+        return solve_jobs(jobs, precoders)
+
+    monkeypatch.setattr(simulator, "_solve_jobs", spy)
+    monkeypatch.setattr(simulator, "_BATCH_SLOTS", batch_slots)
+    cfg = FrameConfig(n_symbols=6, frames=6, n_antennas=2, k_users=3, seed=1, zeta_db=2.0)
+    with pytest.raises(InfeasibleConstraintsError) as err:
+        run_frames(cfg)
+    assert str(err.value) == ("frame 1: combination [2, 2, 1]: infeasible; Farkas certificate"
+                              " on conflicting rows ['user1/I', 'user1/Q', 'user2/I',"
+                              " 'user2/Q', 'user3/I']")
+    assert solved == batches
+
+
 def test_failing_multicast_row_names_its_frame_and_combination(monkeypatch):
     # a multicast row whose QP fails: the frame's error names the row's combination
     cfg = FrameConfig(n_symbols=20, frames=2, seed=4, precoder="multicast", multicast_restarts=0)
@@ -720,7 +744,7 @@ def test_validate_distribution_quick():
 @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
 def test_distribution_fit_matches_brentq_oracle(name, nt, beta):
     bins = 12 if name == "qpsk" else 24
-    cfg, stats = FadingConfig(beta, nt, 1), symbol_stats(get_constellation(name))
+    cfg, stats = FadingConfig(beta, nt), symbol_stats(get_constellation(name))
     for hi in (20.0 * nt / beta + 10.0, 400.0 * nt / beta):
         got = _equal_probability_edges(cfg, stats, bins, hi)
         want = brentq_edges_oracle(cfg, stats, bins, hi)
@@ -737,7 +761,7 @@ def test_distribution_fit_matches_brentq_oracle(name, nt, beta):
 
 def test_distribution_edges_end_at_large_scales():
     # edges near 1e5 are spaced wider than 1e-12: the relative term ends the bisection
-    cfg, stats = FadingConfig(1e-4, 4, 1), symbol_stats(get_constellation("64qam"))
+    cfg, stats = FadingConfig(1e-4, 4), symbol_stats(get_constellation("64qam"))
     got = _equal_probability_edges(cfg, stats, 24, 2e6)
     assert np.all(np.diff(got) > 0)
     assert validate_distribution("64qam", 4, 1e-4, samples=3000, seed=0).sufficient

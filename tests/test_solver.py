@@ -98,10 +98,6 @@ def test_kkt_report_certifies_optimality():
     assert rep.stationarity_residual < 1e-8
     assert rep.max_constraint_violation < 1e-9
     assert sig.power == pytest.approx(np.sum(np.abs(sig.x) ** 2), rel=1e-12)
-    # correlation matrix: Hermitian with unit diagonal
-    assert np.allclose(np.diag(rep.rho), 1.0)
-    assert np.allclose(rep.rho, rep.rho.conj().T)
-    assert all(i < 2 * prob.k_users for i in rep.active_set)
 
 
 def test_relaxed_never_beats_strict_and_sometimes_wins():
@@ -294,10 +290,6 @@ def test_kkt_report_fields_match_direct_formulas():
         assert rep.stationarity_residual == kkt_residual(prob, sig.x, rep.lam, rep.mu)
         assert rep.max_constraint_violation == float(np.max(
             np.where(is_eq, np.abs(slack), np.maximum(0.0, -slack))))
-        assert rep.active_set == tuple(i for i in range(len(rhs))
-                                       if not is_eq[i] and abs(slack[i]) < 1e-9)
-        norms = np.linalg.norm(h, axis=1)
-        assert np.array_equal(rep.rho, (h @ h.conj().T) / np.outer(norms, norms))
 
 
 def test_kkt_residual_matches_unit_direction_form():

@@ -1,5 +1,6 @@
-"""The test suite's own configuration, run on probe files in a fresh pytest, and its
-reference implementations, each of which must have a caller."""
+"""The test suite's own configuration, run on probe files in a fresh pytest, its
+reference implementations, each of which must have a caller, and the README's library
+example, which must run."""
 
 import ast
 import pathlib
@@ -61,3 +62,15 @@ def test_every_oracle_has_a_caller():
                 live.add(node.id)
                 todo.append(node.id)
     assert sorted(functions - live) == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    # the quick start is the first code a reader copies: a renamed argument or a removed
+    # report field must fail here, not in their hands
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Quick start (library)\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md: Quick start (library)", "exec"), {})
+    power, residual, row_power, dbw = map(float, capsys.readouterr().out.split())
+    assert power > 0 and 0 <= residual < 1e-6 and abs(dbw) < 100
+    assert abs(row_power - 2.0) < 0.2      # Nt / beta
